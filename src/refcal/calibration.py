@@ -142,17 +142,14 @@ def select_frames(
 
 
 def _correspondences(req: CalibrationRequest, used: np.ndarray) -> list[Correspondence]:
-    track_row = {int(f): i for i, f in enumerate(req.track.frame_index)}
-    joint_row = {int(f): i for i, f in enumerate(req.joints.frame_index)}
-    corrs = []
-    for f in used:
-        q = req.joints.positions[joint_row[int(f)]]
-        if req.mode is Mode.EYE_ON_BASE:
-            p3 = reference_point_in_base(req.chain, req.ref, q)
-        else:
-            p3 = base_point_in_ee_frame(req.chain, q, req.ref.offset)
-        corrs.append(Correspondence(p3, req.track.uv[track_row[int(f)]]))
-    return corrs
+    # Both frame-index arrays are strictly increasing and contain every used frame.
+    q = req.joints.positions[np.searchsorted(req.joints.frame_index, used)]
+    uv = req.track.uv[np.searchsorted(req.track.frame_index, used)]
+    if req.mode is Mode.EYE_ON_BASE:
+        points = reference_point_in_base(req.chain, req.ref, q)
+    else:
+        points = base_point_in_ee_frame(req.chain, q, req.ref.offset)
+    return [Correspondence(p3, px) for p3, px in zip(points, uv)]
 
 
 def _run(req: CalibrationRequest) -> CalibrationResult:

@@ -108,12 +108,16 @@ def _pose_doc(pose: Pose) -> dict:
 
 def _pose_from_doc(doc: dict, path) -> Pose:
     try:
-        t = doc["translation_m"]
-        q = doc["quaternion_wxyz"]
-    except (KeyError, TypeError) as exc:
+        t = np.array(doc["translation_m"], dtype=float)
+        q = np.array(doc["quaternion_wxyz"], dtype=float)
+    except KeyError as exc:
         raise ParseError(f"pose object missing field: {exc}", path=path) from exc
-    if len(t) != 3 or len(q) != 4:
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad pose object: {exc}", path=path) from exc
+    if t.shape != (3,) or q.shape != (4,):
         raise ParseError("pose needs a 3-vector translation and 4-vector quaternion", path=path)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
+        raise ParseError("pose translation and quaternion must be finite", path=path)
     if abs(math.sqrt(sum(float(v) ** 2 for v in q)) - 1.0) > 1e-9:
         raise ParseError("quaternion is not unit-norm within 1e-9", path=path)
     return pose_from_quaternion(t, q)
@@ -140,6 +144,8 @@ def parse_chain_file(path) -> tuple[KinematicChain, ReferencePoint]:
         for j in doc["joints"]:
             origin = j["origin"]
             limits = j.get("limits")
+            if limits is not None and len(limits) != 2:
+                raise ValueError(f"joint {j['name']!r}: limits must be [lo, hi], got {limits!r}")
             joints.append(
                 Joint(
                     name=str(j["name"]),
@@ -163,7 +169,8 @@ def parse_chain_file(path) -> tuple[KinematicChain, ReferencePoint]:
     return chain, ref
 
 
-def write_chain_file(chain: KinematicChain, ref: ReferencePoint, path) -> None:
+def _chain_doc(chain: KinematicChain, ref: ReferencePoint) -> dict:
+    """The chain file's content as a dict, in its fixed key order."""
     joints = []
     for j in chain.joints:
         entry = {
@@ -178,12 +185,15 @@ def write_chain_file(chain: KinematicChain, ref: ReferencePoint, path) -> None:
         if j.limits is not None:
             entry["limits"] = [j.limits[0], j.limits[1]]
         joints.append(entry)
-    doc = {
+    return {
         "name": chain.name,
         "joints": joints,
         "reference_point": {"link": ref.link_index, "offset": [float(v) for v in ref.offset]},
     }
-    _write_json(doc, path)
+
+
+def write_chain_file(chain: KinematicChain, ref: ReferencePoint, path) -> None:
+    _write_json(_chain_doc(chain, ref), path)
 
 
 # ------------------------------------------------------------- CSV files ---
@@ -225,11 +235,20 @@ def parse_joint_log_csv(path) -> JointLog:
                 f"frame {frame} does not increase past {frames[-1]}", path=path, line=lineno
             )
         try:
-            ts.append(float(row[1]))
-            qs.append([float(v) for v in row[2:]])
+            values = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
+        for col, v in enumerate(values, start=2):
+            if not math.isfinite(v):
+                raise ParseError(
+                    f"non-finite {header[col - 1]!r} value {row[col - 1]!r}",
+                    path=path,
+                    line=lineno,
+                    column=col,
+                )
         frames.append(frame)
+        ts.append(values[0])
+        qs.append(values[1:])
     return JointLog(
         frame_index=np.array(frames, dtype=np.int64),
         timestamps=np.array(ts),

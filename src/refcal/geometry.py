@@ -97,16 +97,35 @@ def orthonormalize(r: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _ortho_drift(r: np.ndarray) -> float:
-    return float(np.max(np.abs(r.T @ r - np.eye(3))))
+def compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
+    """compose() over stacks of rotations (N, 3, 3) and translations (N, 3),
+    either side possibly one transform for all N; each product rotation is
+    re-projected onto SO(3) on its own if it drifts past ORTHONORMAL_TOL."""
+    r = np.matmul(ra, rb)
+    drift = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
+    for i in np.flatnonzero(drift > ORTHONORMAL_TOL):
+        r[i] = orthonormalize(r[i])
+    return r, np.matmul(ra, np.asarray(tb)[..., None])[..., 0] + ta
+
+
+def invert_stack(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """invert() over stacks: rotations (N, 3, 3) and translations (N, 3)."""
+    rt = np.swapaxes(r, -1, -2)
+    return rt, -(rt @ np.asarray(t)[..., None])[..., 0]
+
+
+def apply_stack(r: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Transform one point (3,) or one point per frame (N, 3) by each of a
+    stack of transforms, rotations (N, 3, 3) and translations (N, 3)."""
+    return (r @ np.asarray(points, dtype=float)[..., None])[..., 0] + t
 
 
 def compose(a: Pose, b: Pose) -> Pose:
     """a . b: apply b first, then a."""
-    r = a.rotation @ b.rotation
-    if _ortho_drift(r) > ORTHONORMAL_TOL:
-        r = orthonormalize(r)
-    return Pose(r, a.rotation @ b.translation + a.translation)
+    r, t = compose_stack(
+        a.rotation[None], a.translation[None], b.rotation[None], b.translation[None]
+    )
+    return Pose(r[0], t[0])
 
 
 def invert(p: Pose) -> Pose:
@@ -140,11 +159,12 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    a = np.asarray(axis, dtype=float)
-    k = skew(a)
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+def rotation_about_axis(axis: np.ndarray, angle) -> np.ndarray:
+    """Rodrigues rotation about a unit axis; an array of angles gives a
+    stack of rotations, shape angle.shape + (3, 3)."""
+    k = skew(axis)
+    a = np.asarray(angle, dtype=float)[..., None, None]
+    return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * (k @ k)
 
 
 def quaternion_to_matrix(q_wxyz: np.ndarray) -> np.ndarray:

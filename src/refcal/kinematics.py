@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, JointLimitViolation, JointLimitWarning
-from .geometry import Pose, apply, compose, identity, invert, rotation_about_axis
+from .geometry import Pose, apply_stack, compose_stack, invert_stack, rotation_about_axis
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -118,81 +118,97 @@ class JointLog:
         return self.positions.shape[1] if self.n_frames else 0
 
 
-def _joint_motion(joint: Joint, value: float) -> Pose:
+def _joint_motion(joint: Joint, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (N, 3, 3) and translations (N, 3) of one joint at N readings
+    (all zero for a fixed joint)."""
     if joint.kind == REVOLUTE:
-        return Pose(rotation_about_axis(joint.axis, value), np.zeros(3))
-    if joint.kind == PRISMATIC:
-        return Pose(np.eye(3), joint.axis * value)
-    return identity()
+        return rotation_about_axis(joint.axis, values), np.zeros((len(values), 3))
+    return np.broadcast_to(np.eye(3), (len(values), 3, 3)), values[:, None] * joint.axis
 
 
 def _check_limits(chain: KinematicChain, q: np.ndarray, strict: bool) -> None:
-    qi = iter(q)
-    for joint in chain.joints:
-        if not joint.actuated:
-            continue
-        value = float(next(qi))
-        if joint.limits is None:
-            continue
-        lo, hi = joint.limits
-        if not lo <= value <= hi:
-            if strict:
-                raise JointLimitViolation(joint.name, value, lo, hi)
-            warnings.warn(
-                f"joint {joint.name!r} reading {value:.6g} outside [{lo:.6g}, {hi:.6g}]",
-                JointLimitWarning,
-                stacklevel=3,
-            )
+    """One warning per out-of-limit reading of q (N, J), frame by frame in
+    joint order; under strict, raise on the first instead."""
+    actuated = [j for j in chain.joints if j.actuated]
+    lo, hi = np.array([j.limits or (-np.inf, np.inf) for j in actuated]).reshape(-1, 2).T
+    limited = np.array([j.limits is not None for j in actuated], dtype=bool)
+    for row, c in zip(*np.nonzero(limited & ~((q >= lo) & (q <= hi)))):
+        joint, value = actuated[c], float(q[row, c])
+        if strict:
+            raise JointLimitViolation(joint.name, value, *joint.limits)
+        warnings.warn(
+            f"joint {joint.name!r} reading {value:.6g} outside [{lo[c]:.6g}, {hi[c]:.6g}]",
+            JointLimitWarning,
+            stacklevel=3,
+        )
 
 
 def forward_kinematics(
     chain: KinematicChain, q: np.ndarray, strict_limits: bool = False
-) -> list[Pose]:
-    """Base-to-link pose for every link frame, index 0 being the base.
+) -> list[Pose] | tuple[np.ndarray, np.ndarray]:
+    """Base-to-link transforms of every link frame, index 0 being the base.
 
-    Out-of-limit values warn by default (logged data may carry sensor
-    noise) and raise JointLimitViolation when strict_limits is set.
+    q of shape (N, J) gives stacked rotations (N, L, 3, 3) and translations
+    (N, L, 3); one reading q of shape (J,) gives that frame as a list of L
+    Poses.  Out-of-limit values warn by default (logged data may carry
+    sensor noise) and raise JointLimitViolation when strict_limits is set.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if len(q) != chain.n_actuated:
+    q = np.asarray(q, dtype=float)
+    rows = np.atleast_2d(q)
+    if rows.ndim != 2 or rows.shape[1] != chain.n_actuated:
         raise DimensionMismatch(
-            f"chain {chain.name!r} has {chain.n_actuated} actuated joints, got {len(q)} values"
+            f"chain {chain.name!r} has {chain.n_actuated} actuated joints, "
+            f"got joint values of shape {q.shape}"
         )
-    _check_limits(chain, q, strict_limits)
-    poses = [identity()]
-    t = poses[0]
-    qi = iter(q)
+    _check_limits(chain, rows, strict_limits)
+    n = len(rows)
+    r, t = np.broadcast_to(np.eye(3), (n, 3, 3)), np.zeros((n, 3))
+    rotations, translations = [r], [t]
+    columns = iter(rows.T)
     for joint in chain.joints:
-        value = float(next(qi)) if joint.actuated else 0.0
-        t = compose(t, compose(joint.origin, _joint_motion(joint, value)))
-        poses.append(t)
-    return poses
+        values = next(columns) if joint.actuated else np.zeros(n)
+        origin = joint.origin
+        local = compose_stack(origin.rotation, origin.translation, *_joint_motion(joint, values))
+        r, t = compose_stack(r, t, *local)
+        rotations.append(r)
+        translations.append(t)
+    if q.ndim < 2:
+        return [Pose(r[0], t[0]) for r, t in zip(rotations, translations)]
+    return np.stack(rotations, axis=1), np.stack(translations, axis=1)
 
 
 def end_effector_pose(chain: KinematicChain, q: np.ndarray, strict_limits: bool = False) -> Pose:
     """Pose of the last link in the base frame (the FK T mapping EE to base)."""
-    return forward_kinematics(chain, q, strict_limits)[-1]
+    return forward_kinematics(chain, np.reshape(q, -1), strict_limits)[-1]
 
 
 def reference_point_in_base(
     chain: KinematicChain, ref: ReferencePoint, q: np.ndarray
 ) -> np.ndarray:
-    """3D position of the reference point in base coordinates."""
-    poses = forward_kinematics(chain, q)
-    if not 0 <= ref.link_index < len(poses):
+    """Reference point in base coordinates: (3,) for one reading q of shape
+    (J,), (N, 3) for q of shape (N, J)."""
+    if not 0 <= ref.link_index < chain.n_links:
         raise ValueError(
             f"reference link index {ref.link_index} out of range for chain with "
-            f"{len(poses)} link frames"
+            f"{chain.n_links} link frames"
         )
-    return apply(poses[ref.link_index], ref.offset)
+    q = np.asarray(q, dtype=float)
+    rotations, translations = forward_kinematics(chain, np.atleast_2d(q))
+    k = ref.link_index
+    points = apply_stack(rotations[:, k], translations[:, k], ref.offset)
+    return points if q.ndim == 2 else points[0]
 
 
 def base_point_in_ee_frame(
     chain: KinematicChain, q: np.ndarray, p_base: np.ndarray
 ) -> np.ndarray:
-    """Express a base-frame point in the end-effector frame.
+    """Express a base-frame point in the end-effector frame: (3,) for one
+    reading q of shape (J,), (N, 3) for q of shape (N, J).
 
     This is the algebraic form of reversing the chain topology: the fixed
     base point moves in the end-effector frame as the robot moves.
     """
-    return apply(invert(end_effector_pose(chain, q)), p_base)
+    q = np.asarray(q, dtype=float)
+    rotations, translations = forward_kinematics(chain, np.atleast_2d(q))
+    points = apply_stack(*invert_stack(rotations[:, -1], translations[:, -1]), p_base)
+    return points if q.ndim == 2 else points[0]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -36,8 +36,10 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     apply,
+    apply_stack,
     compose,
     invert,
+    invert_stack,
     rotation_about_axis,
     rotation_error,
     translation_error,
@@ -253,15 +255,13 @@ def _tilted(pose: Pose, max_angle: float, rng: np.random.Generator) -> Pose:
 
 def _scene_points(
     chain: KinematicChain, ref: ReferencePoint, log: JointLog
-) -> tuple[np.ndarray, list[Pose]]:
-    """Per-frame base-frame reference positions and end-effector poses."""
-    p_base = np.empty((log.n_frames, 3))
-    ee_poses = []
-    for i in range(log.n_frames):
-        poses = forward_kinematics(chain, log.positions[i])
-        ee_poses.append(poses[-1])
-        p_base[i] = apply(poses[ref.link_index], ref.offset)
-    return p_base, ee_poses
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-frame base-frame reference positions (N, 3), and end-effector
+    poses as rotations (N, 3, 3) and translations (N, 3)."""
+    rotations, translations = forward_kinematics(chain, log.positions)
+    k = ref.link_index
+    p_base = apply_stack(rotations[:, k], translations[:, k], ref.offset)
+    return p_base, rotations[:, -1], translations[:, -1]
 
 
 def generate_scene(
@@ -278,10 +278,10 @@ def generate_scene(
     log = _trajectory(chain, cfg, traj_rng)
     if cfg.mode is Mode.EYE_IN_HAND and ref.link_index != 0:
         raise ValueError("eye-in-hand scenes need a base-link reference point")
-    p_base, ee_poses = _scene_points(chain, ref, log)
+    p_base, ee_rot, ee_trans = _scene_points(chain, ref, log)
 
     if cfg.mode is Mode.EYE_IN_HAND:
-        base_in_ee = np.array([apply(invert(ee), ref.offset) for ee in ee_poses])
+        base_in_ee = apply_stack(*invert_stack(ee_rot, ee_trans), ref.offset)
 
     # Keep the placement (of up to 20) that sees the reference point in the
     # most frames; a real capture frames the point deliberately.
@@ -341,7 +341,8 @@ def generate_dual_view_scenes(
     traj_rng = _substream(cfg.seed, _TRAJECTORY)
     place_rng = _substream(cfg.seed, _PLACEMENT)
     log = _trajectory(chain, cfg, traj_rng)
-    p_arm, ee_poses = _scene_points(chain, arm_ref, log)
+    p_arm, ee_rot, ee_trans = _scene_points(chain, arm_ref, log)
+    base_in_ee = apply_stack(*invert_stack(ee_rot, ee_trans), base_ref.offset)
 
     # Aim between the arm trajectory and the base point so both stay in view.
     target = 0.5 * (p_arm.mean(axis=0) + base_ref.offset)
@@ -361,11 +362,8 @@ def generate_dual_view_scenes(
     eih_scenes = []
     for frac in anchor_fractions:
         anchor = min(int(frac * log.n_frames), log.n_frames - 1)
-        t_ce = compose(eob_scene.t_gt, ee_poses[anchor])
-        pc = np.array(
-            [apply(compose(t_ce, invert(ee)), base_ref.offset) for ee in ee_poses]
-        )
-        uv, visible = _project_masked(cfg.camera, pc)
+        t_ce = compose(eob_scene.t_gt, Pose(ee_rot[anchor], ee_trans[anchor]))
+        uv, visible = _project_masked(cfg.camera, apply(t_ce, base_in_ee))
         track = Track2D(log.frame_index, uv, visible, np.ones(log.n_frames, dtype=bool))
         eih_scenes.append(
             (anchor, GroundTruthScene(chain, base_ref, t_ce, log, track))
@@ -441,26 +439,14 @@ class SweepResult:
 
 
 def _config_digest(cfg: ScenarioConfig, chain: KinematicChain, ref: ReferencePoint) -> str:
-    blob = repr(
-        (
-            cfg.seed,
-            cfg.mode.value,
-            cfg.fps,
-            cfg.duration,
-            cfg.n_direction_switches,
-            (cfg.camera.fx, cfg.camera.fy, cfg.camera.cx, cfg.camera.cy,
-             cfg.camera.width, cfg.camera.height),
-            cfg.radius_range,
-            cfg.elevation_range,
-            (cfg.noise.sigma, cfg.noise.mu),
-            cfg.joint_speed,
-            chain.name,
-            chain.n_actuated,
-            ref.link_index,
-            tuple(ref.offset),
-        )
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """Digest of everything that shapes a sweep: the whole scenario config
+    and the chain file's content, both in their canonical serialized form."""
+    from .fileio import _chain_doc, _emit
+
+    config = asdict(cfg)
+    config["mode"] = cfg.mode.value
+    blob = _emit({"config": config, "chain": _chain_doc(chain, ref)})
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _sweep_metadata(

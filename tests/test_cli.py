@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import refcal
 from refcal.cli import main
 from refcal.fileio import builtin_chain_path, parse_pose_file, parse_result_file
 from refcal.geometry import rotation_error
@@ -170,3 +175,32 @@ def test_mode_strings_validated(capsys):
         main(["simulate", "--seed", "1", "--mode", "upside-down", "--chain", _chain(),
               "-o", "x"])
     assert exc.value.code == 2
+
+
+def _run_cli(*args):
+    """The CLI in a child process, so an uncaught error shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(refcal.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "refcal.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_eval_scalar_translation_exits_2_without_traceback(tmp_path):
+    pose = tmp_path / "pose.json"
+    pose.write_text('{"translation_m": 0.5, "quaternion_wxyz": [1, 0, 0, 0]}')
+    proc = _run_cli("eval", "--est", str(pose), "--gt", str(pose))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(pose) in proc.stderr
+
+
+def test_one_element_joint_limits_exits_2_without_traceback(tmp_path):
+    doc = json.loads(Path(_chain()).read_text())
+    doc["joints"][0]["limits"] = [-1.0]
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(doc))
+    proc = _run_cli("sweep-noise", "--seed", "1", "--chain", str(chain), "--sigmas", "0",
+                    "--repeats", "1", "-o", str(tmp_path / "noise.csv"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(chain) in proc.stderr

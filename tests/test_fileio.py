@@ -153,6 +153,19 @@ def test_joint_log_non_monotone(tmp_path):
         parse_joint_log_csv(p)
 
 
+@pytest.mark.parametrize(
+    "row, column",
+    [("1,0.1,nan,0.2", 3), ("1,inf,0.5,0.2", 2), ("1,0.1,0.5,-inf", 4)],
+)
+def test_joint_log_rejects_non_finite(tmp_path, row, column):
+    p = tmp_path / "j.csv"
+    p.write_text(f"frame,t,j1,j2\n0,0.0,0.5,0.1\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        parse_joint_log_csv(p)
+    assert (err.value.path, err.value.line, err.value.column) == (p, 3, column)
+    assert f"{p}:3:{column}" in str(err.value)
+
+
 def test_schema_mismatch_joint_count(panda, tmp_path):
     chain, _ = panda  # 7 actuated joints
     log = JointLog(np.arange(3), np.arange(3) / 30.0, np.zeros((3, 6)))
@@ -260,6 +273,35 @@ def test_pose_file_rejects_non_unit_quaternion(tmp_path):
     )
     with pytest.raises(ParseError):
         parse_pose_file(p)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"translation_m": 0.5, "quaternion_wxyz": [1, 0, 0, 0]}',
+        '{"translation_m": [0, 0, 0], "quaternion_wxyz": 1}',
+        '{"translation_m": ["a", 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}',
+        '{"translation_m": [0, 0, NaN], "quaternion_wxyz": [1, 0, 0, 0]}',
+        '{"pose": 3}',
+    ],
+)
+def test_pose_file_rejects_malformed_vectors(tmp_path, body):
+    p = tmp_path / "p.json"
+    p.write_text(body)
+    with pytest.raises(ParseError) as err:
+        parse_pose_file(p)
+    assert err.value.path == p
+
+
+def test_chain_rejects_one_element_limits(panda, tmp_path):
+    chain, ref = panda
+    p = tmp_path / "c.json"
+    write_chain_file(chain, ref, p)
+    p.write_text(p.read_text().replace("[-2.8973, 2.8973]", "[-2.8973]", 1))
+    with pytest.raises(ParseError) as err:
+        parse_chain_file(p)
+    assert err.value.path == p
+    assert "limits" in str(err.value)
 
 
 # ----------------------------------------------------------------- result ---

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from refcal.errors import DimensionMismatch, JointLimitViolation, JointLimitWarning
-from refcal.geometry import Pose, apply, compose, identity, rot_z
+from refcal.fileio import builtin_chain_path, parse_chain_file
+from refcal.geometry import Pose, apply, compose, identity, invert, rot_z, skew
 from refcal.kinematics import (
     Joint,
     JointLog,
@@ -251,3 +254,116 @@ def test_joint_log_validation():
     log = JointLog(frame_index=[0, 2], timestamps=[0.0, 0.2], positions=[[0.0], [0.1]])
     assert log.n_frames == 2
     assert log.n_joints == 1
+
+
+# ------------------------------------------------------------ batched FK ---
+
+
+def _per_frame_fk(chain, q):
+    """Oracle: one frame at a time, geometry.compose along the chain with a
+    Rodrigues rotation written out here."""
+    poses = [identity()]
+    values = iter(q)
+    for joint in chain.joints:
+        value = float(next(values)) if joint.actuated else 0.0
+        if joint.kind == "revolute":
+            k = skew(joint.axis)
+            rot = np.eye(3) + math.sin(value) * k + (1.0 - math.cos(value)) * (k @ k)
+            motion = Pose(rot, np.zeros(3))
+        elif joint.kind == "prismatic":
+            motion = Pose(np.eye(3), joint.axis * value)
+        else:
+            motion = identity()
+        poses.append(compose(poses[-1], compose(joint.origin, motion)))
+    return poses
+
+
+def _mid_limits(chain):
+    return np.array([sum(j.limits) / 2.0 for j in chain.joints if j.actuated])
+
+
+@pytest.mark.parametrize("name", ["panda", "panda_base_ref"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batched_fk_matches_per_frame_compose(name, data):
+    chain, ref = parse_chain_file(builtin_chain_path(name))
+    bounds = [st.floats(lo, hi) for lo, hi in (j.limits for j in chain.joints if j.actuated)]
+    q = np.array(data.draw(st.lists(st.tuples(*bounds), min_size=1, max_size=12)))
+
+    rotations, translations = forward_kinematics(chain, q)
+    assert rotations.shape == (len(q), chain.n_links, 3, 3)
+    assert translations.shape == (len(q), chain.n_links, 3)
+    points = reference_point_in_base(chain, ref, q)
+    in_ee = base_point_in_ee_frame(chain, q, ref.offset)
+    assert points.shape == in_ee.shape == (len(q), 3)
+
+    for i, qi in enumerate(q):
+        oracle = _per_frame_fk(chain, qi)
+        for k, pose in enumerate(oracle):
+            assert_allclose(rotations[i, k], pose.rotation, rtol=0, atol=1e-12)
+            assert_allclose(translations[i, k], pose.translation, rtol=0, atol=1e-12)
+        expected_point = apply(oracle[ref.link_index], ref.offset)
+        expected_in_ee = apply(invert(oracle[-1]), ref.offset)
+        assert_allclose(points[i], expected_point, rtol=0, atol=1e-12)
+        assert_allclose(in_ee[i], expected_in_ee, rtol=0, atol=1e-12)
+
+        # One-row views of the same core.
+        for view, pose in zip(forward_kinematics(chain, qi), oracle):
+            assert_allclose(view.rotation, pose.rotation, rtol=0, atol=1e-12)
+            assert_allclose(view.translation, pose.translation, rtol=0, atol=1e-12)
+        end = end_effector_pose(chain, qi)
+        assert_allclose(end.rotation, oracle[-1].rotation, rtol=0, atol=1e-12)
+        assert_allclose(end.translation, oracle[-1].translation, rtol=0, atol=1e-12)
+        assert_allclose(reference_point_in_base(chain, ref, qi), expected_point,
+                        rtol=0, atol=1e-12)
+        assert_allclose(base_point_in_ee_frame(chain, qi, ref.offset), expected_in_ee,
+                        rtol=0, atol=1e-12)
+
+
+def test_batched_fk_limit_checks_per_reading(panda):
+    chain, ref = panda
+    q = np.tile(_mid_limits(chain), (4, 1))
+    q[1, 2] = 5.0
+    q[3, 0] = -5.0
+    q[3, 6] = 9.0
+    with pytest.warns(JointLimitWarning) as record:
+        points = reference_point_in_base(chain, ref, q)
+    messages = [str(w.message) for w in record if issubclass(w.category, JointLimitWarning)]
+    assert len(messages) == 3
+    assert [m.split("'")[1] for m in messages] == ["joint3", "joint1", "joint7"]
+    assert points.shape == (4, 3)
+    with pytest.raises(JointLimitViolation) as err:
+        forward_kinematics(chain, q, strict_limits=True)
+    assert err.value.joint == "joint3"
+    assert err.value.value == 5.0
+
+
+def test_batched_fk_dimension_mismatch(panda):
+    chain, ref = panda
+    with pytest.raises(DimensionMismatch):
+        forward_kinematics(chain, np.zeros((5, 6)))
+    with pytest.raises(DimensionMismatch):
+        reference_point_in_base(chain, ref, np.zeros((5, 8)))
+
+
+def test_batched_fk_reprojects_drifted_rotations():
+    # An origin rotation off SO(3) by 1e-6 makes every product drift past
+    # ORTHONORMAL_TOL; each frame and link must be re-projected as compose does.
+    bump = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    drifted = Pose(rot_z(0.3) + 1e-6 * bump, (0.1, 0.0, 0.2))
+    chain = KinematicChain(
+        name="drift",
+        joints=(
+            _revolute("j1", origin=drifted, axis=(1.0, 0.0, 0.0)),
+            _revolute("j2", origin=drifted),
+            _fixed("tool", (0.0, 0.0, 0.1)),
+        ),
+    )
+    q = np.array([[0.0, 0.0], [0.4, -1.1], [2.0, 0.7]])
+    rotations, translations = forward_kinematics(chain, q)
+    drift = np.abs(np.swapaxes(rotations, -1, -2) @ rotations - np.eye(3)).max(axis=(-2, -1))
+    assert drift.max() < 1e-12
+    for i, qi in enumerate(q):
+        for k, pose in enumerate(_per_frame_fk(chain, qi)):
+            assert_allclose(rotations[i, k], pose.rotation, rtol=0, atol=1e-12)
+            assert_allclose(translations[i, k], pose.translation, rtol=0, atol=1e-12)

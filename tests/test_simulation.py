@@ -307,3 +307,27 @@ def test_export_scene_roundtrip(panda, tmp_path):
     gt = parse_pose_file(paths["ground_truth"])
     assert np.array_equal(gt.translation, scene.t_gt.translation)
     assert rotation_error(gt, scene.t_gt) < 1e-9
+
+
+def test_config_digest_covers_chain_geometry_and_eih_bounds(panda_base):
+    from dataclasses import replace
+
+    from refcal.kinematics import KinematicChain
+    from refcal.simulation import _config_digest
+
+    chain, ref = panda_base
+    cfg = ScenarioConfig(seed=4, mode=Mode.EYE_IN_HAND)
+    digest = _config_digest(cfg, chain, ref)
+    assert _config_digest(replace(cfg), chain, ref) == digest
+
+    first = chain.joints[0]
+    moved = KinematicChain(
+        chain.name,
+        (replace(first, origin=Pose(first.origin.rotation, (0.0, 0.0, 0.9))),) + chain.joints[1:],
+    )
+    variants = [
+        _config_digest(cfg, moved, ref),
+        _config_digest(replace(cfg, eih_offset_max=0.5), chain, ref),
+        _config_digest(replace(cfg, eih_tilt_max=math.radians(5.0)), chain, ref),
+    ]
+    assert len({digest, *variants}) == 4
