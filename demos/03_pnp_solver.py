@@ -5,7 +5,7 @@ Run: python demos/03_pnp_solver.py
 
 import numpy as np
 
-from refcal import CameraIntrinsics, Correspondence, check_degeneracy, solve_pnp
+from refcal import CameraIntrinsics, check_degeneracy, solve_pnp
 from refcal.errors import DegenerateConfiguration
 from refcal.geometry import apply, invert, project, rotation_error
 from refcal.pnp import solve_pnp_linear
@@ -36,17 +36,16 @@ sv = report.spread_singular_values
 print(f"n={report.n_points}, classification={report.classification}, "
       f"spread ratios ({sv[1] / sv[0]:.2f}, {sv[2] / sv[0]:.2f})")
 
-corrs = [Correspondence(p_obj[i], pixels[i]) for i in range(n)]
 print("\n== noiseless solve ==")
-linear = solve_pnp_linear(corrs, k)
+linear = solve_pnp_linear(p_obj, pixels, k)
 print(f"closed-form: |dt| = {np.max(np.abs(linear.translation - t_gt.translation)):.2e} m")
-sol = solve_pnp(corrs, k)
+sol = solve_pnp(p_obj, pixels, k)
 print(f"refined:     |dt| = {np.max(np.abs(sol.pose.translation - t_gt.translation)):.2e} m, "
       f"rot = {rotation_error(sol.pose, t_gt):.2e} rad, rms = {sol.rms_reprojection_error:.2e} px")
 
 print("\n== with 5 px pixel noise ==")
-noisy = [Correspondence(c.point3, c.pixel + rng.normal(0, 5.0, 2)) for c in corrs]
-sol = solve_pnp(noisy, k)
+noisy = pixels + rng.normal(0, 5.0, pixels.shape)
+sol = solve_pnp(p_obj, noisy, k)
 print(f"|dt| = {np.linalg.norm(sol.pose.translation - t_gt.translation) * 100:.3f} cm, "
       f"rms = {sol.rms_reprojection_error:.2f} px")
 
@@ -54,6 +53,6 @@ print("\n== collinear points are refused ==")
 line = np.column_stack([np.linspace(0, 1, 12), np.zeros(12), np.zeros(12)])
 line_px = project(k, line + (0, 0, 2.0))
 try:
-    solve_pnp([Correspondence(line[i], line_px[i]) for i in range(12)], k)
+    solve_pnp(line, line_px, k)
 except DegenerateConfiguration as exc:
     print("DegenerateConfiguration:", exc)

@@ -18,7 +18,7 @@ from refcal import (
     Mode,
     NoiseModel,
     ScenarioConfig,
-    calibrate_eye_on_base,
+    calibrate,
     corrupt_track,
     evaluate,
     export_scene,
@@ -38,7 +38,7 @@ req = CalibrationRequest(
     track=scene.clean_track, joints=scene.joint_log,
     options=CalibrationOptions(min_pairs=4),
 )
-result = calibrate_eye_on_base(req)
+result = calibrate(req)
 err = evaluate(result.pose, scene.t_gt)
 print(f"pairs used {result.n_pairs_used}, dropped {len(result.dropped)}, "
       f"rms {result.solution.rms_reprojection_error:.2e} px")
@@ -47,7 +47,7 @@ print(f"error vs ground truth: ({err.e_x_cm:.2e}, {err.e_y_cm:.2e}, {err.e_z_cm:
 
 print("\n== with 2 px tracking noise ==")
 noisy = corrupt_track(scene.clean_track, NoiseModel(sigma=2.0), seed=11)
-result = calibrate_eye_on_base(
+result = calibrate(
     CalibrationRequest(
         mode=Mode.EYE_ON_BASE, chain=chain, ref=ref, intrinsics=cfg.camera,
         track=noisy, joints=scene.joint_log, options=CalibrationOptions(min_pairs=4),
@@ -64,7 +64,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     track2 = parse_track_csv(paths["track"])
     joints2 = parse_joint_log_csv(paths["joints"])
-    result2 = calibrate_eye_on_base(
+    result2 = calibrate(
         CalibrationRequest(
             mode=Mode.EYE_ON_BASE, chain=chain, ref=ref, intrinsics=cfg.camera,
             track=track2, joints=joints2, options=CalibrationOptions(min_pairs=4),

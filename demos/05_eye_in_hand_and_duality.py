@@ -15,8 +15,7 @@ from refcal import (
     CalibrationRequest,
     Mode,
     ScenarioConfig,
-    calibrate_eye_in_hand,
-    calibrate_eye_on_base,
+    calibrate,
     evaluate,
     generate_scene,
     solve_axxb,
@@ -32,7 +31,7 @@ _, base_ref = parse_chain_file(builtin_chain_path("panda_base_ref"))
 print("== eye-in-hand calibration ==")
 cfg = ScenarioConfig(seed=21, mode=Mode.EYE_IN_HAND)
 scene = generate_scene(cfg, chain, base_ref)
-result = calibrate_eye_in_hand(
+result = calibrate(
     CalibrationRequest(
         mode=Mode.EYE_IN_HAND, chain=chain, ref=base_ref, intrinsics=cfg.camera,
         track=scene.clean_track, joints=scene.joint_log,
@@ -49,12 +48,12 @@ eob_scene, eih_scenes = generate_dual_view_scenes(
     cfg, chain, flange_ref, base_ref, anchor_fractions=(0.2, 0.8)
 )
 opts = CalibrationOptions(min_pairs=4)
-t_cb = calibrate_eye_on_base(
+t_cb = calibrate(
     CalibrationRequest(Mode.EYE_ON_BASE, chain, flange_ref, cfg.camera,
                        eob_scene.clean_track, eob_scene.joint_log, opts)
 ).pose
 for anchor, eih_scene in eih_scenes:
-    t_ce = calibrate_eye_in_hand(
+    t_ce = calibrate(
         CalibrationRequest(Mode.EYE_IN_HAND, chain, base_ref, cfg.camera,
                            eih_scene.clean_track, eih_scene.joint_log, opts)
     ).pose

@@ -16,8 +16,6 @@ from .calibration import (
     Mode,
     Track2D,
     calibrate,
-    calibrate_eye_in_hand,
-    calibrate_eye_on_base,
     select_frames,
     solve_axxb,
 )
@@ -44,7 +42,6 @@ from .kinematics import (
     reference_point_in_base,
 )
 from .pnp import (
-    Correspondence,
     DegeneracyReport,
     PnPSolution,
     RefineOptions,
@@ -72,7 +69,6 @@ __all__ = [
     "CalibrationRequest",
     "CalibrationResult",
     "CameraIntrinsics",
-    "Correspondence",
     "DegeneracyReport",
     "GroundTruthScene",
     "Joint",
@@ -90,8 +86,6 @@ __all__ = [
     "apply",
     "base_point_in_ee_frame",
     "calibrate",
-    "calibrate_eye_in_hand",
-    "calibrate_eye_on_base",
     "check_degeneracy",
     "compose",
     "corrupt_track",

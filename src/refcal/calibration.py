@@ -31,7 +31,7 @@ from .kinematics import (
     base_point_in_ee_frame,
     reference_point_in_base,
 )
-from .pnp import Correspondence, PnPSolution, RefineOptions, solve_pnp
+from .pnp import PnPSolution, RefineOptions, solve_pnp
 
 
 class Mode(enum.Enum):
@@ -141,56 +141,39 @@ def select_frames(
     return np.array(used, dtype=np.int64), dropped
 
 
-def _correspondences(req: CalibrationRequest, used: np.ndarray) -> list[Correspondence]:
+def _correspondences(req: CalibrationRequest, used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) object points and their (n, 2) pixels for the used frames."""
     # Both frame-index arrays are strictly increasing and contain every used frame.
     q = req.joints.positions[np.searchsorted(req.joints.frame_index, used)]
     uv = req.track.uv[np.searchsorted(req.track.frame_index, used)]
     if req.mode is Mode.EYE_ON_BASE:
-        points = reference_point_in_base(req.chain, req.ref, q)
-    else:
-        points = base_point_in_ee_frame(req.chain, q, req.ref.offset)
-    return [Correspondence(p3, px) for p3, px in zip(points, uv)]
+        return reference_point_in_base(req.chain, req.ref, q), uv
+    return base_point_in_ee_frame(req.chain, q, req.ref.offset), uv
 
 
-def _run(req: CalibrationRequest) -> CalibrationResult:
+def calibrate(req: CalibrationRequest) -> CalibrationResult:
+    """Solve the camera-to-base transform (eye-on-base, camera fixed in the
+    workspace) or the camera-to-end-effector transform (eye-in-hand, camera
+    on the arm).
+
+    Eye-in-hand needs the reference point on the base link; its
+    end-effector-frame coordinates at each frame come from the inverted FK
+    pose.
+    """
+    if req.mode is Mode.EYE_IN_HAND and req.ref.link_index != 0:
+        raise ValueError(
+            "eye-in-hand calibration requires the reference point on the base "
+            f"link (link 0), got link {req.ref.link_index}"
+        )
     used, dropped = select_frames(req.track, req.joints, req.options)
-    corrs = _correspondences(req, used)
-    solution = solve_pnp(corrs, req.intrinsics, RefineOptions(robust=req.options.robust))
+    points, uv = _correspondences(req, used)
+    solution = solve_pnp(points, uv, req.intrinsics, opts=RefineOptions(robust=req.options.robust))
     return CalibrationResult(
         pose=solution.pose,
         solution=solution,
         n_pairs_used=len(used),
         dropped=tuple(dropped),
     )
-
-
-def calibrate_eye_on_base(req: CalibrationRequest) -> CalibrationResult:
-    """Solve the camera-to-base transform for a camera fixed in the workspace."""
-    if req.mode is not Mode.EYE_ON_BASE:
-        raise ValueError(f"request mode is {req.mode}, expected EYE_ON_BASE")
-    return _run(req)
-
-
-def calibrate_eye_in_hand(req: CalibrationRequest) -> CalibrationResult:
-    """Solve the camera-to-end-effector transform for an arm-mounted camera.
-
-    The reference point must sit on the base link; its end-effector-frame
-    coordinates at each frame come from the inverted FK pose.
-    """
-    if req.mode is not Mode.EYE_IN_HAND:
-        raise ValueError(f"request mode is {req.mode}, expected EYE_IN_HAND")
-    if req.ref.link_index != 0:
-        raise ValueError(
-            "eye-in-hand calibration requires the reference point on the base "
-            f"link (link 0), got link {req.ref.link_index}"
-        )
-    return _run(req)
-
-
-def calibrate(req: CalibrationRequest) -> CalibrationResult:
-    if req.mode is Mode.EYE_ON_BASE:
-        return calibrate_eye_on_base(req)
-    return calibrate_eye_in_hand(req)
 
 
 def _log_so3(r: np.ndarray) -> np.ndarray:

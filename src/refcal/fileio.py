@@ -305,11 +305,19 @@ def parse_track_csv(path) -> Track2D:
                 coords.append(math.nan)
             else:
                 try:
-                    coords.append(float(text))
+                    value = float(text)
                 except ValueError as exc:
                     raise ParseError(
                         f"bad pixel coordinate {text!r}", path=path, line=lineno, column=col
                     ) from exc
+                if visible and not math.isfinite(value):
+                    raise ParseError(
+                        f"non-finite pixel coordinate {text!r} on a visible row",
+                        path=path,
+                        line=lineno,
+                        column=col,
+                    )
+                coords.append(value)
         frames.append(frame)
         uv.append(coords)
         vis.append(visible)

@@ -269,9 +269,15 @@ def unproject(k: CameraIntrinsics, pixel: np.ndarray, depth: float) -> np.ndarra
 
 
 def rotation_error(a: Pose, b: Pose) -> float:
-    """Geodesic angle between two rotations, in [0, pi] radians."""
-    c = (np.trace(a.rotation @ b.rotation.T) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))
+    """Geodesic angle between two rotations, in [0, pi] radians.
+
+    atan2 of the sine (from the skew part) and the cosine (from the trace)
+    stays accurate at every angle, where acos of the trace alone cannot
+    resolve angles below about 2e-8 rad.
+    """
+    r = a.rotation @ b.rotation.T
+    s = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    return math.atan2(float(np.linalg.norm(s)) / 2.0, (np.trace(r) - 1.0) / 2.0)
 
 
 def translation_error(a: Pose, b: Pose) -> np.ndarray:

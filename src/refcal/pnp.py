@@ -13,7 +13,7 @@ camera frame, so ``project(k, apply(pose, p3))`` reproduces the pixel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -39,26 +39,11 @@ MIN_POINTS = 4
 # (a 2 cm-thick scatter along a 1 m sweep trips it).
 SPREAD_RATIO_TOL = 0.02
 
-
-@dataclass(frozen=True)
-class Correspondence:
-    """One 3D point (object frame, meters) observed at a pixel."""
-
-    point3: np.ndarray
-    pixel: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        p3 = np.array(self.point3, dtype=float).reshape(3)
-        p2 = np.array(self.pixel, dtype=float).reshape(2)
-        if not (np.all(np.isfinite(p3)) and np.all(np.isfinite(p2))):
-            raise ValueError("correspondence coordinates must be finite")
-        if not self.weight >= 0:
-            raise ValueError("correspondence weight must be nonnegative")
-        p3.setflags(write=False)
-        p2.setflags(write=False)
-        object.__setattr__(self, "point3", p3)
-        object.__setattr__(self, "pixel", p2)
+# Floor on the rms extent (meters) along the second principal axis.  Below
+# it, pixel noise swamps the cross-track geometry however well the ratios
+# look: a 2 cm scatter with 0.2 mm rms width solved at 2 px noise lands
+# metres from the truth.
+MIN_SPREAD_M = 0.01
 
 
 @dataclass(frozen=True)
@@ -94,7 +79,9 @@ def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
     """Classify the spatial spread of a 3D point set.
 
     Singular values of the centered point matrix measure extent along the
-    principal axes; near-zero ratios flag collinear or planar layouts.
+    principal axes; near-zero ratios flag collinear or planar layouts, and
+    a set whose second-axis rms extent is below MIN_SPREAD_M counts as
+    collinear.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
@@ -106,7 +93,7 @@ def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
     sv[: len(got)] = got[:3]
     if n < MIN_POINTS:
         cls = DEGENERATE
-    elif sv[0] < 1e-12 or sv[1] / sv[0] < SPREAD_RATIO_TOL:
+    elif sv[1] / math.sqrt(n) < MIN_SPREAD_M or sv[1] / sv[0] < SPREAD_RATIO_TOL:
         cls = NEAR_COLLINEAR
     elif sv[2] / sv[0] < SPREAD_RATIO_TOL:
         cls = NEAR_PLANAR
@@ -115,12 +102,25 @@ def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
     return DegeneracyReport(n_points=n, spread_singular_values=sv, classification=cls)
 
 
-def _unpack(corrs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if len(corrs) == 0:
+def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, 3) points, (n, 2) pixels and (n,) weights (all ones when None) as
+    float arrays; rejects mismatched shapes, non-finite coordinates and
+    negative weights, and raises EmptyInput when n is zero."""
+    pts3 = np.asarray(pts3, dtype=float)
+    pix = np.asarray(pix, dtype=float)
+    n = len(pts3) if pts3.ndim else 0
+    w = np.ones(n) if w is None else np.asarray(w, dtype=float)
+    if pts3.shape != (n, 3) or pix.shape != (n, 2) or w.shape != (n,):
+        raise ValueError(
+            f"expected (n, 3) points, (n, 2) pixels and (n,) weights, got "
+            f"{pts3.shape}, {pix.shape} and {w.shape}"
+        )
+    if n == 0:
         raise EmptyInput("no correspondences given")
-    pts3 = np.array([c.point3 for c in corrs])
-    pix = np.array([c.pixel for c in corrs])
-    w = np.array([c.weight for c in corrs])
+    if not (np.all(np.isfinite(pts3)) and np.all(np.isfinite(pix))):
+        raise ValueError("correspondence coordinates must be finite")
+    if not np.all(w >= 0):
+        raise ValueError("correspondence weights must be nonnegative")
     return pts3, pix, w
 
 
@@ -178,45 +178,33 @@ def _kernel_basis(
     return evecs[:, :n_vecs].T.reshape(n_vecs, m, 3)
 
 
-def _beta_init(kernel: np.ndarray, rho: np.ndarray, pairs, case: int) -> np.ndarray:
-    """Linearized distance-constraint solution for the first `case` betas."""
-    dv = np.array([[v[i] - v[j] for (i, j) in pairs] for v in kernel])  # (N, P, 3)
+def _beta_init(dv: np.ndarray, rho: np.ndarray, case: int) -> np.ndarray:
+    """Linearized distance-constraint solution for the first `case` betas.
+
+    ``dv`` (N, P, 3) holds each kernel vector's control-point differences.
+    """
     if case == 1:
         norms2 = (dv[0] ** 2).sum(axis=1)
         denom = float(norms2.sum())
         if denom < 1e-30:
             raise NumericalFailure("degenerate kernel vector")
         return np.array([float((np.sqrt(rho) * np.sqrt(norms2)).sum() / denom)])
-    if case == 2:
-        cols = [
-            (dv[0] * dv[0]).sum(axis=1),
-            2 * (dv[0] * dv[1]).sum(axis=1),
-            (dv[1] * dv[1]).sum(axis=1),
-        ]
-        sol, *_ = np.linalg.lstsq(np.column_stack(cols), rho, rcond=None)
-        b11, b12, b22 = sol
-        b1 = math.sqrt(abs(b11))
-        b2 = math.copysign(math.sqrt(abs(b22)), b12)
-        return np.array([b1, b2])
-    cols = [
-        (dv[0] * dv[0]).sum(axis=1),
-        2 * (dv[0] * dv[1]).sum(axis=1),
-        (dv[1] * dv[1]).sum(axis=1),
-        2 * (dv[0] * dv[2]).sum(axis=1),
-        2 * (dv[1] * dv[2]).sum(axis=1),
-        (dv[2] * dv[2]).sum(axis=1),
-    ]
-    sol, *_ = np.linalg.lstsq(np.column_stack(cols), rho, rcond=None)
-    b11, b12, b22, b13, _, b33 = sol
-    b1 = math.sqrt(abs(b11))
-    b2 = math.copysign(math.sqrt(abs(b22)), b12)
-    b3 = math.copysign(math.sqrt(abs(b33)), b13)
-    return np.array([b1, b2, b3])
+
+    def dot(a: int, b: int) -> np.ndarray:
+        return (dv[a] * dv[b]).sum(axis=1)
+
+    # Unknowns b11, b12, b22 (case 2), then b13, b23, b33 (case 3).
+    cols = [dot(0, 0), 2 * dot(0, 1), dot(1, 1), 2 * dot(0, 2), 2 * dot(1, 2), dot(2, 2)]
+    sol, *_ = np.linalg.lstsq(np.column_stack(cols[: 3 * (case - 1)]), rho, rcond=None)
+    betas = [math.sqrt(abs(sol[0])), math.copysign(math.sqrt(abs(sol[2])), sol[1])]
+    if case == 3:
+        betas.append(math.copysign(math.sqrt(abs(sol[5])), sol[3]))
+    return np.array(betas)
 
 
-def _refine_betas(kernel: np.ndarray, rho: np.ndarray, pairs, betas: np.ndarray) -> np.ndarray:
+def _refine_betas(dv: np.ndarray, rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Gauss-Newton on the squared control-point distance constraints."""
-    dv = np.array([[v[i] - v[j] for (i, j) in pairs] for v in kernel[: len(betas)]])
+    dv = dv[: len(betas)]
     for _ in range(8):
         dcc = np.tensordot(betas, dv, axes=1)  # (P, 3)
         resid = (dcc**2).sum(axis=1) - rho
@@ -263,14 +251,14 @@ def _linear_candidates(
     ctrl = _control_points(pts3, w, planar)
     alphas = _barycentric(pts3, ctrl)
     kernel = _kernel_basis(alphas, pix, w, k, n_vecs=3)
-    pairs = list(combinations(range(ctrl.shape[0]), 2))
-    rho = np.array([float(((ctrl[i] - ctrl[j]) ** 2).sum()) for (i, j) in pairs])
+    i, j = np.array(list(combinations(range(len(ctrl)), 2))).T
+    rho = ((ctrl[i] - ctrl[j]) ** 2).sum(axis=1)
+    dv = kernel[:, i] - kernel[:, j]  # (N, P, 3)
     cases = (1, 2) if planar else (1, 2, 3)
     candidates = []
     for case in cases:
         try:
-            betas = _beta_init(kernel, rho, pairs, case)
-            betas = _refine_betas(kernel, rho, pairs, betas)
+            betas = _refine_betas(dv, rho, _beta_init(dv, rho, case))
             pose = _pose_from_betas(kernel, betas, alphas, pts3, w)
         except NumericalFailure:
             continue
@@ -357,33 +345,33 @@ def _cost(
     return float((w_eff * rho).sum()), resid, z
 
 
+def _front_weights(pose: Pose, pts3: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w`` with the points at or behind the camera plane at ``pose`` zeroed."""
+    z = (pts3 @ pose.rotation.T + pose.translation)[:, 2]
+    return np.where(z <= MIN_DEPTH, 0.0, w)
+
+
 def refine_pose(
-    initial: Pose, corrs, k: CameraIntrinsics, opts: RefineOptions | None = None
+    initial: Pose, pts3, pix, k: CameraIntrinsics, w=None, opts: RefineOptions | None = None
 ) -> PnPSolution:
     """Damped least-squares (Levenberg-Marquardt) reprojection refinement.
 
+    Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
     Points behind the camera at the initial pose are down-weighted to zero
     and re-checked after each accepted step; accepted steps never increase
     the cost.  Raises DivergedBehindCamera when the majority of points sit
     at non-positive depth.
     """
     opts = opts or RefineOptions()
-    pts3, pix, w_user = _unpack(corrs)
+    pts3, pix, w_user = _validated(pts3, pix, w)
     report = check_degeneracy(pts3)
     n = len(pts3)
-
-    z0 = (pts3 @ initial.rotation.T + initial.translation)[:, 2]
-    behind0 = z0 <= MIN_DEPTH
-    if 2 * int(behind0.sum()) > n:
-        raise DivergedBehindCamera(
-            f"{int(behind0.sum())} of {n} points behind the camera at the initial pose"
-        )
-    w_eff = np.where(behind0, 0.0, w_user)
+    w_eff = _front_weights(initial, pts3, w_user)
 
     pose = initial
     cost, _, _ = _cost(pose, pts3, pix, w_eff, k, opts)
     if not math.isfinite(cost):
-        raise DivergedBehindCamera("initial pose leaves active points behind the camera")
+        raise DivergedBehindCamera(f"the initial pose puts most of the {n} points behind it")
     lam = opts.damping_init
     for _ in range(opts.max_iters):
         resid, jac, _ = linearize_reprojection(pose, pts3, pix, k)
@@ -432,49 +420,15 @@ def refine_pose(
     )
 
 
-def _score(pose: Pose, corrs, k: CameraIntrinsics) -> float:
-    """Reprojection rms after a single refinement step (case tie-breaking)."""
-    try:
-        sol = refine_pose(pose, corrs, k, RefineOptions(max_iters=1))
-    except (DivergedBehindCamera, NumericalFailure):
-        return math.inf
-    return sol.rms_reprojection_error
+def _linear_stage(
+    pts3: np.ndarray, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics
+) -> tuple[DegeneracyReport, list[Pose]]:
+    """Degeneracy guard, then the control-point candidates cheapest first.
 
-
-def solve_pnp_linear(
-    corrs, k: CameraIntrinsics, report: DegeneracyReport | None = None
-) -> Pose:
-    """Closed-form control-point pose estimate (no full refinement).
-
-    Among the kernel-combination cases, the pose whose reprojection rms
-    after one refinement step is smallest wins.
+    Each candidate is scored by its plain reprojection cost, with the points
+    behind the camera zeroed as ``refine_pose`` zeroes them at its start; a
+    candidate with most points behind the camera scores inf and is left out.
     """
-    pts3, pix, w = _unpack(corrs)
-    if report is None:
-        report = check_degeneracy(pts3)
-    if report.classification in (DEGENERATE, NEAR_COLLINEAR):
-        raise DegenerateConfiguration(
-            f"point arrangement is {report.classification} "
-            f"(n={report.n_points}); sweep a wider, non-collinear volume",
-            report=report,
-        )
-    candidates = _linear_candidates(pts3, pix, w, k, planar=report.classification == NEAR_PLANAR)
-    scores = [_score(p, corrs, k) for p in candidates]
-    best = int(np.argmin(scores))
-    if not math.isfinite(scores[best]):
-        raise NumericalFailure("all control-point candidates failed to refine")
-    return candidates[best]
-
-
-def solve_pnp(corrs, k: CameraIntrinsics, opts: RefineOptions | None = None) -> PnPSolution:
-    """Full pipeline: degeneracy check, linear solve, refinement.
-
-    Near-planar point sets refine from every linear candidate (multi-start)
-    because the planar problem has a two-fold ambiguity the closed form may
-    land on the wrong side of.
-    """
-    opts = opts or RefineOptions()
-    pts3, pix, w = _unpack(corrs)
     report = check_degeneracy(pts3)
     if report.classification in (DEGENERATE, NEAR_COLLINEAR):
         raise DegenerateConfiguration(
@@ -482,19 +436,47 @@ def solve_pnp(corrs, k: CameraIntrinsics, opts: RefineOptions | None = None) -> 
             f"(n={report.n_points}); sweep a wider, non-collinear volume",
             report=report,
         )
-    planar = report.classification == NEAR_PLANAR
-    candidates = _linear_candidates(pts3, pix, w, k, planar=planar)
-    if not planar:
-        scores = [_score(p, corrs, k) for p in candidates]
-        candidates = [candidates[int(np.argmin(scores))]]
+    candidates = _linear_candidates(pts3, pix, w, k, planar=report.classification == NEAR_PLANAR)
+    plain = RefineOptions()
+    costs = [_cost(p, pts3, pix, _front_weights(p, pts3, w), k, plain)[0] for p in candidates]
+    ranked = [candidates[i] for i in np.argsort(costs, kind="stable") if math.isfinite(costs[i])]
+    if not ranked:
+        raise NumericalFailure("every control-point candidate puts most points behind the camera")
+    return report, ranked
+
+
+def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
+    """Closed-form control-point pose estimate (no refinement).
+
+    Among the kernel-combination cases, the pose with the smallest
+    reprojection cost wins.
+    """
+    pts3, pix, w = _validated(pts3, pix, w)
+    return _linear_stage(pts3, pix, w, k)[1][0]
+
+
+def solve_pnp(
+    pts3, pix, k: CameraIntrinsics, w=None, opts: RefineOptions | None = None
+) -> PnPSolution:
+    """Full pipeline: degeneracy check, linear solve, refinement.
+
+    Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
+    Near-planar point sets refine from every linear candidate (multi-start)
+    because the planar problem has a two-fold ambiguity the closed form may
+    land on the wrong side of.
+    """
+    pts3, pix, w = _validated(pts3, pix, w)
+    report, candidates = _linear_stage(pts3, pix, w, k)
+    if report.classification != NEAR_PLANAR:
+        candidates = candidates[:1]
     best: PnPSolution | None = None
     for cand in candidates:
         try:
-            sol = refine_pose(cand, corrs, k, opts)
+            sol = refine_pose(cand, pts3, pix, k, w, opts)
         except (DivergedBehindCamera, NumericalFailure):
             continue
         if best is None or sol.rms_reprojection_error < best.rms_reprojection_error:
             best = sol
     if best is None:
         raise NumericalFailure("refinement failed from every linear candidate")
-    return replace(best, condition_report=report)
+    return best

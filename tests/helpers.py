@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from refcal.geometry import CameraIntrinsics, Pose, apply, invert, project, rotation_about_axis
-from refcal.pnp import Correspondence
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.ndarray:
@@ -26,7 +25,8 @@ def synth_scene(
     spread: float = 0.35,
     planar: bool = False,
 ):
-    """Random ground-truth pose and correspondences with all points in view.
+    """Random ground-truth pose, (n, 3) object points and their (n, 2) pixels,
+    with all points in view.
 
     Points are drawn inside the camera frustum, then mapped into the object
     frame through the inverse ground-truth pose, so projecting them with
@@ -41,10 +41,9 @@ def synth_scene(
     t_gt = random_pose(rng)
     p_obj = apply(invert(t_gt), p_cam)
     pix = project(k, p_cam)
-    corrs = [Correspondence(p_obj[i], pix[i]) for i in range(n)]
-    return t_gt, corrs
+    return t_gt, p_obj, pix
 
 
-def reprojection_rms(pose: Pose, corrs, k: CameraIntrinsics) -> float:
-    errs = [np.linalg.norm(project(k, apply(pose, c.point3)) - c.pixel) for c in corrs]
+def reprojection_rms(pose: Pose, pts3, pix, k: CameraIntrinsics) -> float:
+    errs = [np.linalg.norm(project(k, apply(pose, p3)) - px) for p3, px in zip(pts3, pix)]
     return float(np.sqrt(np.mean(np.square(errs))))

@@ -42,7 +42,7 @@ from refcal.geometry import (
     rotation_about_axis,
     rotation_error,
 )
-from refcal.pnp import Correspondence, linearize_reprojection, retract, solve_pnp
+from refcal.pnp import linearize_reprojection, retract, solve_pnp
 from refcal.simulation import (
     NoiseModel,
     ScenarioConfig,
@@ -184,17 +184,17 @@ def test_criterion_4_reference_accuracy_envelope(panda, panda_base):
 
 def test_criterion_5_minimum_pairs():
     rng = np.random.default_rng(55)
-    _, corrs3 = synth_scene(rng, 3, K)
+    _, pts3, pix3 = synth_scene(rng, 3, K)
     raised = False
     try:
-        solve_pnp(corrs3, K)
+        solve_pnp(pts3, pix3, K)
     except DegenerateConfiguration:
         raised = True
     pts = np.array([[-0.3, -0.2, 0.0], [0.3, -0.2, 0.1], [0.0, 0.35, -0.1], [0.05, 0.0, 0.4]])
     t_gt = Pose(rotation_about_axis((0.2, 1.0, 0.1) / np.linalg.norm((0.2, 1.0, 0.1)), 0.4),
                 (0.1, -0.05, 2.0))
     pix = project(K, apply(t_gt, pts))
-    sol = solve_pnp([Correspondence(pts[i], pix[i]) for i in range(4)], K)
+    sol = solve_pnp(pts, pix, K)
     err4 = float(np.max(np.abs(sol.pose.translation - t_gt.translation)))
     _report(
         "criterion 5 (n=3 degenerate, n=4 solvable)",
@@ -207,8 +207,8 @@ def test_criterion_6_pnp_unit_oracle():
     rng = np.random.default_rng(66)
     worst_t, worst_r = 0.0, 0.0
     for _ in range(1000):
-        t_gt, corrs = synth_scene(rng, 20, K)
-        sol = solve_pnp(corrs, K)
+        t_gt, pts, pix = synth_scene(rng, 20, K)
+        sol = solve_pnp(pts, pix, K)
         worst_t = max(worst_t, float(np.max(np.abs(sol.pose.translation - t_gt.translation))))
         worst_r = max(worst_r, rotation_error(sol.pose, t_gt))
     solve_ok = worst_t < 1e-6 and worst_r < 1e-7
@@ -217,13 +217,11 @@ def test_criterion_6_pnp_unit_oracle():
     worst_rel = 0.0
     checked = 0
     while checked < 100:
-        t_gt, corrs = synth_scene(rng, 10, K)
+        t_gt, pts3, pix = synth_scene(rng, 10, K)
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         pose = Pose(rotation_about_axis(axis, rng.uniform(0, 0.3)) @ t_gt.rotation,
                     t_gt.translation + rng.normal(0, 0.05, 3))
-        pts3 = np.array([c.point3 for c in corrs])
-        pix = np.array([c.pixel for c in corrs])
         _, jac, z = linearize_reprojection(pose, pts3, pix, K)
         if np.any(z <= 0):
             continue

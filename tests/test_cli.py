@@ -204,3 +204,21 @@ def test_one_element_joint_limits_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(chain) in proc.stderr
+
+
+def test_non_finite_track_pixel_exits_2_without_traceback(tmp_path):
+    scene = tmp_path / "scene"
+    assert main(["simulate", "--seed", "5", "--chain", _chain(), "-o", str(scene)]) == 0
+    track = scene / "track.csv"
+    lines = track.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines[1:], start=1) if line.endswith(",1,1"))
+    fields = lines[row].split(",")
+    lines[row] = ",".join([fields[0], "inf", *fields[2:]])
+    track.write_text("\n".join(lines) + "\n")
+    proc = _run_cli("calibrate", "--mode", "eob", "--chain", str(scene / "chain.json"),
+                    "--joints", str(scene / "joints.csv"), "--track", str(track),
+                    "--intrinsics", str(scene / "intrinsics.json"),
+                    "-o", str(tmp_path / "result.json"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{track}:{row + 1}:2" in proc.stderr

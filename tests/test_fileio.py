@@ -166,6 +166,19 @@ def test_joint_log_rejects_non_finite(tmp_path, row, column):
     assert f"{p}:3:{column}" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "row, column",
+    [("1,inf,200.0,1,1", 2), ("1,10.0,nan,1,1", 3), ("1,-inf,5.0,1,0", 2)],
+)
+def test_track_visible_row_rejects_non_finite(tmp_path, row, column):
+    p = tmp_path / "t.csv"
+    p.write_text(f"frame,u,v,visible,sync\n0,1.0,2.0,1,1\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        parse_track_csv(p)
+    assert (err.value.path, err.value.line, err.value.column) == (p, 3, column)
+    assert f"{p}:3:{column}" in str(err.value)
+
+
 def test_schema_mismatch_joint_count(panda, tmp_path):
     chain, _ = panda  # 7 actuated joints
     log = JointLog(np.arange(3), np.arange(3) / 30.0, np.zeros((3, 6)))

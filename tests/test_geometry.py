@@ -21,6 +21,7 @@ from refcal.geometry import (
     project,
     quaternion_to_matrix,
     rot_z,
+    rotation_about_axis,
     rotation_error,
     translation_error,
     unproject,
@@ -138,6 +139,17 @@ def test_rotation_error_matches_axis_angle_oracle():
 
     a = Pose(rot_x(math.radians(10)) @ rot_y(math.radians(5)), np.zeros(3))
     assert rotation_error(a, identity()) == pytest.approx(0.19508417050559299, abs=1e-12)
+
+
+def test_rotation_error_resolves_small_and_near_half_turn_angles():
+    rng = np.random.default_rng(31)
+    for angle in (1e-12, 1e-9, 1e-7, math.pi - 1e-6):
+        axis = rng.standard_normal(3)
+        base = Pose(random_rotation(rng), np.zeros(3))
+        turned = Pose(rotation_about_axis(axis / np.linalg.norm(axis), angle) @ base.rotation,
+                      np.zeros(3))
+        assert rotation_error(turned, base) == pytest.approx(angle, abs=1e-15)
+        assert rotation_error(base, turned) == pytest.approx(angle, abs=1e-15)
 
 
 def test_rotation_error_symmetric_and_reflexive():

@@ -6,13 +6,22 @@ from numpy.testing import assert_allclose
 
 from helpers import random_pose, reprojection_rms, synth_scene
 from refcal.errors import DegenerateConfiguration, DivergedBehindCamera, EmptyInput
-from refcal.geometry import CameraIntrinsics, Pose, apply, project, rotation_error
+from refcal.geometry import (
+    CameraIntrinsics,
+    Pose,
+    apply,
+    compose,
+    invert,
+    project,
+    rotation_about_axis,
+    rotation_error,
+)
+from refcal.kinematics import reference_point_in_base
 from refcal.pnp import (
     DEGENERATE,
     NEAR_COLLINEAR,
     NEAR_PLANAR,
     WELL_CONDITIONED,
-    Correspondence,
     RefineOptions,
     check_degeneracy,
     linearize_reprojection,
@@ -21,6 +30,7 @@ from refcal.pnp import (
     solve_pnp,
     solve_pnp_linear,
 )
+from refcal.simulation import NoiseModel, ScenarioConfig, corrupt_track, generate_scene
 
 K = CameraIntrinsics.from_horizontal_fov(60.0, 1920, 1080)
 
@@ -68,6 +78,21 @@ def test_degeneracy_thin_slab_is_collinear():
     assert check_degeneracy(pts).classification == NEAR_COLLINEAR
 
 
+def test_degeneracy_small_extent_is_collinear(panda):
+    # Thirty frames of a real trajectory spanning about 2 cm, 0.2 mm rms
+    # across: the spread ratios alone read near_planar, and a solve at 2 px
+    # noise lands about 2 m from the truth.
+    chain, ref = panda
+    cfg = ScenarioConfig(seed=9, duration=60)
+    scene = generate_scene(cfg, chain, ref)
+    track = corrupt_track(scene.clean_track, NoiseModel(sigma=2.0), seed=9)
+    frames = np.arange(1305, 1335)
+    pts = reference_point_in_base(chain, ref, scene.joint_log.positions[frames])
+    assert check_degeneracy(pts).classification == NEAR_COLLINEAR
+    with pytest.raises(DegenerateConfiguration):
+        solve_pnp(pts, track.uv[frames], cfg.camera)
+
+
 def test_degeneracy_empty():
     with pytest.raises(EmptyInput):
         check_degeneracy(np.zeros((0, 3)))
@@ -89,8 +114,7 @@ def test_linear_recovers_cube_scene():
     )
     t_gt = Pose(np.eye(3), (0.05, -0.1, 2.5))
     pix = project(K, apply(t_gt, corners))
-    corrs = [Correspondence(corners[i], pix[i]) for i in range(8)]
-    est = solve_pnp_linear(corrs, K)
+    est = solve_pnp_linear(corners, pix, K)
     assert np.max(np.abs(est.translation - t_gt.translation)) < 1e-6
     assert rotation_error(est, t_gt) < 1e-8
 
@@ -101,8 +125,7 @@ def test_linear_identity_extrinsic():
         [rng.uniform(-0.8, 0.8, 12), rng.uniform(-0.5, 0.5, 12), rng.uniform(1.5, 3.0, 12)]
     )
     pix = project(K, p_cam)
-    corrs = [Correspondence(p_cam[i], pix[i]) for i in range(12)]
-    est = solve_pnp_linear(corrs, K)
+    est = solve_pnp_linear(p_cam, pix, K)
     assert np.max(np.abs(est.translation)) < 1e-6
     assert rotation_error(est, Pose(np.eye(3), np.zeros(3))) < 1e-6
 
@@ -117,23 +140,21 @@ def test_linear_planar_square():
         (0.1, 0.05, 1.8),
     )
     pix = project(K, apply(t_gt, square))
-    corrs = [Correspondence(square[i], pix[i]) for i in range(4)]
-    est = solve_pnp_linear(corrs, K)
+    est = solve_pnp_linear(square, pix, K)
     assert np.max(np.abs(est.translation - t_gt.translation)) < 1e-4
 
 
 def test_linear_rejects_collinear_and_small():
     pts = np.column_stack([np.linspace(0, 1, 8), np.zeros(8), np.full(8, 2.0)])
     pix = project(K, pts)
-    corrs = [Correspondence(pts[i] - (0, 0, 2.0), pix[i]) for i in range(8)]
     with pytest.raises(DegenerateConfiguration) as err:
-        solve_pnp_linear(corrs, K)
+        solve_pnp_linear(pts - (0, 0, 2.0), pix, K)
     assert err.value.report.classification == NEAR_COLLINEAR
 
     rng = np.random.default_rng(107)
-    _, corrs3 = synth_scene(rng, 3, K)
+    _, pts3, pix3 = synth_scene(rng, 3, K)
     with pytest.raises(DegenerateConfiguration):
-        solve_pnp_linear(corrs3, K)
+        solve_pnp_linear(pts3, pix3, K)
 
 
 # ------------------------------------------------------------- refinement ---
@@ -141,19 +162,17 @@ def test_linear_rejects_collinear_and_small():
 
 def test_refine_noiseless_start_at_truth():
     rng = np.random.default_rng(109)
-    t_gt, corrs = synth_scene(rng, 20, K)
-    sol = refine_pose(t_gt, corrs, K)
+    t_gt, pts, pix = synth_scene(rng, 20, K)
+    sol = refine_pose(t_gt, pts, pix, K)
     assert sol.rms_reprojection_error < 1e-9
     assert rotation_error(sol.pose, t_gt) < 1e-12
 
 
 def test_refine_recovers_from_perturbation():
     # Start 5 degrees / 5 cm off the truth on noiseless data.
-    from refcal.geometry import rotation_about_axis
-
     rng = np.random.default_rng(113)
     for _ in range(10):
-        t_gt, corrs = synth_scene(rng, 20, K)
+        t_gt, pts, pix = synth_scene(rng, 20, K)
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         offset = rng.standard_normal(3)
@@ -162,7 +181,7 @@ def test_refine_recovers_from_perturbation():
             rotation_about_axis(axis, math.radians(5)) @ t_gt.rotation,
             t_gt.translation + offset,
         )
-        sol = refine_pose(start, corrs, K)
+        sol = refine_pose(start, pts, pix, K)
         assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-6
         assert rotation_error(sol.pose, t_gt) < 1e-7
 
@@ -170,28 +189,26 @@ def test_refine_recovers_from_perturbation():
 def test_refine_monotone_and_never_worse_than_start():
     rng = np.random.default_rng(127)
     for _ in range(10):
-        t_gt, corrs = synth_scene(rng, 40, K)
-        noisy = [
-            Correspondence(c.point3, c.pixel + rng.normal(0, 3.0, 2)) for c in corrs
-        ]
-        start = solve_pnp_linear(noisy, K)
-        sol = refine_pose(start, noisy, K)
-        assert sol.rms_reprojection_error <= reprojection_rms(start, noisy, K) + 1e-12
+        t_gt, pts, pix = synth_scene(rng, 40, K)
+        noisy = pix + rng.normal(0, 3.0, pix.shape)
+        start = solve_pnp_linear(pts, noisy, K)
+        sol = refine_pose(start, pts, noisy, K)
+        assert sol.rms_reprojection_error <= reprojection_rms(start, pts, noisy, K) + 1e-12
 
 
 def test_refine_diverged_behind_camera():
     rng = np.random.default_rng(131)
-    t_gt, corrs = synth_scene(rng, 20, K)
+    t_gt, pts, pix = synth_scene(rng, 20, K)
     flipped = Pose(t_gt.rotation, t_gt.translation - np.array([0.0, 0.0, 10.0]))
     with pytest.raises(DivergedBehindCamera):
-        refine_pose(flipped, corrs, K)
+        refine_pose(flipped, pts, pix, K)
 
 
 def test_refine_rms_matches_per_point_residuals():
     rng = np.random.default_rng(137)
-    t_gt, corrs = synth_scene(rng, 25, K)
-    noisy = [Correspondence(c.point3, c.pixel + rng.normal(0, 2.0, 2)) for c in corrs]
-    sol = solve_pnp(noisy, K)
+    t_gt, pts, pix = synth_scene(rng, 25, K)
+    noisy = pix + rng.normal(0, 2.0, pix.shape)
+    sol = solve_pnp(pts, noisy, K)
     assert sol.rms_reprojection_error == pytest.approx(
         math.sqrt(float(np.mean(sol.per_point_residuals**2))), abs=1e-9
     )
@@ -201,11 +218,9 @@ def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(139)
     h = 1e-6
     for _ in range(20):
-        t_gt, corrs = synth_scene(rng, 8, K)
+        t_gt, pts3, pix = synth_scene(rng, 8, K)
         pose = random_pose(rng, t_scale=0.2)
         pose = Pose(pose.rotation @ t_gt.rotation, t_gt.translation + pose.translation * 0.1)
-        pts3 = np.array([c.point3 for c in corrs])
-        pix = np.array([c.pixel for c in corrs])
         resid, jac, z = linearize_reprojection(pose, pts3, pix, K)
         if np.any(z <= 0):
             continue
@@ -220,14 +235,45 @@ def test_jacobian_matches_central_differences():
         assert np.max(np.abs(fd - jac)) / scale < 1e-4
 
 
+# ---------------------------------------------------------- array boundary ---
+
+
+def test_array_boundary_rejects_bad_input():
+    rng = np.random.default_rng(179)
+    t_gt, pts, pix = synth_scene(rng, 12, K)
+    nan_pts = pts.copy()
+    nan_pts[3, 1] = math.nan
+    inf_pix = pix.copy()
+    inf_pix[5, 0] = math.inf
+    negative = np.ones(12)
+    negative[7] = -0.5
+    bad = [
+        (nan_pts, pix, None),
+        (pts, inf_pix, None),
+        (pts, pix, negative),
+        (pts[:11], pix, None),
+        (pts, pix, np.ones(11)),
+        (pts[:, :2], pix[:, :2], None),
+    ]
+    for solve in (
+        lambda p3, px, w: solve_pnp(p3, px, K, w),
+        lambda p3, px, w: refine_pose(t_gt, p3, px, K, w),
+    ):
+        for p3, px, w in bad:
+            with pytest.raises(ValueError):
+                solve(p3, px, w)
+        with pytest.raises(EmptyInput):
+            solve(np.zeros((0, 3)), np.zeros((0, 2)), None)
+
+
 # ------------------------------------------------------------- full solve ---
 
 
 def test_solve_pnp_roundtrip_property():
     rng = np.random.default_rng(149)
     for _ in range(25):
-        t_gt, corrs = synth_scene(rng, 20, K)
-        sol = solve_pnp(corrs, K)
+        t_gt, pts, pix = synth_scene(rng, 20, K)
+        sol = solve_pnp(pts, pix, K)
         assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-6
         assert rotation_error(sol.pose, t_gt) < 1e-7
         assert sol.condition_report.classification in (WELL_CONDITIONED, NEAR_PLANAR)
@@ -235,9 +281,9 @@ def test_solve_pnp_roundtrip_property():
 
 def test_solve_pnp_three_points_degenerate():
     rng = np.random.default_rng(151)
-    _, corrs = synth_scene(rng, 3, K)
+    _, pts, pix = synth_scene(rng, 3, K)
     with pytest.raises(DegenerateConfiguration):
-        solve_pnp(corrs, K)
+        solve_pnp(pts, pix, K)
 
 
 def test_solve_pnp_four_points():
@@ -248,8 +294,7 @@ def test_solve_pnp_four_points():
     )
     t_gt = Pose(np.eye(3), (0.0, 0.0, 2.0))
     pix = project(K, apply(t_gt, pts))
-    corrs = [Correspondence(pts[i], pix[i]) for i in range(4)]
-    sol = solve_pnp(corrs, K)
+    sol = solve_pnp(pts, pix, K)
     assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-4
 
 
@@ -258,11 +303,9 @@ def test_solve_pnp_noise_mean_error_below_1cm():
     errors = []
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
-        t_gt, corrs = synth_scene(rng, 100, K)
-        noisy = [
-            Correspondence(c.point3, c.pixel + rng.normal(0, 10.0, 2)) for c in corrs
-        ]
-        sol = solve_pnp(noisy, K)
+        t_gt, pts, pix = synth_scene(rng, 100, K)
+        noisy = pix + rng.normal(0, 10.0, pix.shape)
+        sol = solve_pnp(pts, noisy, K)
         errors.append(np.abs(sol.pose.translation - t_gt.translation))
     mean = np.mean(errors, axis=0)
     assert np.all(mean < 0.01)
@@ -270,36 +313,41 @@ def test_solve_pnp_noise_mean_error_below_1cm():
 
 def test_solve_pnp_translation_equivariance():
     rng = np.random.default_rng(163)
-    t_gt, corrs = synth_scene(rng, 20, K)
+    t_gt, pts, pix = synth_scene(rng, 20, K)
+    sol0 = solve_pnp(pts, pix, K)
     shift = np.array([0.7, -0.3, 0.4])
-    moved = [Correspondence(c.point3 + shift, c.pixel) for c in corrs]
-    sol0 = solve_pnp(corrs, K)
-    sol1 = solve_pnp(moved, K)
-    # Shifting the object frame shifts the recovered origin accordingly.
-    expected_t = sol0.pose.translation - sol0.pose.rotation @ shift
-    assert_allclose(sol1.pose.translation, expected_t, atol=1e-6)
-    assert rotation_error(sol0.pose, sol1.pose) < 1e-7
+    axis = np.array([0.3, -0.8, 0.5]) / np.linalg.norm([0.3, -0.8, 0.5])
+    for g in (
+        Pose(np.eye(3), shift),
+        Pose(rotation_about_axis(axis, 2.0), shift),
+        Pose(rotation_about_axis(axis, math.pi - 1e-3), -shift),
+    ):
+        sol1 = solve_pnp(apply(g, pts), pix, K)
+        # Moving the object frame by g moves the recovered pose by g^-1.
+        expected = compose(sol0.pose, invert(g))
+        assert_allclose(sol1.pose.translation, expected.translation, atol=1e-6)
+        assert rotation_error(expected, sol1.pose) < 1e-7
 
 
 def test_solve_pnp_zero_weight_points_ignored():
     rng = np.random.default_rng(167)
-    t_gt, corrs = synth_scene(rng, 30, K)
+    t_gt, pts, pix = synth_scene(rng, 30, K)
     # Corrupt ten points wildly but give them zero weight.
-    sabotaged = list(corrs)
-    for i in range(10):
-        sabotaged[i] = Correspondence(corrs[i].point3, corrs[i].pixel + 500.0, weight=0.0)
-    sol = solve_pnp(sabotaged, K)
+    sabotaged = pix.copy()
+    sabotaged[:10] += 500.0
+    w = np.ones(30)
+    w[:10] = 0.0
+    sol = solve_pnp(pts, sabotaged, K, w)
     assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-6
 
 
 def test_solve_pnp_robust_downweights_outliers():
     rng = np.random.default_rng(173)
-    t_gt, corrs = synth_scene(rng, 60, K)
-    bad = list(corrs)
-    for i in range(6):
-        bad[i] = Correspondence(bad[i].point3, bad[i].pixel + np.array([80.0, -60.0]))
-    plain = solve_pnp(bad, K)
-    robust = solve_pnp(bad, K, RefineOptions(robust=True))
+    t_gt, pts, pix = synth_scene(rng, 60, K)
+    bad = pix.copy()
+    bad[:6] += np.array([80.0, -60.0])
+    plain = solve_pnp(pts, bad, K)
+    robust = solve_pnp(pts, bad, K, opts=RefineOptions(robust=True))
     err_plain = np.linalg.norm(plain.pose.translation - t_gt.translation)
     err_robust = np.linalg.norm(robust.pose.translation - t_gt.translation)
     assert err_robust < err_plain
