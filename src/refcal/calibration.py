@@ -141,32 +141,36 @@ def select_frames(
     return np.array(used, dtype=np.int64), dropped
 
 
-def _correspondences(req: CalibrationRequest, used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 3) object points and their (n, 2) pixels for the used frames."""
-    # Both frame-index arrays are strictly increasing and contain every used frame.
-    q = req.joints.positions[np.searchsorted(req.joints.frame_index, used)]
-    uv = req.track.uv[np.searchsorted(req.track.frame_index, used)]
-    if req.mode is Mode.EYE_ON_BASE:
-        return reference_point_in_base(req.chain, req.ref, q), uv
-    return base_point_in_ee_frame(req.chain, q, req.ref.offset), uv
-
-
-def calibrate(req: CalibrationRequest) -> CalibrationResult:
-    """Solve the camera-to-base transform (eye-on-base, camera fixed in the
-    workspace) or the camera-to-end-effector transform (eye-in-hand, camera
-    on the arm).
+def object_points(
+    mode: Mode, chain: KinematicChain, ref: ReferencePoint, q: np.ndarray
+) -> np.ndarray:
+    """The reference point at joint readings q (N, J), as (N, 3) points in
+    the frame the camera pose is solved against: the base frame for
+    eye-on-base, the end-effector frame for eye-in-hand.
 
     Eye-in-hand needs the reference point on the base link; its
     end-effector-frame coordinates at each frame come from the inverted FK
     pose.
     """
-    if req.mode is Mode.EYE_IN_HAND and req.ref.link_index != 0:
+    if mode is Mode.EYE_ON_BASE:
+        return reference_point_in_base(chain, ref, q)
+    if ref.link_index != 0:
         raise ValueError(
-            "eye-in-hand calibration requires the reference point on the base "
-            f"link (link 0), got link {req.ref.link_index}"
+            "eye-in-hand needs the reference point on the base link (link 0), "
+            f"got link {ref.link_index}"
         )
+    return base_point_in_ee_frame(chain, q, ref.offset)
+
+
+def calibrate(req: CalibrationRequest) -> CalibrationResult:
+    """Solve the camera-to-base transform (eye-on-base, camera fixed in the
+    workspace) or the camera-to-end-effector transform (eye-in-hand, camera
+    on the arm) from the 2D-3D pairs of the usable frames."""
     used, dropped = select_frames(req.track, req.joints, req.options)
-    points, uv = _correspondences(req, used)
+    # Both frame-index arrays are strictly increasing and contain every used frame.
+    q = req.joints.positions[np.searchsorted(req.joints.frame_index, used)]
+    uv = req.track.uv[np.searchsorted(req.track.frame_index, used)]
+    points = object_points(req.mode, req.chain, req.ref, q)
     solution = solve_pnp(points, uv, req.intrinsics, opts=RefineOptions(robust=req.options.robust))
     return CalibrationResult(
         pose=solution.pose,

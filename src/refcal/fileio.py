@@ -460,22 +460,11 @@ def write_sweep_csv(sweep, path) -> None:
         for key, value in sweep.metadata.items():
             fh.write(f"# meta: {key}={value}\n")
         writer = csv.writer(fh)
-        writer.writerow(
-            ["param", "mean_e_x_cm", "mean_e_y_cm", "mean_e_z_cm",
-             "mean_e_trans_cm", "mean_e_r_rad", "n_fail"]
-        )
+        names = ("e_x_cm", "e_y_cm", "e_z_cm", "e_trans_cm", "e_r_rad")
+        writer.writerow(["param", *(f"mean_{name}" for name in names), "n_fail"])
         for cell in sweep.cells:
-            writer.writerow(
-                [
-                    fmt_float(cell.param),
-                    cell_float(cell.mean_e_x_cm),
-                    cell_float(cell.mean_e_y_cm),
-                    cell_float(cell.mean_e_z_cm),
-                    cell_float(cell.mean_e_trans_cm),
-                    cell_float(cell.mean_e_r_rad),
-                    cell.n_fail,
-                ]
-            )
+            means = [cell_float(cell.mean(name)) for name in names]
+            writer.writerow([fmt_float(cell.param), *means, cell.n_fail])
 
 
 # ----------------------------------------------------------- consistency ---

@@ -73,6 +73,14 @@ class KinematicChain:
     def n_actuated(self) -> int:
         return sum(1 for j in self.joints if j.actuated)
 
+    @property
+    def limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper limits (J,) of the actuated joints, -inf and +inf
+        where a joint has none."""
+        bounds = [j.limits or (-np.inf, np.inf) for j in self.joints if j.actuated]
+        lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T
+        return lo, hi
+
 
 @dataclass(frozen=True)
 class ReferencePoint:
@@ -130,7 +138,7 @@ def _check_limits(chain: KinematicChain, q: np.ndarray, strict: bool) -> None:
     """One warning per out-of-limit reading of q (N, J), frame by frame in
     joint order; under strict, raise on the first instead."""
     actuated = [j for j in chain.joints if j.actuated]
-    lo, hi = np.array([j.limits or (-np.inf, np.inf) for j in actuated]).reshape(-1, 2).T
+    lo, hi = chain.limits
     limited = np.array([j.limits is not None for j in actuated], dtype=bool)
     for row, c in zip(*np.nonzero(limited & ~((q >= lo) & (q <= hi)))):
         joint, value = actuated[c], float(q[row, c])

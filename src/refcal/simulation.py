@@ -29,17 +29,16 @@ from .calibration import (
     Mode,
     Track2D,
     calibrate,
+    object_points,
 )
-from .errors import CalibrationError, UnreachableView
+from .errors import CalibrationError, TooFewPairs, UnreachableView
 from .geometry import (
     MIN_DEPTH,
     CameraIntrinsics,
     Pose,
     apply,
-    apply_stack,
     compose,
     invert,
-    invert_stack,
     rotation_about_axis,
     rotation_error,
     translation_error,
@@ -74,6 +73,8 @@ class NoiseModel:
     mu: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma) and math.isfinite(self.mu)):
+            raise ValueError(f"sigma and mu must be finite, got sigma={self.sigma}, mu={self.mu}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 
@@ -146,35 +147,22 @@ def evaluate(t_est: Pose, t_gt: Pose) -> PoseError:
     return PoseError(float(ex), float(ey), float(ez), rotation_error(t_est, t_gt))
 
 
-def _sample_start(chain: KinematicChain, rng: np.random.Generator) -> np.ndarray:
-    q0 = []
-    for joint in chain.joints:
-        if not joint.actuated:
-            continue
-        if joint.limits is not None:
-            lo, hi = joint.limits
-            span = hi - lo
-            q0.append(rng.uniform(lo + 0.3 * span, hi - 0.3 * span))
-        else:
-            q0.append(rng.uniform(-math.pi / 2, math.pi / 2))
-    return np.array(q0)
-
-
 def _trajectory(chain: KinematicChain, cfg: ScenarioConfig, rng: np.random.Generator) -> JointLog:
-    """Piecewise-constant random joint velocities, clamped to limits."""
+    """Piecewise-constant random joint velocities, clamped to limits.
+
+    The start lies in the middle 40% of each limited joint's range and
+    within +-pi/2 for a joint without limits.
+    """
     n_joints = chain.n_actuated
     n = cfg.n_frames
     dt = 1.0 / cfg.fps
     seg_len = cfg.duration / max(cfg.n_direction_switches, 1)
-    lo = np.full(n_joints, -np.inf)
-    hi = np.full(n_joints, np.inf)
-    j = 0
-    for joint in chain.joints:
-        if joint.actuated:
-            if joint.limits is not None:
-                lo[j], hi[j] = joint.limits
-            j += 1
-    q = _sample_start(chain, rng)
+    lo, hi = chain.limits
+    limited = np.isfinite(hi - lo)
+    margin = np.where(limited, 0.3 * (hi - lo), 0.0)
+    q = rng.uniform(
+        np.where(limited, lo, -math.pi / 2) + margin, np.where(limited, hi, math.pi / 2) - margin
+    )
     positions = np.empty((n, n_joints))
     velocity = np.zeros(n_joints)
     segment = -1
@@ -216,8 +204,47 @@ def _look_at(position: np.ndarray, target: np.ndarray) -> Pose:
     return Pose(np.column_stack([x, y, z]), position)
 
 
-def _project_masked(k: CameraIntrinsics, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projections (NaN behind the camera) and honest visibility flags."""
+def _shell_camera(cfg: ScenarioConfig, target: np.ndarray, rng: np.random.Generator) -> Pose:
+    """A camera on the spherical shell around the base, aimed at target."""
+    radius = rng.uniform(*cfg.radius_range)
+    elevation = rng.uniform(*cfg.elevation_range)
+    azimuth = rng.uniform(0.0, 2.0 * math.pi)
+    position = radius * np.array(
+        [
+            math.cos(elevation) * math.cos(azimuth),
+            math.cos(elevation) * math.sin(azimuth),
+            math.sin(elevation),
+        ]
+    )
+    return _look_at(position, target)
+
+
+def _hand_camera(cfg: ScenarioConfig, target: np.ndarray, rng: np.random.Generator) -> Pose:
+    """A camera mounted near the end-effector origin, aimed at target (in the
+    end-effector frame) and then tilted by up to eih_tilt_max."""
+    offset = rng.standard_normal(3)
+    offset *= rng.uniform(0.0, cfg.eih_offset_max) / max(np.linalg.norm(offset), 1e-12)
+    mount = _look_at(offset, target)
+    axis = rng.standard_normal(3)
+    axis /= max(np.linalg.norm(axis), 1e-12)
+    tilt = rotation_about_axis(axis, rng.uniform(0.0, cfg.eih_tilt_max))
+    return Pose(mount.rotation @ tilt, mount.translation)
+
+
+def _scene(
+    cfg: ScenarioConfig,
+    chain: KinematicChain,
+    ref: ReferencePoint,
+    log: JointLog,
+    t_gt: Pose,
+    points: np.ndarray,
+) -> GroundTruthScene:
+    """The scene whose clean track projects the (N, 3) object points through
+    t_gt: NaN behind the camera, with honest visibility flags.  Every frame
+    is flagged as a synchronization frame: the simulator has no capture
+    latency."""
+    k = cfg.camera
+    pc = apply(t_gt, points)
     z = pc[:, 2]
     front = z > MIN_DEPTH
     zs = np.where(front, z, 1.0)
@@ -230,38 +257,38 @@ def _project_masked(k: CameraIntrinsics, pc: np.ndarray) -> tuple[np.ndarray, np
         & (uv[:, 1] >= 0)
         & (uv[:, 1] < k.height)
     )
-    return uv, visible
+    track = Track2D(log.frame_index, uv, visible, np.ones(log.n_frames, dtype=bool))
+    return GroundTruthScene(chain, ref, t_gt, log, track)
 
 
-def _sample_shell(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    radius = rng.uniform(*cfg.radius_range)
-    elevation = rng.uniform(*cfg.elevation_range)
-    azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    return radius * np.array(
-        [
-            math.cos(elevation) * math.cos(azimuth),
-            math.cos(elevation) * math.sin(azimuth),
-            math.sin(elevation),
-        ]
-    )
-
-
-def _tilted(pose: Pose, max_angle: float, rng: np.random.Generator) -> Pose:
-    axis = rng.standard_normal(3)
-    axis /= max(np.linalg.norm(axis), 1e-12)
-    angle = rng.uniform(0.0, max_angle)
-    return Pose(pose.rotation @ rotation_about_axis(axis, angle), pose.translation)
-
-
-def _scene_points(
-    chain: KinematicChain, ref: ReferencePoint, log: JointLog
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame base-frame reference positions (N, 3), and end-effector
-    poses as rotations (N, 3, 3) and translations (N, 3)."""
-    rotations, translations = forward_kinematics(chain, log.positions)
-    k = ref.link_index
-    p_base = apply_stack(rotations[:, k], translations[:, k], ref.offset)
-    return p_base, rotations[:, -1], translations[:, -1]
+def _placed_scene(
+    cfg: ScenarioConfig,
+    chain: KinematicChain,
+    ref: ReferencePoint,
+    log: JointLog,
+    points: np.ndarray,
+    camera,
+    target: np.ndarray,
+) -> GroundTruthScene:
+    """The scene from the camera placement, of up to 20 drawn by
+    camera(cfg, target, rng), that sees the object points in the most
+    frames; a real capture frames the point deliberately.  Stops early at a
+    placement that sees at least half the frames."""
+    rng = _substream(cfg.seed, _PLACEMENT)
+    best, n_best = None, -1
+    for _ in range(20):
+        scene = _scene(cfg, chain, ref, log, invert(camera(cfg, target, rng)), points)
+        n_vis = int(scene.clean_track.visible.sum())
+        if n_vis > n_best:
+            best, n_best = scene, n_vis
+        if n_vis >= log.n_frames // 2:
+            break
+    if n_best == 0:
+        raise UnreachableView(
+            "reference point never visible after 20 camera placements; "
+            "widen the placement bounds or shorten the chain"
+        )
+    return best
 
 
 def generate_scene(
@@ -269,58 +296,16 @@ def generate_scene(
 ) -> GroundTruthScene:
     """Sample one reproducible scene for the configured mode.
 
-    Camera placements that never see the reference point are resampled up
-    to 20 times before UnreachableView is raised.  Every frame is flagged
-    as a synchronization frame: the simulator has no capture latency.
+    The camera sits on the shell around the base (eye-on-base) or on the
+    end-effector (eye-in-hand), aimed at the mean object point across the
+    whole trajectory so the point stays in view as the arm moves.  Camera
+    placements are resampled up to 20 times; UnreachableView is raised
+    when none sees the reference point.
     """
-    traj_rng = _substream(cfg.seed, _TRAJECTORY)
-    place_rng = _substream(cfg.seed, _PLACEMENT)
-    log = _trajectory(chain, cfg, traj_rng)
-    if cfg.mode is Mode.EYE_IN_HAND and ref.link_index != 0:
-        raise ValueError("eye-in-hand scenes need a base-link reference point")
-    p_base, ee_rot, ee_trans = _scene_points(chain, ref, log)
-
-    if cfg.mode is Mode.EYE_IN_HAND:
-        base_in_ee = apply_stack(*invert_stack(ee_rot, ee_trans), ref.offset)
-
-    # Keep the placement (of up to 20) that sees the reference point in the
-    # most frames; a real capture frames the point deliberately.
-    best = None
-    for _ in range(20):
-        if cfg.mode is Mode.EYE_ON_BASE:
-            position = _sample_shell(cfg, place_rng)
-            t_gt = invert(_look_at(position, p_base.mean(axis=0)))
-            pc = apply(t_gt, p_base)
-        else:
-            offset = place_rng.standard_normal(3)
-            offset *= place_rng.uniform(0.0, cfg.eih_offset_max) / max(
-                np.linalg.norm(offset), 1e-12
-            )
-            # Aim at the mean direction of the base point across the whole
-            # trajectory (in the end-effector frame) so it stays in view as
-            # the arm swings the camera around.
-            mount = _tilted(_look_at(offset, base_in_ee.mean(axis=0)), cfg.eih_tilt_max, place_rng)
-            t_gt = invert(mount)
-            pc = apply(t_gt, base_in_ee)
-        uv, visible = _project_masked(cfg.camera, pc)
-        n_vis = int(visible.sum())
-        if best is None or n_vis > best[0]:
-            best = (n_vis, t_gt, uv, visible)
-        if n_vis >= log.n_frames // 2:
-            break
-    n_vis, t_gt, uv, visible = best
-    if n_vis == 0:
-        raise UnreachableView(
-            "reference point never visible after 20 camera placements; "
-            "widen the placement bounds or shorten the chain"
-        )
-    track = Track2D(
-        frame_index=log.frame_index,
-        uv=uv,
-        visible=visible,
-        sync=np.ones(log.n_frames, dtype=bool),
-    )
-    return GroundTruthScene(chain=chain, ref=ref, t_gt=t_gt, joint_log=log, clean_track=track)
+    log = _trajectory(chain, cfg, _substream(cfg.seed, _TRAJECTORY))
+    points = object_points(cfg.mode, chain, ref, log.positions)
+    camera = _shell_camera if cfg.mode is Mode.EYE_ON_BASE else _hand_camera
+    return _placed_scene(cfg, chain, ref, log, points, camera, points.mean(axis=0))
 
 
 def generate_dual_view_scenes(
@@ -336,38 +321,22 @@ def generate_dual_view_scenes(
 
     The bolted camera's mount equals (camera-to-base) . (EE-to-base FK at
     the anchor); estimates from the two pipelines must therefore agree
-    through exactly that composition at the anchor frame.
+    through exactly that composition at the anchor frame.  The fixed camera
+    is placed as in generate_scene, aimed between the arm trajectory and
+    the base point so both stay in view.
     """
-    traj_rng = _substream(cfg.seed, _TRAJECTORY)
-    place_rng = _substream(cfg.seed, _PLACEMENT)
-    log = _trajectory(chain, cfg, traj_rng)
-    p_arm, ee_rot, ee_trans = _scene_points(chain, arm_ref, log)
-    base_in_ee = apply_stack(*invert_stack(ee_rot, ee_trans), base_ref.offset)
-
-    # Aim between the arm trajectory and the base point so both stay in view.
+    log = _trajectory(chain, cfg, _substream(cfg.seed, _TRAJECTORY))
+    p_arm = object_points(Mode.EYE_ON_BASE, chain, arm_ref, log.positions)
+    base_in_ee = object_points(Mode.EYE_IN_HAND, chain, base_ref, log.positions)
     target = 0.5 * (p_arm.mean(axis=0) + base_ref.offset)
-    eob_scene = None
-    for _ in range(20):
-        position = _sample_shell(cfg, place_rng)
-        t_cb = invert(_look_at(position, target))
-        uv, visible = _project_masked(cfg.camera, apply(t_cb, p_arm))
-        if visible.sum() == 0:
-            continue
-        track = Track2D(log.frame_index, uv, visible, np.ones(log.n_frames, dtype=bool))
-        eob_scene = GroundTruthScene(chain, arm_ref, t_cb, log, track)
-        break
-    if eob_scene is None:
-        raise UnreachableView("no placement saw the arm-mounted reference point")
+    eob_scene = _placed_scene(cfg, chain, arm_ref, log, p_arm, _shell_camera, target)
 
+    anchors = [min(int(frac * log.n_frames), log.n_frames - 1) for frac in anchor_fractions]
+    rotations, translations = forward_kinematics(chain, log.positions[anchors])
     eih_scenes = []
-    for frac in anchor_fractions:
-        anchor = min(int(frac * log.n_frames), log.n_frames - 1)
-        t_ce = compose(eob_scene.t_gt, Pose(ee_rot[anchor], ee_trans[anchor]))
-        uv, visible = _project_masked(cfg.camera, apply(t_ce, base_in_ee))
-        track = Track2D(log.frame_index, uv, visible, np.ones(log.n_frames, dtype=bool))
-        eih_scenes.append(
-            (anchor, GroundTruthScene(chain, base_ref, t_ce, log, track))
-        )
+    for anchor, r, t in zip(anchors, rotations[:, -1], translations[:, -1]):
+        t_ce = compose(eob_scene.t_gt, Pose(r, t))
+        eih_scenes.append((anchor, _scene(cfg, chain, base_ref, log, t_ce, base_in_ee)))
     return eob_scene, eih_scenes
 
 
@@ -398,25 +367,11 @@ class SweepCell:
     e_r_rad: np.ndarray
     n_fail: int
 
-    @property
-    def mean_e_x_cm(self) -> float:
-        return float(np.mean(self.e_x_cm)) if len(self.e_x_cm) else math.nan
-
-    @property
-    def mean_e_y_cm(self) -> float:
-        return float(np.mean(self.e_y_cm)) if len(self.e_y_cm) else math.nan
-
-    @property
-    def mean_e_z_cm(self) -> float:
-        return float(np.mean(self.e_z_cm)) if len(self.e_z_cm) else math.nan
-
-    @property
-    def mean_e_trans_cm(self) -> float:
-        return float(np.mean(self.e_trans_cm)) if len(self.e_trans_cm) else math.nan
-
-    @property
-    def mean_e_r_rad(self) -> float:
-        return float(np.mean(self.e_r_rad)) if len(self.e_r_rad) else math.nan
+    def mean(self, name: str) -> float:
+        """Mean of one error field (e.g. 'e_trans_cm') over the solved
+        repeats; NaN when every repeat failed."""
+        values = getattr(self, name)
+        return float(np.mean(values)) if len(values) else math.nan
 
     @property
     def stderr_e_trans_cm(self) -> float:
@@ -463,30 +418,40 @@ def _sweep_metadata(
     }
 
 
-def _repeat_scenes(
-    cfg: ScenarioConfig, chain: KinematicChain, ref: ReferencePoint, n_repeats: int
-) -> list[tuple[GroundTruthScene, int]]:
+def _sweep(
+    kind: str,
+    cfg: ScenarioConfig,
+    chain: KinematicChain,
+    ref: ReferencePoint,
+    params,
+    n_repeats: int,
+    observe,
+) -> SweepResult:
+    """Calibrate each of n_repeats scenes once per parameter value, from the
+    track observe(param, scene, noise_seed) returns; a CalibrationError
+    counts as a failed repeat.  The scenes are shared across values."""
+    if n_repeats < 1:
+        raise ValueError(f"a sweep needs at least 1 repeat, got {n_repeats}")
     scenes = []
     for r in range(n_repeats):
         scene_cfg = replace(cfg, seed=_child_seed(cfg.seed, _REPEAT, r))
-        scene = generate_scene(scene_cfg, chain, ref)
-        scenes.append((scene, _child_seed(cfg.seed, _NOISE, r)))
-    return scenes
-
-
-def _calibrate_scene(
-    scene: GroundTruthScene, camera: CameraIntrinsics, mode: Mode, track: Track2D
-) -> PoseError:
-    req = CalibrationRequest(
-        mode=mode,
-        chain=scene.chain,
-        ref=scene.ref,
-        intrinsics=camera,
-        track=track,
-        joints=scene.joint_log,
-        options=CalibrationOptions(min_pairs=4),
-    )
-    return evaluate(calibrate(req).pose, scene.t_gt)
+        scenes.append((generate_scene(scene_cfg, chain, ref), _child_seed(cfg.seed, _NOISE, r)))
+    options = CalibrationOptions(min_pairs=4)
+    cells = []
+    for param in params:
+        errors = []
+        n_fail = 0
+        for scene, noise_seed in scenes:
+            try:
+                track = observe(param, scene, noise_seed)
+                req = CalibrationRequest(
+                    cfg.mode, chain, ref, cfg.camera, track, scene.joint_log, options
+                )
+                errors.append(evaluate(calibrate(req).pose, scene.t_gt))
+            except CalibrationError:
+                n_fail += 1
+        cells.append(_cell(float(param), errors, n_fail))
+    return SweepResult(kind, tuple(cells), _sweep_metadata(cfg, chain, ref, n_repeats))
 
 
 def run_noise_sweep(
@@ -501,21 +466,13 @@ def run_noise_sweep(
     Scenes are shared across sigma values (only the noise substream
     scales), so the sweep isolates the solver's noise response.
     """
-    if any(s < 0 for s in sigma_values):
-        raise ValueError("sigma values must be nonnegative")
-    scenes = _repeat_scenes(cfg, chain, ref, n_repeats)
-    cells = []
     for sigma in sigma_values:
-        errors = []
-        n_fail = 0
-        for scene, noise_seed in scenes:
-            noisy = corrupt_track(scene.clean_track, NoiseModel(sigma=sigma), noise_seed)
-            try:
-                errors.append(_calibrate_scene(scene, cfg.camera, cfg.mode, noisy))
-            except CalibrationError:
-                n_fail += 1
-        cells.append(_cell(float(sigma), errors, n_fail))
-    return SweepResult("noise", tuple(cells), _sweep_metadata(cfg, chain, ref, n_repeats))
+        NoiseModel(sigma=sigma)  # rejects a bad sigma before any scene is made
+
+    def observe(sigma, scene, noise_seed):
+        return corrupt_track(scene.clean_track, NoiseModel(sigma=sigma), noise_seed)
+
+    return _sweep("noise", cfg, chain, ref, sigma_values, n_repeats, observe)
 
 
 def run_frames_sweep(
@@ -527,34 +484,21 @@ def run_frames_sweep(
 ) -> SweepResult:
     """Calibration error as a function of the number of frames used.
 
-    Frames are subsampled evenly over each scene's usable frames; the
-    scene's own noise model is applied once per scene beforehand.
+    Frames are subsampled evenly over each scene's usable frames, after the
+    scene's own noise model is applied; a scene with fewer usable frames
+    than asked for counts as a failed repeat.
     """
     if min(n_values) < 4:
         raise ValueError("frame counts below 4 cannot be solved")
-    scenes = _repeat_scenes(cfg, chain, ref, n_repeats)
-    noisy_tracks = [
-        corrupt_track(scene.clean_track, cfg.noise, noise_seed)
-        for scene, noise_seed in scenes
-    ]
-    cells = []
-    for n in n_values:
-        errors = []
-        n_fail = 0
-        for (scene, _), noisy in zip(scenes, noisy_tracks):
-            usable = noisy.frame_index[noisy.visible & noisy.sync]
-            if len(usable) < n:
-                n_fail += 1
-                continue
-            picked = usable[np.floor(np.arange(n) * len(usable) / n).astype(int)]
-            try:
-                errors.append(
-                    _calibrate_scene(scene, cfg.camera, cfg.mode, noisy.subset(picked))
-                )
-            except CalibrationError:
-                n_fail += 1
-        cells.append(_cell(float(n), errors, n_fail))
-    return SweepResult("frames", tuple(cells), _sweep_metadata(cfg, chain, ref, n_repeats))
+
+    def observe(n, scene, noise_seed):
+        noisy = corrupt_track(scene.clean_track, cfg.noise, noise_seed)
+        usable = noisy.frame_index[noisy.visible & noisy.sync]
+        if len(usable) < n:
+            raise TooFewPairs(len(usable), n)
+        return noisy.subset(usable[np.floor(np.arange(n) * len(usable) / n).astype(int)])
+
+    return _sweep("frames", cfg, chain, ref, n_values, n_repeats, observe)
 
 
 def export_scene(

@@ -115,13 +115,13 @@ def test_criterion_2_noise_envelope(noise_sweep):
     details = []
     for cell in noise_sweep.cells:
         if cell.param <= 10.0:
-            worst_axis = max(cell.mean_e_x_cm, cell.mean_e_y_cm, cell.mean_e_z_cm)
+            worst_axis = max(cell.mean("e_x_cm"), cell.mean("e_y_cm"), cell.mean("e_z_cm"))
             details.append(f"s={cell.param:g}: {worst_axis:.3f} cm")
             per_axis_ok &= worst_axis < 1.0 and cell.n_fail == 0
     monotone_ok = True
     for a, b in zip(noise_sweep.cells, noise_sweep.cells[1:]):
         slack = 2.0 * math.sqrt(a.stderr_e_trans_cm**2 + b.stderr_e_trans_cm**2)
-        if b.mean_e_trans_cm < a.mean_e_trans_cm - slack:
+        if b.mean("e_trans_cm") < a.mean("e_trans_cm") - slack:
             monotone_ok = False
     _report(
         "criterion 2 (noise envelope, sigma<=10 under 1 cm; monotone to 16)",
@@ -136,20 +136,20 @@ def test_criterion_3_frame_count_convergence(panda):
     sweep = run_frames_sweep(cfg, chain, ref, n_values=[4, 10, 50, 100], n_repeats=10)
     by_n = {int(c.param): c for c in sweep.cells}
     at10 = by_n[10]
-    small_ok = at10.mean_e_trans_cm < 0.3 and math.degrees(at10.mean_e_r_rad) < 3.0
+    small_ok = at10.mean("e_trans_cm") < 0.3 and math.degrees(at10.mean("e_r_rad")) < 3.0
     shrink_ok = (
-        by_n[50].mean_e_trans_cm < by_n[4].mean_e_trans_cm
-        and by_n[100].mean_e_trans_cm < by_n[4].mean_e_trans_cm
+        by_n[50].mean("e_trans_cm") < by_n[4].mean("e_trans_cm")
+        and by_n[100].mean("e_trans_cm") < by_n[4].mean("e_trans_cm")
     )
     # Weak monotonicity: more sync frames never hurt beyond statistical noise.
-    weak_ok = by_n[100].mean_e_trans_cm <= at10.mean_e_trans_cm + 2 * at10.stderr_e_trans_cm
+    weak_ok = by_n[100].mean("e_trans_cm") <= at10.mean("e_trans_cm") + 2 * at10.stderr_e_trans_cm
     _report(
         "criterion 3 (frame-count convergence at n=10, sigma=2)",
         small_ok and shrink_ok and weak_ok,
-        f"n=10: {at10.mean_e_trans_cm:.3f} cm (<0.3), "
-        f"{math.degrees(at10.mean_e_r_rad):.3f} deg (<3); "
-        f"n=4 {by_n[4].mean_e_trans_cm:.3f} cm > n=50 {by_n[50].mean_e_trans_cm:.3f} cm; "
-        f"n=100 {by_n[100].mean_e_trans_cm:.3f} <= n=10 + 2se",
+        f"n=10: {at10.mean('e_trans_cm'):.3f} cm (<0.3), "
+        f"{math.degrees(at10.mean('e_r_rad')):.3f} deg (<3); "
+        f"n=4 {by_n[4].mean('e_trans_cm'):.3f} cm > n=50 {by_n[50].mean('e_trans_cm'):.3f} cm; "
+        f"n=100 {by_n[100].mean('e_trans_cm'):.3f} <= n=10 + 2se",
     )
 
 

@@ -222,3 +222,30 @@ def test_non_finite_track_pixel_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{track}:{row + 1}:2" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, values, bad",
+    [
+        ("sweep-noise", ["--sigmas", "0,2", "--repeats", "0"], "got 0"),
+        ("sweep-noise", ["--sigmas", "0,2", "--repeats", "-2"], "got -2"),
+        ("sweep-frames", ["--counts", "4,20", "--repeats", "0"], "got 0"),
+        ("sweep-noise", ["--sigmas", "0,nan", "--repeats", "1"], "sigma=nan"),
+        ("sweep-frames", ["--counts", "4,20", "--sigma", "inf", "--repeats", "1"], "sigma=inf"),
+    ],
+)
+def test_bad_sweep_values_exit_2_without_traceback(tmp_path, command, values, bad):
+    out = tmp_path / "sweep.csv"
+    proc = _run_cli(command, "--seed", "1", "--chain", _chain(), *values, "-o", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert bad in proc.stderr
+    assert not out.exists()
+
+
+def test_simulate_non_finite_sigma_exits_2_without_traceback(tmp_path):
+    proc = _run_cli("simulate", "--seed", "1", "--chain", _chain(), "--sigma", "nan",
+                    "-o", str(tmp_path / "scene"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "sigma=nan" in proc.stderr

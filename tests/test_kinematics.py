@@ -222,6 +222,27 @@ def test_limits_strict_raises():
     assert err.value.limits == (-1.0, 1.0)
 
 
+def test_chain_limits_arrays_and_unlimited_joints():
+    # A fixed joint contributes no entry; a joint without limits reads +-inf.
+    chain = KinematicChain(
+        name="mixed",
+        joints=(
+            _revolute("j1", limits=(-1.0, 1.0)),
+            Joint(name="f", kind="fixed", origin=identity()),
+            _revolute("j2"),
+        ),
+    )
+    lo, hi = chain.limits
+    assert lo.shape == hi.shape == (2,)
+    assert np.array_equal(lo, [-1.0, -np.inf]) and np.array_equal(hi, [1.0, np.inf])
+    # A NaN reading on the joint without limits is neither warned about nor,
+    # under strict_limits, raised as a violation.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", JointLimitWarning)
+        forward_kinematics(chain, [0.5, math.nan])
+        forward_kinematics(chain, [[0.5, math.nan]], strict_limits=True)
+
+
 def test_joint_validation():
     with pytest.raises(ValueError):
         Joint(name="bad", kind="helical", origin=identity())

@@ -218,8 +218,8 @@ def test_noise_sweep_smoke(panda, tmp_path):
     cfg = ScenarioConfig(seed=20)
     sweep = run_noise_sweep(cfg, chain, ref, sigma_values=[0.0, 4.0], n_repeats=2)
     assert [c.param for c in sweep.cells] == [0.0, 4.0]
-    assert sweep.cells[0].mean_e_trans_cm < 1e-4  # noiseless limit
-    assert sweep.cells[1].mean_e_trans_cm > sweep.cells[0].mean_e_trans_cm
+    assert sweep.cells[0].mean("e_trans_cm") < 1e-4  # noiseless limit
+    assert sweep.cells[1].mean("e_trans_cm") > sweep.cells[0].mean("e_trans_cm")
     assert sweep.cells[0].n_fail == 0
     out = tmp_path / "noise.csv"
     sweep.to_csv(out)
@@ -242,7 +242,7 @@ def test_frames_sweep_smoke(panda):
     sweep = run_frames_sweep(cfg, chain, ref, n_values=[4, 50], n_repeats=3)
     assert sweep.cells[0].param == 4.0
     # More frames help on average.
-    assert sweep.cells[1].mean_e_trans_cm < sweep.cells[0].mean_e_trans_cm
+    assert sweep.cells[1].mean("e_trans_cm") < sweep.cells[0].mean("e_trans_cm")
     assert sweep.kind == "frames"
 
 
@@ -257,7 +257,36 @@ def test_frames_sweep_counts_unreachable_cells(panda):
     cfg = ScenarioConfig(seed=24)
     sweep = run_frames_sweep(cfg, chain, ref, n_values=[10, 100000], n_repeats=2)
     assert sweep.cells[1].n_fail == 2
-    assert math.isnan(sweep.cells[1].mean_e_trans_cm)
+    assert math.isnan(sweep.cells[1].mean("e_trans_cm"))
+
+
+@pytest.mark.parametrize("n_repeats", [0, -2])
+def test_sweeps_reject_non_positive_repeats(panda, n_repeats):
+    chain, ref = panda
+    cfg = ScenarioConfig(seed=27)
+    with pytest.raises(ValueError, match=str(n_repeats)):
+        run_noise_sweep(cfg, chain, ref, [0.0], n_repeats=n_repeats)
+    with pytest.raises(ValueError, match=str(n_repeats)):
+        run_frames_sweep(cfg, chain, ref, [10], n_repeats=n_repeats)
+
+
+@pytest.mark.parametrize("sigma, mu", [(math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf)])
+def test_noise_model_rejects_non_finite_values(sigma, mu):
+    with pytest.raises(ValueError, match=f"sigma={sigma}, mu={mu}"):
+        NoiseModel(sigma=sigma, mu=mu)
+
+
+def test_noise_sweep_rejects_bad_sigma_before_making_scenes(panda, monkeypatch):
+    import refcal.simulation
+
+    def no_scenes(*args):
+        raise AssertionError("a scene was generated before the sigma values were checked")
+
+    monkeypatch.setattr(refcal.simulation, "generate_scene", no_scenes)
+    chain, ref = panda
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match=str(bad)):
+            run_noise_sweep(ScenarioConfig(seed=28), chain, ref, [0.0, bad], n_repeats=1)
 
 
 # ------------------------------------------------------------- dual scenes ---
@@ -277,6 +306,17 @@ def test_dual_view_scenes_share_ground_truth(panda, panda_base):
         # Elementwise: the geodesic metric bottoms out near sqrt(eps).
         assert np.max(np.abs(eih.t_gt.rotation - expected.rotation)) < 1e-12
         assert np.max(np.abs(eih.t_gt.translation - expected.translation)) < 1e-12
+
+
+def test_dual_view_keeps_the_placement_that_sees_most(panda, panda_base):
+    # Seed 96's first placement that sees the arm point at all sees it in
+    # only 82 of 300 frames, and the 0.5 anchor then sees the base point once.
+    chain, arm_ref = panda
+    _, base_ref = panda_base
+    cfg = ScenarioConfig(seed=96)
+    eob_scene, eih_scenes = generate_dual_view_scenes(cfg, chain, arm_ref, base_ref)
+    assert eob_scene.clean_track.visible.sum() >= cfg.n_frames // 2
+    assert min(eih.clean_track.visible.sum() for _, eih in eih_scenes) >= 10
 
 
 # ----------------------------------------------------------------- export ---
