@@ -98,6 +98,15 @@ class CalibrationOptions:
 
 @dataclass(frozen=True)
 class CalibrationRequest:
+    """Everything one calibration needs.
+
+    ``points``, when given, holds the object point of every joint-log row,
+    shape (joints.n_frames, 3), as ``object_points(mode, chain, ref,
+    joints.positions)`` returns them; ``calibrate`` then uses them instead of
+    running forward kinematics.  A simulator that projected its track from
+    those points passes them; a capture from files leaves it None.
+    """
+
     mode: Mode
     chain: KinematicChain
     ref: ReferencePoint
@@ -105,6 +114,20 @@ class CalibrationRequest:
     track: Track2D
     joints: JointLog
     options: CalibrationOptions = field(default_factory=CalibrationOptions)
+    points: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.points is None:
+            return
+        pts = np.asarray(self.points, dtype=float)
+        if pts.shape != (self.joints.n_frames, 3):
+            raise ValueError(
+                f"points must have shape ({self.joints.n_frames}, 3), one per joint-log "
+                f"row, got {pts.shape}"
+            )
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        object.__setattr__(self, "points", pts)
 
 
 @dataclass(frozen=True)
@@ -123,22 +146,19 @@ def select_frames(
     """Frame numbers usable for calibration, plus every dropped frame with
     its reason.  Each track frame lands in exactly one of the two lists."""
     options = options or CalibrationOptions()
-    have_joints = set(int(f) for f in joints.frame_index)
-    used: list[int] = []
-    dropped: list[tuple[int, str]] = []
-    for i, frame in enumerate(track.frame_index):
-        f = int(frame)
-        if f not in have_joints:
-            dropped.append((f, MISSING_JOINT))
-        elif not track.visible[i]:
-            dropped.append((f, NOT_VISIBLE))
-        elif options.use_only_sync and not track.sync[i]:
-            dropped.append((f, NOT_SYNCED))
-        else:
-            used.append(f)
+    frames = track.frame_index
+    missing = ~np.isin(frames, joints.frame_index)
+    hidden = ~track.visible
+    unsynced = ~track.sync & options.use_only_sync
+    ok = ~(missing | hidden | unsynced)
+    used = frames[ok]
+    # The first failing check names the reason: missing joint, then not visible, then not synced.
+    reason = np.where(missing, 0, np.where(hidden, 1, 2))[~ok]
+    names = (MISSING_JOINT, NOT_VISIBLE, NOT_SYNCED)
+    dropped = [(f, names[r]) for f, r in zip(frames[~ok].tolist(), reason.tolist())]
     if len(used) < options.min_pairs:
         raise TooFewPairs(len(used), options.min_pairs, dropped)
-    return np.array(used, dtype=np.int64), dropped
+    return used, dropped
 
 
 def object_points(
@@ -154,12 +174,16 @@ def object_points(
     """
     if mode is Mode.EYE_ON_BASE:
         return reference_point_in_base(chain, ref, q)
+    _check_base_reference(ref)
+    return base_point_in_ee_frame(chain, q, ref.offset)
+
+
+def _check_base_reference(ref: ReferencePoint) -> None:
     if ref.link_index != 0:
         raise ValueError(
             "eye-in-hand needs the reference point on the base link (link 0), "
             f"got link {ref.link_index}"
         )
-    return base_point_in_ee_frame(chain, q, ref.offset)
 
 
 def calibrate(req: CalibrationRequest) -> CalibrationResult:
@@ -168,9 +192,14 @@ def calibrate(req: CalibrationRequest) -> CalibrationResult:
     on the arm) from the 2D-3D pairs of the usable frames."""
     used, dropped = select_frames(req.track, req.joints, req.options)
     # Both frame-index arrays are strictly increasing and contain every used frame.
-    q = req.joints.positions[np.searchsorted(req.joints.frame_index, used)]
+    rows = np.searchsorted(req.joints.frame_index, used)
     uv = req.track.uv[np.searchsorted(req.track.frame_index, used)]
-    points = object_points(req.mode, req.chain, req.ref, q)
+    if req.points is None:
+        points = object_points(req.mode, req.chain, req.ref, req.joints.positions[rows])
+    else:
+        if req.mode is Mode.EYE_IN_HAND:
+            _check_base_reference(req.ref)
+        points = req.points[rows]
     solution = solve_pnp(points, uv, req.intrinsics, opts=RefineOptions(robust=req.options.robust))
     return CalibrationResult(
         pose=solution.pose,

@@ -205,11 +205,15 @@ def _beta_init(dv: np.ndarray, rho: np.ndarray, case: int) -> np.ndarray:
 def _refine_betas(dv: np.ndarray, rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Gauss-Newton on the squared control-point distance constraints."""
     dv = dv[: len(betas)]
+    flat = dv.reshape(len(betas), -1)  # (k, P * 3)
     for _ in range(8):
-        dcc = np.tensordot(betas, dv, axes=1)  # (P, 3)
+        dcc = (betas @ flat).reshape(-1, 3)  # (P, 3)
         resid = (dcc**2).sum(axis=1) - rho
-        jac = 2.0 * np.einsum("kpi,pi->pk", dv, dcc)
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+        jac = 2.0 * (dv * dcc).sum(axis=2).T  # (P, k)
+        try:
+            step = np.linalg.solve(jac.T @ jac, -(jac.T @ resid))
+        except np.linalg.LinAlgError:
+            break  # a singular system: keep the current betas
         betas = betas + step
         if np.max(np.abs(step)) < 1e-12:
             break
@@ -320,6 +324,20 @@ def linearize_reprojection(
     return resid, jac, z
 
 
+def _residuals(
+    pose: Pose, pts3: np.ndarray, pix: np.ndarray, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals (n, 2) and depths (n,) of ``linearize_reprojection``,
+    without the Jacobian."""
+    pc = pts3 @ pose.rotation.T + pose.translation
+    z = pc[:, 2]
+    good = z > MIN_DEPTH
+    zs = np.where(good, z, 1.0)
+    resid = np.column_stack([k.fx * pc[:, 0] / zs + k.cx, k.fy * pc[:, 1] / zs + k.cy]) - pix
+    resid[~good] = 0.0
+    return resid, z
+
+
 def _robust_weights(resid_norms: np.ndarray, opts: RefineOptions) -> np.ndarray:
     if not opts.robust:
         return np.ones_like(resid_norms)
@@ -332,7 +350,7 @@ def _cost(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted (optionally Huber) reprojection cost; inf if an active point
     falls behind the camera or most of the cloud does."""
-    resid, _, z = linearize_reprojection(pose, pts3, pix, k)
+    resid, z = _residuals(pose, pts3, pix, k)
     behind = z <= MIN_DEPTH
     if 2 * int(behind.sum()) > len(z) or np.any(behind & (w_eff > 0)):
         return math.inf, resid, z
@@ -409,7 +427,7 @@ def refine_pose(
         if not accepted or rel_drop < opts.fn_tol:
             break
 
-    resid, _, z = linearize_reprojection(pose, pts3, pix, k)
+    resid, z = _residuals(pose, pts3, pix, k)
     norms = np.where(z > MIN_DEPTH, np.linalg.norm(resid, axis=1), math.inf)
     rms = math.sqrt(float(np.mean(norms**2))) if np.all(np.isfinite(norms)) else math.inf
     return PnPSolution(

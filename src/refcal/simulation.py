@@ -118,7 +118,9 @@ class GroundTruthScene:
 
     t_gt is camera-to-base for eye-on-base scenes and
     camera-to-end-effector for eye-in-hand scenes.  Visible frames of
-    clean_track reproject exactly from FK plus t_gt.
+    clean_track reproject exactly from FK plus t_gt.  points holds the
+    (N, 3) object points the track was projected from, one per joint-log
+    row, in the frame t_gt maps from.
     """
 
     chain: KinematicChain
@@ -126,6 +128,7 @@ class GroundTruthScene:
     t_gt: Pose
     joint_log: JointLog
     clean_track: Track2D
+    points: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -231,6 +234,24 @@ def _hand_camera(cfg: ScenarioConfig, target: np.ndarray, rng: np.random.Generat
     return Pose(mount.rotation @ tilt, mount.translation)
 
 
+def _project_visible(k: CameraIntrinsics, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels of camera-frame points pc (..., 3), NaN at or behind the camera
+    plane, and whether each lands inside the image."""
+    z = pc[..., 2]
+    front = z > MIN_DEPTH
+    zs = np.where(front, z, 1.0)
+    uv = np.stack([k.fx * pc[..., 0] / zs + k.cx, k.fy * pc[..., 1] / zs + k.cy], axis=-1)
+    uv[~front] = np.nan
+    visible = (
+        front
+        & (uv[..., 0] >= 0)
+        & (uv[..., 0] < k.width)
+        & (uv[..., 1] >= 0)
+        & (uv[..., 1] < k.height)
+    )
+    return uv, visible
+
+
 def _scene(
     cfg: ScenarioConfig,
     chain: KinematicChain,
@@ -240,25 +261,11 @@ def _scene(
     points: np.ndarray,
 ) -> GroundTruthScene:
     """The scene whose clean track projects the (N, 3) object points through
-    t_gt: NaN behind the camera, with honest visibility flags.  Every frame
-    is flagged as a synchronization frame: the simulator has no capture
-    latency."""
-    k = cfg.camera
-    pc = apply(t_gt, points)
-    z = pc[:, 2]
-    front = z > MIN_DEPTH
-    zs = np.where(front, z, 1.0)
-    uv = np.column_stack([k.fx * pc[:, 0] / zs + k.cx, k.fy * pc[:, 1] / zs + k.cy])
-    uv[~front] = np.nan
-    visible = (
-        front
-        & (uv[:, 0] >= 0)
-        & (uv[:, 0] < k.width)
-        & (uv[:, 1] >= 0)
-        & (uv[:, 1] < k.height)
-    )
+    t_gt, with honest visibility flags.  Every frame is flagged as a
+    synchronization frame: the simulator has no capture latency."""
+    uv, visible = _project_visible(cfg.camera, apply(t_gt, points))
     track = Track2D(log.frame_index, uv, visible, np.ones(log.n_frames, dtype=bool))
-    return GroundTruthScene(chain, ref, t_gt, log, track)
+    return GroundTruthScene(chain, ref, t_gt, log, track, points)
 
 
 def _placed_scene(
@@ -270,25 +277,25 @@ def _placed_scene(
     camera,
     target: np.ndarray,
 ) -> GroundTruthScene:
-    """The scene from the camera placement, of up to 20 drawn by
+    """The scene from the camera placement, of 20 drawn by
     camera(cfg, target, rng), that sees the object points in the most
-    frames; a real capture frames the point deliberately.  Stops early at a
-    placement that sees at least half the frames."""
+    frames; a real capture frames the point deliberately.  The first
+    placement that sees at least half the frames wins outright; otherwise
+    the first with the most visible frames does."""
     rng = _substream(cfg.seed, _PLACEMENT)
-    best, n_best = None, -1
-    for _ in range(20):
-        scene = _scene(cfg, chain, ref, log, invert(camera(cfg, target, rng)), points)
-        n_vis = int(scene.clean_track.visible.sum())
-        if n_vis > n_best:
-            best, n_best = scene, n_vis
-        if n_vis >= log.n_frames // 2:
-            break
-    if n_best == 0:
+    poses = [invert(camera(cfg, target, rng)) for _ in range(20)]
+    rotations = np.stack([p.rotation for p in poses])
+    translations = np.stack([p.translation for p in poses])
+    pc = points @ rotations.transpose(0, 2, 1) + translations[:, None, :]  # (20, N, 3)
+    n_vis = _project_visible(cfg.camera, pc)[1].sum(axis=1)
+    reached = np.flatnonzero(n_vis >= log.n_frames // 2)
+    pick = int(reached[0]) if len(reached) else int(np.argmax(n_vis))
+    if n_vis[pick] == 0:
         raise UnreachableView(
             "reference point never visible after 20 camera placements; "
             "widen the placement bounds or shorten the chain"
         )
-    return best
+    return _scene(cfg, chain, ref, log, poses[pick], points)
 
 
 def generate_scene(
@@ -298,9 +305,9 @@ def generate_scene(
 
     The camera sits on the shell around the base (eye-on-base) or on the
     end-effector (eye-in-hand), aimed at the mean object point across the
-    whole trajectory so the point stays in view as the arm moves.  Camera
-    placements are resampled up to 20 times; UnreachableView is raised
-    when none sees the reference point.
+    whole trajectory so the point stays in view as the arm moves.  The
+    placement is picked from 20 draws; UnreachableView is raised when none
+    sees the reference point.
     """
     log = _trajectory(chain, cfg, _substream(cfg.seed, _TRAJECTORY))
     points = object_points(cfg.mode, chain, ref, log.positions)
@@ -325,6 +332,9 @@ def generate_dual_view_scenes(
     is placed as in generate_scene, aimed between the arm trajectory and
     the base point so both stay in view.
     """
+    for frac in anchor_fractions:
+        if not 0.0 <= frac <= 1.0:
+            raise ValueError(f"anchor fractions must lie in [0, 1], got {frac}")
     log = _trajectory(chain, cfg, _substream(cfg.seed, _TRAJECTORY))
     p_arm = object_points(Mode.EYE_ON_BASE, chain, arm_ref, log.positions)
     base_in_ee = object_points(Mode.EYE_IN_HAND, chain, base_ref, log.positions)
@@ -445,7 +455,7 @@ def _sweep(
             try:
                 track = observe(param, scene, noise_seed)
                 req = CalibrationRequest(
-                    cfg.mode, chain, ref, cfg.camera, track, scene.joint_log, options
+                    cfg.mode, chain, ref, cfg.camera, track, scene.joint_log, options, scene.points
                 )
                 errors.append(evaluate(calibrate(req).pose, scene.t_gt))
             except CalibrationError:

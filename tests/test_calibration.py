@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_pose
 from refcal.calibration import (
@@ -98,6 +101,45 @@ def test_select_conservation():
     assert combined == list(range(100))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_select_frames_matches_per_frame_loop(data):
+    frames = sorted(data.draw(st.sets(st.integers(0, 60), max_size=40)))
+    n = len(frames)
+    visible = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    sync = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    joint_frames = sorted(data.draw(st.sets(st.integers(0, 60))))
+    use_only_sync = data.draw(st.booleans())
+    track = Track2D(np.array(frames, dtype=np.int64), np.zeros((n, 2)), visible, sync)
+    m = len(joint_frames)
+    log = JointLog(joint_frames, np.arange(m) / 30.0, np.zeros((m, 1)))
+    opts = CalibrationOptions(use_only_sync=use_only_sync, min_pairs=4)
+
+    expected_used, expected_dropped = [], []
+    for f, vis, syn in zip(frames, visible, sync):
+        if f not in joint_frames:
+            expected_dropped.append((f, MISSING_JOINT))
+        elif not vis:
+            expected_dropped.append((f, NOT_VISIBLE))
+        elif use_only_sync and not syn:
+            expected_dropped.append((f, NOT_SYNCED))
+        else:
+            expected_used.append(f)
+
+    if len(expected_used) < 4:
+        with pytest.raises(TooFewPairs) as err:
+            select_frames(track, log, opts)
+        assert err.value.n_usable == len(expected_used)
+        assert err.value.dropped == tuple(expected_dropped)
+        return
+    used, dropped = select_frames(track, log, opts)
+    assert used.dtype == np.int64
+    assert used.tolist() == expected_used
+    assert dropped == expected_dropped
+    assert all(type(f) is int and type(r) is str for f, r in dropped)
+    assert sorted(used.tolist() + [f for f, _ in dropped]) == frames
+
+
 def test_min_pairs_floor():
     with pytest.raises(ValueError):
         CalibrationOptions(min_pairs=3)
@@ -149,6 +191,35 @@ def test_eye_in_hand_requires_base_reference(panda):
     )
     with pytest.raises(ValueError):
         calibrate(req)
+
+
+@pytest.mark.parametrize(
+    "mode, seed", [(Mode.EYE_ON_BASE, 45), (Mode.EYE_IN_HAND, 46)], ids=["eob", "eih"]
+)
+def test_given_points_give_the_same_pose(panda, panda_base, mode, seed):
+    chain, ref = panda if mode is Mode.EYE_ON_BASE else panda_base
+    scene = generate_scene(ScenarioConfig(seed=seed, mode=mode), chain, ref)
+    noisy = corrupt_track(scene.clean_track, NoiseModel(sigma=2.0), seed=seed)
+    req = _request(scene, mode, track=noisy, min_pairs=4)
+    from_fk = calibrate(req)
+    given_points = calibrate(replace(req, points=scene.points))
+    assert np.array_equal(given_points.pose.rotation, from_fk.pose.rotation)
+    assert np.array_equal(given_points.pose.translation, from_fk.pose.translation)
+    assert given_points.dropped == from_fk.dropped
+
+
+def test_request_rejects_bad_points(panda):
+    chain, ref = panda
+    scene = generate_scene(ScenarioConfig(seed=47), chain, ref)
+    req = _request(scene, Mode.EYE_ON_BASE)
+    n = scene.joint_log.n_frames
+    for shape in ((n - 1, 3), (n, 2), (3 * n,)):
+        with pytest.raises(ValueError, match="shape"):
+            replace(req, points=np.zeros(shape))
+    points = np.array(scene.points)
+    points[5, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        replace(req, points=points)
 
 
 def test_calibration_deterministic(panda):

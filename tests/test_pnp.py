@@ -23,6 +23,7 @@ from refcal.pnp import (
     NEAR_PLANAR,
     WELL_CONDITIONED,
     RefineOptions,
+    _refine_betas,
     check_degeneracy,
     linearize_reprojection,
     refine_pose,
@@ -212,6 +213,14 @@ def test_refine_rms_matches_per_point_residuals():
     assert sol.rms_reprojection_error == pytest.approx(
         math.sqrt(float(np.mean(sol.per_point_residuals**2))), abs=1e-9
     )
+
+
+def test_refine_betas_keeps_the_betas_of_a_singular_system():
+    # All-zero kernel differences give a zero Jacobian: no step can be taken.
+    rho = np.ones(6)
+    for betas in ([0.5], [0.5, -0.2], [0.5, -0.2, 0.1]):
+        betas = np.array(betas)
+        assert np.array_equal(_refine_betas(np.zeros((3, 6, 3)), rho, betas), betas)
 
 
 def test_jacobian_matches_central_differences():

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import random_pose
-from refcal.calibration import Mode, Track2D
+from refcal.calibration import Mode, Track2D, object_points
 from refcal.errors import UnreachableView
 from refcal.geometry import (
+    MIN_DEPTH,
     CameraIntrinsics,
     Pose,
     apply,
@@ -123,6 +124,52 @@ def test_unreachable_view(panda):
     )
     with pytest.raises(UnreachableView):
         generate_scene(cfg, chain, ref)
+
+
+@pytest.mark.parametrize(
+    "mode, seed, reaches_half",
+    [
+        (Mode.EYE_ON_BASE, 0, True),
+        (Mode.EYE_ON_BASE, 5, True),
+        (Mode.EYE_IN_HAND, 3, True),  # the second placement is the first to see half
+        (Mode.EYE_IN_HAND, 1, False),  # its best count, 60 frames, is tied by a later one
+        (Mode.EYE_IN_HAND, 4, False),
+    ],
+)
+def test_placement_pick_matches_sequential_best_of_20(panda, panda_base, mode, seed, reaches_half):
+    from refcal import simulation as sim
+
+    chain, ref = panda if mode is Mode.EYE_ON_BASE else panda_base
+    cfg = ScenarioConfig(seed=seed, mode=mode)
+    scene = generate_scene(cfg, chain, ref)
+
+    # The placement loop as it ran one placement at a time: keep the first
+    # strictly better count, stop at the first that sees half the frames.
+    log = sim._trajectory(chain, cfg, sim._substream(seed, sim._TRAJECTORY))
+    points = object_points(mode, chain, ref, log.positions)
+    camera = sim._shell_camera if mode is Mode.EYE_ON_BASE else sim._hand_camera
+    rng = sim._substream(seed, sim._PLACEMENT)
+    k = cfg.camera
+    best, n_best = None, -1
+    for _ in range(20):
+        t_gt = invert(camera(cfg, points.mean(axis=0), rng))
+        pc = apply(t_gt, points)
+        front = pc[:, 2] > MIN_DEPTH
+        uv = np.full((len(pc), 2), np.nan)
+        uv[front] = project(k, pc[front])
+        visible = front & (uv[:, 0] >= 0) & (uv[:, 0] < k.width)
+        visible &= (uv[:, 1] >= 0) & (uv[:, 1] < k.height)
+        if visible.sum() > n_best:
+            best, n_best = (t_gt, uv, visible), int(visible.sum())
+        if visible.sum() >= cfg.n_frames // 2:
+            break
+    assert (n_best >= cfg.n_frames // 2) == reaches_half
+    t_gt, uv, visible = best
+    assert np.array_equal(scene.t_gt.rotation, t_gt.rotation)
+    assert np.array_equal(scene.t_gt.translation, t_gt.translation)
+    assert np.array_equal(scene.clean_track.uv, uv, equal_nan=True)
+    assert np.array_equal(scene.clean_track.visible, visible)
+    assert np.array_equal(scene.points, points)
 
 
 def test_eih_scene_requires_base_ref(panda):
@@ -317,6 +364,24 @@ def test_dual_view_keeps_the_placement_that_sees_most(panda, panda_base):
     eob_scene, eih_scenes = generate_dual_view_scenes(cfg, chain, arm_ref, base_ref)
     assert eob_scene.clean_track.visible.sum() >= cfg.n_frames // 2
     assert min(eih.clean_track.visible.sum() for _, eih in eih_scenes) >= 10
+
+
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan, math.inf])
+def test_dual_view_rejects_out_of_range_anchor_before_making_scenes(
+    panda, panda_base, monkeypatch, bad
+):
+    import refcal.simulation
+
+    def no_trajectory(*args):
+        raise AssertionError("a scene was started before the anchors were checked")
+
+    monkeypatch.setattr(refcal.simulation, "_trajectory", no_trajectory)
+    chain, arm_ref = panda
+    _, base_ref = panda_base
+    with pytest.raises(ValueError, match=str(bad)):
+        generate_dual_view_scenes(
+            ScenarioConfig(seed=25), chain, arm_ref, base_ref, anchor_fractions=(0.5, bad)
+        )
 
 
 # ----------------------------------------------------------------- export ---
