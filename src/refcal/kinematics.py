@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, JointLimitViolation, JointLimitWarning
-from .geometry import Pose, apply_stack, compose_stack, invert_stack, rotation_about_axis
+from .geometry import Pose, apply_stack, compose_stack, invert_stack, skew
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -126,14 +126,6 @@ class JointLog:
         return self.positions.shape[1] if self.n_frames else 0
 
 
-def _joint_motion(joint: Joint, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (N, 3, 3) and translations (N, 3) of one joint at N readings
-    (all zero for a fixed joint)."""
-    if joint.kind == REVOLUTE:
-        return rotation_about_axis(joint.axis, values), np.zeros((len(values), 3))
-    return np.broadcast_to(np.eye(3), (len(values), 3, 3)), values[:, None] * joint.axis
-
-
 def _check_limits(chain: KinematicChain, q: np.ndarray, strict: bool) -> None:
     """One warning per out-of-limit reading of q (N, J), frame by frame in
     joint order; under strict, raise on the first instead."""
@@ -174,10 +166,15 @@ def forward_kinematics(
     rotations, translations = [r], [t]
     columns = iter(rows.T)
     for joint in chain.joints:
-        values = next(columns) if joint.actuated else np.zeros(n)
-        origin = joint.origin
-        local = compose_stack(origin.rotation, origin.translation, *_joint_motion(joint, values))
-        r, t = compose_stack(r, t, *local)
+        # The joint's origin folded into its motion: one transform per link.
+        local_r, local_t = joint.origin.rotation, joint.origin.translation
+        if joint.kind == REVOLUTE:
+            k = skew(joint.axis)
+            theta = next(columns)[:, None, None]
+            local_r = local_r + np.sin(theta) * (local_r @ k) + (1.0 - np.cos(theta)) * (local_r @ (k @ k))
+        elif joint.kind == PRISMATIC:
+            local_t = local_t + next(columns)[:, None] * (local_r @ joint.axis)
+        r, t = compose_stack(r, t, local_r, local_t)
         rotations.append(r)
         translations.append(t)
     if q.ndim < 2:

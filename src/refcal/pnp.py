@@ -12,6 +12,7 @@ camera frame, so ``project(k, apply(pose, p3))`` reproduces the pixel.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,7 +25,7 @@ from .errors import (
     EmptyInput,
     NumericalFailure,
 )
-from .geometry import MIN_DEPTH, CameraIntrinsics, Pose, rotation_about_axis
+from .geometry import MIN_DEPTH, CameraIntrinsics, Pose, skew
 
 WELL_CONDITIONED = "well_conditioned"
 NEAR_COLLINEAR = "near_collinear"
@@ -136,10 +137,8 @@ def _control_points(pts3: np.ndarray, w: np.ndarray, planar: bool) -> np.ndarray
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     n_dirs = 2 if planar else 3
-    ctrl = [c0]
-    for i in range(n_dirs):
-        ctrl.append(c0 + math.sqrt(max(evals[i], 1e-16)) * evecs[:, i])
-    return np.array(ctrl)
+    dirs = np.sqrt(np.maximum(evals[:n_dirs], 1e-16)) * evecs[:, :n_dirs]
+    return np.vstack([c0, c0 + dirs.T])
 
 
 def _barycentric(pts3: np.ndarray, ctrl: np.ndarray) -> np.ndarray:
@@ -163,14 +162,13 @@ def _kernel_basis(
 ) -> np.ndarray:
     """Smallest right-singular vectors of the 2n x 3m projection system."""
     n, m = alphas.shape
-    rows = np.zeros((2 * n, 3 * m))
-    sw = np.sqrt(w)
-    for j in range(m):
-        a = alphas[:, j]
-        rows[0::2, 3 * j] = a * k.fx * sw
-        rows[0::2, 3 * j + 2] = a * (k.cx - pix[:, 0]) * sw
-        rows[1::2, 3 * j + 1] = a * k.fy * sw
-        rows[1::2, 3 * j + 2] = a * (k.cy - pix[:, 1]) * sw
+    rows = np.zeros((n, 2, m, 3))  # point, pixel axis, control point, coordinate
+    sw = np.sqrt(w)[:, None]
+    rows[:, 0, :, 0] = alphas * k.fx * sw
+    rows[:, 0, :, 2] = alphas * (k.cx - pix[:, :1]) * sw
+    rows[:, 1, :, 1] = alphas * k.fy * sw
+    rows[:, 1, :, 2] = alphas * (k.cy - pix[:, 1:]) * sw
+    rows = rows.reshape(2 * n, 3 * m)
     try:
         _, evecs = np.linalg.eigh(rows.T @ rows)
     except np.linalg.LinAlgError as exc:
@@ -178,71 +176,67 @@ def _kernel_basis(
     return evecs[:, :n_vecs].T.reshape(n_vecs, m, 3)
 
 
-def _beta_init(dv: np.ndarray, rho: np.ndarray, case: int) -> np.ndarray:
-    """Linearized distance-constraint solution for the first `case` betas.
+def _initial_betas(gram: np.ndarray, rho: np.ndarray, n_cases: int) -> np.ndarray:
+    """Linearized distance-constraint betas of kernel cases 1..n_cases,
+    zero-padded to (C, 3); a case with a degenerate kernel vector gets NaN.
 
-    ``dv`` (N, P, 3) holds each kernel vector's control-point differences.
+    ``gram`` (P, 3, 3) holds the Gram matrix of each control-point pair's
+    kernel differences.  Case 1 fits one scale to the distances; cases 2
+    and 3 fit the first three or all six columns of one system in the
+    products b11, b12, b22, b13, b23, b33, through its normal equations.
     """
-    if case == 1:
-        norms2 = (dv[0] ** 2).sum(axis=1)
-        denom = float(norms2.sum())
-        if denom < 1e-30:
-            raise NumericalFailure("degenerate kernel vector")
-        return np.array([float((np.sqrt(rho) * np.sqrt(norms2)).sum() / denom)])
-
-    def dot(a: int, b: int) -> np.ndarray:
-        return (dv[a] * dv[b]).sum(axis=1)
-
-    # Unknowns b11, b12, b22 (case 2), then b13, b23, b33 (case 3).
-    cols = [dot(0, 0), 2 * dot(0, 1), dot(1, 1), 2 * dot(0, 2), 2 * dot(1, 2), dot(2, 2)]
-    sol, *_ = np.linalg.lstsq(np.column_stack(cols[: 3 * (case - 1)]), rho, rcond=None)
-    betas = [math.sqrt(abs(sol[0])), math.copysign(math.sqrt(abs(sol[2])), sol[1])]
-    if case == 3:
-        betas.append(math.copysign(math.sqrt(abs(sol[5])), sol[3]))
-    return np.array(betas)
-
-
-def _refine_betas(dv: np.ndarray, rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on the squared control-point distance constraints."""
-    dv = dv[: len(betas)]
-    flat = dv.reshape(len(betas), -1)  # (k, P * 3)
-    for _ in range(8):
-        dcc = (betas @ flat).reshape(-1, 3)  # (P, 3)
-        resid = (dcc**2).sum(axis=1) - rho
-        jac = 2.0 * (dv * dcc).sum(axis=2).T  # (P, k)
-        try:
-            step = np.linalg.solve(jac.T @ jac, -(jac.T @ resid))
-        except np.linalg.LinAlgError:
-            break  # a singular system: keep the current betas
-        betas = betas + step
-        if np.max(np.abs(step)) < 1e-12:
-            break
+    betas = np.zeros((n_cases, 3))
+    norms2 = gram[:, 0, 0]
+    denom = float(norms2.sum())
+    betas[0, 0] = (np.sqrt(rho) * np.sqrt(norms2)).sum() / denom if denom >= 1e-30 else np.nan
+    cols = gram[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]] * [1.0, 2.0, 1.0, 2.0, 2.0, 1.0]
+    used = np.repeat(np.tri(n_cases - 1, 2, dtype=bool), 3, axis=1)  # (C - 1, 6)
+    lhs = np.where(used[:, :, None] & used[:, None, :], cols.T @ cols, np.eye(6))
+    sol = _solve_each(lhs, np.where(used, cols.T @ rho, 0.0))
+    signs = sol[:, [0, 1, 3]]
+    signs[:, 0] = 1.0
+    # Case 2 keeps b1, b2 and case 3 all three; b1 comes out positive.
+    betas[1:] = np.copysign(np.sqrt(np.abs(sol[:, [0, 2, 5]])), signs) * np.tri(n_cases - 1, 3, 1)
     return betas
 
 
-def _pose_from_betas(
-    kernel: np.ndarray,
-    betas: np.ndarray,
-    alphas: np.ndarray,
-    pts3: np.ndarray,
-    w: np.ndarray,
-) -> Pose:
-    cc = np.tensordot(betas, kernel[: len(betas)], axes=1)  # (m, 3)
-    xc = alphas @ cc
-    wsum = float(w.sum())
-    if (w * xc[:, 2]).sum() / wsum < 0:
-        xc = -xc
-    # Weighted Kabsch alignment: R @ pts3 + t ~= xc.
-    c_src = (w[:, None] * pts3).sum(axis=0) / wsum
-    c_dst = (w[:, None] * xc).sum(axis=0) / wsum
-    cross = ((xc - c_dst) * w[:, None]).T @ (pts3 - c_src)
+def _solve_each(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x (C, k) with h[c] @ x[c] = g[c]; a zero row where h[c] is singular."""
     try:
-        u, _, vt = np.linalg.svd(cross)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("pose alignment SVD failed") from exc
-    d = np.sign(np.linalg.det(u @ vt))
-    r = u @ np.diag([1.0, 1.0, d]) @ vt
-    return Pose(r, c_dst - r @ c_src)
+        return np.linalg.solve(h, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # some system is singular: solve one by one
+        x = np.zeros_like(g)
+        for c in range(len(g)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[c] = np.linalg.solve(h[c], g[c])
+        return x
+
+
+def _refine_betas(gram: np.ndarray, rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on the squared control-point distance constraints, run on
+    all kernel cases at once.
+
+    ``gram`` (P, 3, 3) is as in ``_initial_betas``; row c of ``betas`` (C, 3)
+    holds case c + 1's betas, zero-padded.  A case stops once its step falls
+    below 1e-12; a case whose normal equations are singular takes no step
+    and keeps its current betas.
+    """
+    used = np.tri(len(betas), 3, dtype=bool)  # case c + 1 moves its first c + 1 betas
+    gram = gram * (used[:, :, None] & used[:, None, :])[:, None]  # (C, P, 3, 3)
+    pad = np.eye(3) * ~used[:, None, :]  # unit rows for the unused betas: zero steps
+    betas = betas.copy()
+    active = np.ones(len(betas), dtype=bool)
+    for _ in range(8):
+        jac = 2.0 * (gram @ betas[:, None, :, None])[..., 0]  # (C, P, 3)
+        resid = 0.5 * (jac * betas[:, None]).sum(axis=2) - rho  # squared distances - rho
+        jt = np.swapaxes(jac, 1, 2)
+        step = _solve_each(jt @ jac + pad, -(jt @ resid[..., None])[..., 0])
+        step[~active] = 0.0
+        betas += step
+        active &= np.max(np.abs(step), axis=1) >= 1e-12
+        if not active.any():
+            break
+    return betas
 
 
 def _linear_candidates(
@@ -251,37 +245,72 @@ def _linear_candidates(
     w: np.ndarray,
     k: CameraIntrinsics,
     planar: bool,
-) -> list[Pose]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (C, 3, 3) and translations (C, 3) of the kernel cases with a
+    solution, in case order: each case's control points, then one weighted
+    Kabsch alignment (R @ pts3 + t ~= camera-frame points) per case."""
     ctrl = _control_points(pts3, w, planar)
     alphas = _barycentric(pts3, ctrl)
     kernel = _kernel_basis(alphas, pix, w, k, n_vecs=3)
     i, j = np.array(list(combinations(range(len(ctrl)), 2))).T
     rho = ((ctrl[i] - ctrl[j]) ** 2).sum(axis=1)
-    dv = kernel[:, i] - kernel[:, j]  # (N, P, 3)
-    cases = (1, 2) if planar else (1, 2, 3)
-    candidates = []
-    for case in cases:
-        try:
-            betas = _refine_betas(dv, rho, _beta_init(dv, rho, case))
-            pose = _pose_from_betas(kernel, betas, alphas, pts3, w)
-        except NumericalFailure:
-            continue
-        if np.all(np.isfinite(pose.rotation)) and np.all(np.isfinite(pose.translation)):
-            candidates.append(pose)
-    if not candidates:
+    dv = kernel[:, i] - kernel[:, j]  # (3, P, 3)
+    gram = np.einsum("apd,bpd->pab", dv, dv)
+    betas = _refine_betas(gram, rho, _initial_betas(gram, rho, 2 if planar else 3))
+    betas = betas[np.all(np.isfinite(betas), axis=1)]
+    if not len(betas):
         raise NumericalFailure("no usable control-point solution")
-    return candidates
+    xc = alphas @ (betas @ kernel.reshape(3, -1)).reshape(len(betas), -1, 3)  # (C, n, 3)
+    wsum = float(w.sum())
+    xc = np.where((xc[..., 2] @ w < 0)[:, None, None], -xc, xc)
+    c_src = w @ pts3 / wsum
+    c_dst = w @ xc / wsum  # (C, 3)
+    cross = np.swapaxes((xc - c_dst[:, None]) * w[:, None], 1, 2) @ (pts3 - c_src)
+    try:
+        u, _, vt = np.linalg.svd(cross)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("pose alignment SVD failed") from exc
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[:, None]
+    r = u @ vt
+    return r, c_dst - r @ c_src
 
 
 def retract(pose: Pose, delta: np.ndarray) -> Pose:
     """Apply a local increment (rotation vector, translation) to a pose."""
     d = np.asarray(delta, dtype=float).reshape(6)
-    angle = float(np.linalg.norm(d[:3]))
-    if angle > 0:
-        dr = rotation_about_axis(d[:3] / angle, angle)
-    else:
-        dr = np.eye(3)
+    wx, wy, wz = float(d[0]), float(d[1]), float(d[2])
+    angle = math.sqrt(wx * wx + wy * wy + wz * wz)
+    if angle == 0:
+        return Pose(pose.rotation, pose.translation + d[3:])
+    x, y, z = wx / angle, wy / angle, wz / angle
+    s, c = math.sin(angle), 1.0 - math.cos(angle)
+    dr = np.array(
+        [
+            [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
+            [c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x],
+            [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)],
+        ]
+    )
     return Pose(dr @ pose.rotation, pose.translation + d[3:])
+
+
+def _pixel_residuals(
+    pc: np.ndarray, pix: np.ndarray, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals (..., n, 2) of camera-frame points (..., n, 3) against the
+    pixels, zero for points at or behind the camera plane, with the depths
+    (..., n) and the depths used as divisors (1 where behind)."""
+    z = pc[..., 2]
+    good = z > MIN_DEPTH
+    zs = np.where(good, z, 1.0)
+    resid = pc[..., :2] * (k.fx, k.fy) / zs[..., None] + (k.cx, k.cy) - pix
+    resid[~good] = 0.0
+    return resid, z, zs
+
+
+# -[v]x = v @ _NEG_SKEW, reshaped to 3 x 3: the cross-product matrices of
+# many vectors in one product.
+_NEG_SKEW = -np.array([skew(e) for e in np.eye(3)]).reshape(3, 9)
 
 
 def linearize_reprojection(
@@ -295,13 +324,7 @@ def linearize_reprojection(
     """
     rotated = pts3 @ pose.rotation.T
     pc = rotated + pose.translation
-    z = pc[:, 2]
-    good = z > MIN_DEPTH
-    zs = np.where(good, z, 1.0)
-    u = k.fx * pc[:, 0] / zs + k.cx
-    v = k.fy * pc[:, 1] / zs + k.cy
-    resid = np.column_stack([u, v]) - pix
-    resid[~good] = 0.0
+    resid, z, zs = _pixel_residuals(pc, pix, k)
     n = pts3.shape[0]
     # d(pixel)/d(camera point)
     a = np.zeros((n, 2, 3))
@@ -309,33 +332,12 @@ def linearize_reprojection(
     a[:, 0, 2] = -k.fx * pc[:, 0] / zs**2
     a[:, 1, 1] = k.fy / zs
     a[:, 1, 2] = -k.fy * pc[:, 1] / zs**2
+    jac = np.empty((n, 2, 6))
     # d(camera point)/d(rotation increment) = -[R p]x
-    sk = np.zeros((n, 3, 3))
-    sk[:, 0, 1] = -rotated[:, 2]
-    sk[:, 0, 2] = rotated[:, 1]
-    sk[:, 1, 0] = rotated[:, 2]
-    sk[:, 1, 2] = -rotated[:, 0]
-    sk[:, 2, 0] = -rotated[:, 1]
-    sk[:, 2, 1] = rotated[:, 0]
-    jac = np.zeros((n, 2, 6))
-    jac[:, :, :3] = np.einsum("nij,njk->nik", a, -sk)
+    jac[:, :, :3] = a @ (rotated @ _NEG_SKEW).reshape(n, 3, 3)
     jac[:, :, 3:] = a
-    jac[~good] = 0.0
+    jac[~(z > MIN_DEPTH)] = 0.0
     return resid, jac, z
-
-
-def _residuals(
-    pose: Pose, pts3: np.ndarray, pix: np.ndarray, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residuals (n, 2) and depths (n,) of ``linearize_reprojection``,
-    without the Jacobian."""
-    pc = pts3 @ pose.rotation.T + pose.translation
-    z = pc[:, 2]
-    good = z > MIN_DEPTH
-    zs = np.where(good, z, 1.0)
-    resid = np.column_stack([k.fx * pc[:, 0] / zs + k.cx, k.fy * pc[:, 1] / zs + k.cy]) - pix
-    resid[~good] = 0.0
-    return resid, z
 
 
 def _robust_weights(resid_norms: np.ndarray, opts: RefineOptions) -> np.ndarray:
@@ -345,28 +347,20 @@ def _robust_weights(resid_norms: np.ndarray, opts: RefineOptions) -> np.ndarray:
     return np.where(resid_norms <= s, 1.0, s / np.maximum(resid_norms, 1e-30))
 
 
-def _cost(
-    pose: Pose, pts3, pix, w_eff, k, opts
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted (optionally Huber) reprojection cost; inf if an active point
-    falls behind the camera or most of the cloud does."""
-    resid, z = _residuals(pose, pts3, pix, k)
+def _cost(norms: np.ndarray, z: np.ndarray, w_eff: np.ndarray, opts: RefineOptions) -> float:
+    """Weighted (optionally Huber) cost of the residual norms (n,) at depths
+    (n,); inf if an active point is behind the camera or most of the cloud
+    is."""
     behind = z <= MIN_DEPTH
-    if 2 * int(behind.sum()) > len(z) or np.any(behind & (w_eff > 0)):
-        return math.inf, resid, z
-    norms = np.linalg.norm(resid, axis=1)
+    n_behind = np.count_nonzero(behind)
+    if n_behind and (2 * n_behind > len(z) or np.any(w_eff[behind] > 0)):
+        return math.inf
     if opts.robust:
         s = opts.huber_scale_px
         rho = np.where(norms <= s, norms**2, s * (2.0 * norms - s))
     else:
         rho = norms**2
-    return float((w_eff * rho).sum()), resid, z
-
-
-def _front_weights(pose: Pose, pts3: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w`` with the points at or behind the camera plane at ``pose`` zeroed."""
-    z = (pts3 @ pose.rotation.T + pose.translation)[:, 2]
-    return np.where(z <= MIN_DEPTH, 0.0, w)
+    return float((w_eff * rho).sum())
 
 
 def refine_pose(
@@ -377,23 +371,24 @@ def refine_pose(
     Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
     Points behind the camera at the initial pose are down-weighted to zero
     and re-checked after each accepted step; accepted steps never increase
-    the cost.  Raises DivergedBehindCamera when the majority of points sit
-    at non-positive depth.
+    the cost.  Each trial pose is linearized once: an accepted trial's
+    residuals, Jacobian and depths serve the next step and the result.
+    Raises DivergedBehindCamera when the majority of points sit at
+    non-positive depth.
     """
     opts = opts or RefineOptions()
     pts3, pix, w_user = _validated(pts3, pix, w)
     report = check_degeneracy(pts3)
     n = len(pts3)
-    w_eff = _front_weights(initial, pts3, w_user)
-
     pose = initial
-    cost, _, _ = _cost(pose, pts3, pix, w_eff, k, opts)
+    resid, jac, z = linearize_reprojection(pose, pts3, pix, k)
+    norms = np.linalg.norm(resid, axis=1)
+    w_eff = np.where(z <= MIN_DEPTH, 0.0, w_user)
+    cost = _cost(norms, z, w_eff, opts)
     if not math.isfinite(cost):
         raise DivergedBehindCamera(f"the initial pose puts most of the {n} points behind it")
     lam = opts.damping_init
     for _ in range(opts.max_iters):
-        resid, jac, _ = linearize_reprojection(pose, pts3, pix, k)
-        norms = np.linalg.norm(resid, axis=1)
         w_total = w_eff * _robust_weights(norms, opts)
         sw = np.sqrt(w_total)[:, None]
         jw = (jac * sw[..., None]).reshape(2 * n, 6)
@@ -410,25 +405,27 @@ def refine_pose(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            candidate = retract(pose, step)
-            new_cost, _, z_new = _cost(candidate, pts3, pix, w_eff, k, opts)
+            trial = retract(pose, step)
+            t_resid, t_jac, t_z = linearize_reprojection(trial, pts3, pix, k)
+            t_norms = np.linalg.norm(t_resid, axis=1)
+            new_cost = _cost(t_norms, t_z, w_eff, opts)
             if new_cost < cost:
                 rel_drop = (cost - new_cost) / max(cost, 1e-300)
-                pose, cost = candidate, new_cost
+                pose, resid, jac, z, norms = trial, t_resid, t_jac, t_z, t_norms
+                cost = new_cost
                 lam = max(lam / 3.0, 1e-12)
                 # Re-admit points that have come back in front of the camera.
-                revived = (w_eff == 0.0) & (w_user > 0.0) & (z_new > MIN_DEPTH)
+                revived = (w_eff == 0.0) & (w_user > 0.0) & (z > MIN_DEPTH)
                 if np.any(revived):
                     w_eff = np.where(revived, w_user, w_eff)
-                    cost, _, _ = _cost(pose, pts3, pix, w_eff, k, opts)
+                    cost = _cost(norms, z, w_eff, opts)
                 accepted = True
                 break
             lam *= 10.0
         if not accepted or rel_drop < opts.fn_tol:
             break
 
-    resid, z = _residuals(pose, pts3, pix, k)
-    norms = np.where(z > MIN_DEPTH, np.linalg.norm(resid, axis=1), math.inf)
+    norms = np.where(z > MIN_DEPTH, norms, math.inf)
     rms = math.sqrt(float(np.mean(norms**2))) if np.all(np.isfinite(norms)) else math.inf
     return PnPSolution(
         pose=pose,
@@ -443,9 +440,10 @@ def _linear_stage(
 ) -> tuple[DegeneracyReport, list[Pose]]:
     """Degeneracy guard, then the control-point candidates cheapest first.
 
-    Each candidate is scored by its plain reprojection cost, with the points
-    behind the camera zeroed as ``refine_pose`` zeroes them at its start; a
-    candidate with most points behind the camera scores inf and is left out.
+    All candidates are scored in one projection by their plain reprojection
+    cost, with the points behind the camera zeroed as ``refine_pose`` zeroes
+    them at its start; a candidate with most points behind the camera scores
+    inf and is left out.  Equal costs keep case order.
     """
     report = check_degeneracy(pts3)
     if report.classification in (DEGENERATE, NEAR_COLLINEAR):
@@ -454,10 +452,12 @@ def _linear_stage(
             f"(n={report.n_points}); sweep a wider, non-collinear volume",
             report=report,
         )
-    candidates = _linear_candidates(pts3, pix, w, k, planar=report.classification == NEAR_PLANAR)
-    plain = RefineOptions()
-    costs = [_cost(p, pts3, pix, _front_weights(p, pts3, w), k, plain)[0] for p in candidates]
-    ranked = [candidates[i] for i in np.argsort(costs, kind="stable") if math.isfinite(costs[i])]
+    r, t = _linear_candidates(pts3, pix, w, k, planar=report.classification == NEAR_PLANAR)
+    resid, z, _ = _pixel_residuals(pts3 @ np.swapaxes(r, 1, 2) + t[:, None], pix, k)
+    front = z > MIN_DEPTH
+    costs = (np.where(front, w, 0.0) * (resid**2).sum(axis=2)).sum(axis=1)
+    costs[2 * (~front).sum(axis=1) > len(pts3)] = math.inf
+    ranked = [Pose(r[c], t[c]) for c in np.argsort(costs, kind="stable") if math.isfinite(costs[c])]
     if not ranked:
         raise NumericalFailure("every control-point candidate puts most points behind the camera")
     return report, ranked

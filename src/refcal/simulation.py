@@ -166,20 +166,18 @@ def _trajectory(chain: KinematicChain, cfg: ScenarioConfig, rng: np.random.Gener
     q = rng.uniform(
         np.where(limited, lo, -math.pi / 2) + margin, np.where(limited, hi, math.pi / 2) - margin
     )
-    positions = np.empty((n, n_joints))
-    velocity = np.zeros(n_joints)
-    segment = -1
-    for i in range(n):
-        t = i * dt
-        seg = min(int(t / seg_len), cfg.n_direction_switches - 1)
-        if seg != segment:
-            segment = seg
-            direction = rng.standard_normal(n_joints)
-            direction /= max(np.linalg.norm(direction), 1e-12)
-            velocity = cfg.joint_speed * direction
-        if i > 0:
-            q = np.clip(q + velocity * dt, lo, hi)
-        positions[i] = q
+    positions = np.tile(q, (n, 1))
+    segment = np.minimum((np.arange(n) * dt / seg_len).astype(np.int64), cfg.n_direction_switches - 1)
+    starts = np.flatnonzero(np.diff(segment, prepend=-1))  # one direction drawn per segment
+    for start, stop in zip(starts, [*starts[1:], n]):
+        direction = rng.standard_normal(n_joints)
+        direction /= max(np.linalg.norm(direction), 1e-12)
+        step = cfg.joint_speed * direction * dt
+        # The velocity is constant over a segment, so a joint clamped at a limit
+        # stays there: clipping the running sum once equals clipping each step.
+        first = max(start, 1)  # frame 0 is the start itself
+        walk = np.cumsum([positions[first - 1], *[step] * (stop - first)], axis=0)
+        positions[first:stop] = np.clip(walk[1:], lo, hi)
     return JointLog(
         frame_index=np.arange(n, dtype=np.int64),
         timestamps=np.arange(n) * dt,

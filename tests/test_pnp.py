@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from helpers import random_pose, reprojection_rms, synth_scene
 from refcal.errors import DegenerateConfiguration, DivergedBehindCamera, EmptyInput
 from refcal.geometry import (
+    MIN_DEPTH,
     CameraIntrinsics,
     Pose,
     apply,
@@ -23,6 +25,10 @@ from refcal.pnp import (
     NEAR_PLANAR,
     WELL_CONDITIONED,
     RefineOptions,
+    _barycentric,
+    _control_points,
+    _kernel_basis,
+    _linear_candidates,
     _refine_betas,
     check_degeneracy,
     linearize_reprojection,
@@ -218,9 +224,121 @@ def test_refine_rms_matches_per_point_residuals():
 def test_refine_betas_keeps_the_betas_of_a_singular_system():
     # All-zero kernel differences give a zero Jacobian: no step can be taken.
     rho = np.ones(6)
-    for betas in ([0.5], [0.5, -0.2], [0.5, -0.2, 0.1]):
-        betas = np.array(betas)
-        assert np.array_equal(_refine_betas(np.zeros((3, 6, 3)), rho, betas), betas)
+    betas = np.array([[0.5, 0.0, 0.0], [0.5, -0.2, 0.0], [0.5, -0.2, 0.1]])
+    for n_cases in (1, 2, 3):
+        stack = betas[:n_cases]
+        assert np.array_equal(_refine_betas(np.zeros((6, 3, 3)), rho, stack), stack)
+    # Only the first kernel vector has differences: case 1 is regular and
+    # converges, cases 2 and 3 are singular in the same stack.
+    gram = np.zeros((6, 3, 3))
+    gram[:, 0, 0] = np.linspace(0.5, 1.5, 6)
+    refined = _refine_betas(gram, rho, betas)
+    assert np.array_equal(refined[1:], betas[1:])
+    b11 = (gram[:, 0, 0] @ rho) / (gram[:, 0, 0] @ gram[:, 0, 0])
+    assert_allclose(refined[0], [math.sqrt(b11), 0.0, 0.0], rtol=1e-12, atol=0)
+
+
+def _per_case_candidates(pts3, pix, w, planar):
+    """The kernel cases one at a time, each with its own least-squares beta
+    initialisation, Gauss-Newton loop and Kabsch alignment."""
+    ctrl = _control_points(pts3, w, planar)
+    alphas = _barycentric(pts3, ctrl)
+    kernel = _kernel_basis(alphas, pix, w, K, n_vecs=3)
+    i, j = np.array(list(combinations(range(len(ctrl)), 2))).T
+    rho = ((ctrl[i] - ctrl[j]) ** 2).sum(axis=1)
+    dv = kernel[:, i] - kernel[:, j]
+    dot = [[(dv[a] * dv[b]).sum(axis=1) for b in range(3)] for a in range(3)]
+    cols = np.column_stack(
+        [dot[0][0], 2 * dot[0][1], dot[1][1], 2 * dot[0][2], 2 * dot[1][2], dot[2][2]]
+    )
+    poses = []
+    for case in (1, 2) if planar else (1, 2, 3):
+        if case == 1:
+            betas = np.array([np.sqrt(rho * dot[0][0]).sum() / dot[0][0].sum()])
+        else:
+            s = np.linalg.lstsq(cols[:, : 3 * (case - 1)], rho, rcond=None)[0]
+            betas = [math.sqrt(abs(s[0])), math.copysign(math.sqrt(abs(s[2])), s[1])]
+            if case == 3:
+                betas.append(math.copysign(math.sqrt(abs(s[5])), s[3]))
+            betas = np.array(betas)
+        for _ in range(8):
+            dcc = np.tensordot(betas, dv[:case], axes=1)
+            jac = 2.0 * np.einsum("kpd,pd->pk", dv[:case], dcc)
+            step = np.linalg.solve(jac.T @ jac, -jac.T @ ((dcc**2).sum(axis=1) - rho))
+            betas = betas + step
+            if np.max(np.abs(step)) < 1e-12:
+                break
+        xc = alphas @ np.tensordot(betas, kernel[:case], axes=1)
+        xc = -xc if w @ xc[:, 2] < 0 else xc
+        c_src, c_dst = np.average(pts3, axis=0, weights=w), np.average(xc, axis=0, weights=w)
+        u, _, vt = np.linalg.svd(((xc - c_dst) * w[:, None]).T @ (pts3 - c_src))
+        r = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+        poses.append((r, c_dst - r @ c_src))
+    return poses
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["well_conditioned", "near_planar"])
+def test_stacked_candidates_match_a_per_case_loop(planar):
+    rng = np.random.default_rng(191)
+    for _ in range(10):
+        _, pts, pix = synth_scene(rng, 12, K, planar=planar)
+        if planar:
+            pts = pts + rng.normal(0.0, 1e-4, pts.shape)
+        pix = pix + rng.normal(0.0, 2.0, pix.shape)
+        w = rng.uniform(0.5, 1.0, 12)
+        assert check_degeneracy(pts).classification == (NEAR_PLANAR if planar else WELL_CONDITIONED)
+        rotations, translations = _linear_candidates(pts, pix, w, K, planar)
+        expected = _per_case_candidates(pts, pix, w, planar)
+        assert len(rotations) == len(expected) == (2 if planar else 3)
+        for r, t, (r_ref, t_ref) in zip(rotations, translations, expected):
+            assert_allclose(r, r_ref, rtol=0, atol=1e-9)
+            assert_allclose(t, t_ref, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_refine_readmits_points_that_come_back_in_front(sigma):
+    # Six of thirty points sit 0.3-0.5 m from the camera; the start pose is
+    # 0.6 m too far forward, so those six begin behind it with zero weight.
+    rng = np.random.default_rng(181)
+    z = np.concatenate([rng.uniform(1.5, 3.5, 24), rng.uniform(0.3, 0.5, 6)])
+    p_cam = np.column_stack([z * rng.uniform(-0.35, 0.35, 30), z * rng.uniform(-0.35, 0.35, 30), z])
+    t_gt = random_pose(rng)
+    pts = apply(invert(t_gt), p_cam)
+    pix = project(K, p_cam) + rng.normal(0.0, sigma, (30, 2))
+    start = Pose(
+        rotation_about_axis(np.array([0.0, 1.0, 0.0]), math.radians(3)) @ t_gt.rotation,
+        t_gt.translation + (0.02, -0.01, -0.6),
+    )
+
+    def front(pose):
+        return apply(pose, pts)[:, 2] > MIN_DEPTH
+
+    def squared_residuals(pose):
+        pc = apply(pose, pts)
+        uv = np.column_stack([K.fx * pc[:, 0] / pc[:, 2] + K.cx, K.fy * pc[:, 1] / pc[:, 2] + K.cy])
+        return ((uv - pix) ** 2).sum(axis=1)
+
+    assert (~front(start)).sum() == 6
+    # max_iters = k stops the same run after its k-th step.  Each step lowers
+    # the cost over the points admitted before it: those in front of the
+    # previous pose (an admitted point may not go behind again), up to
+    # rounding once the noiseless solve has converged.
+    poses = [start] + [
+        refine_pose(start, pts, pix, K, opts=RefineOptions(max_iters=k)).pose for k in range(1, 12)
+    ]
+    for before, after in zip(poses, poses[1:]):
+        admitted = front(before)
+        cost_before = squared_residuals(before)[admitted].sum()
+        assert squared_residuals(after)[admitted].sum() <= cost_before + 1e-12
+    sol = refine_pose(start, pts, pix, K)
+    assert np.all(np.isfinite(sol.per_point_residuals))
+    # The six re-admitted points shape the optimum: it is the one reached from
+    # the truth, where every point is in front from the start.
+    from_truth = refine_pose(t_gt, pts, pix, K)
+    assert_allclose(sol.pose.translation, from_truth.pose.translation, rtol=0, atol=1e-8)
+    assert rotation_error(sol.pose, from_truth.pose) < 1e-8
+    tol = 1e-9 if sigma == 0 else 2e-3
+    assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < tol
 
 
 def test_jacobian_matches_central_differences():
