@@ -16,6 +16,7 @@ from .calibration import (
     Mode,
     Track2D,
     calibrate,
+    calibrate_each,
     select_frames,
     solve_axxb,
 )
@@ -44,6 +45,7 @@ from .kinematics import (
 from .pnp import (
     DegeneracyReport,
     PnPSolution,
+    PoseStack,
     RefineOptions,
     check_degeneracy,
     refine_pose,
@@ -79,6 +81,7 @@ __all__ = [
     "PnPSolution",
     "Pose",
     "PoseError",
+    "PoseStack",
     "RefineOptions",
     "ReferencePoint",
     "ScenarioConfig",
@@ -86,6 +89,7 @@ __all__ = [
     "apply",
     "base_point_in_ee_frame",
     "calibrate",
+    "calibrate_each",
     "check_degeneracy",
     "compose",
     "corrupt_track",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientMotion, TooFewPairs
+from .errors import CalibrationError, InsufficientMotion, TooFewPairs
 from .geometry import CameraIntrinsics, Pose
 from .kinematics import (
     JointLog,
@@ -190,23 +190,66 @@ def calibrate(req: CalibrationRequest) -> CalibrationResult:
     """Solve the camera-to-base transform (eye-on-base, camera fixed in the
     workspace) or the camera-to-end-effector transform (eye-in-hand, camera
     on the arm) from the 2D-3D pairs of the usable frames."""
-    used, dropped = select_frames(req.track, req.joints, req.options)
-    # Both frame-index arrays are strictly increasing and contain every used frame.
+    (result,) = calibrate_each([req])
+    if isinstance(result, CalibrationError):
+        raise result
+    return result
+
+
+def calibrate_each(requests) -> list[CalibrationResult | CalibrationError]:
+    """Calibrate every request; one CalibrationResult or CalibrationError
+    per request, in order.  Errors that are not calibration errors (an
+    eye-in-hand request without a base reference point) are raised.
+
+    Requests whose tracks select the same frames of the same JointLog
+    object, with the same points array (or none), chain and reference point
+    objects, mode, intrinsics and loss, differ only in their pixels.  They
+    share one stacked PnP solve: object points, degeneracy check and
+    control points are computed once, and each request still gets exactly
+    the pose it would get alone.
+    """
+    requests = list(requests)
+    results: list = [None] * len(requests)
+    groups: dict = {}  # one stacked solve each: (used frames, [(request index, dropped)])
+    for i, req in enumerate(requests):
+        try:
+            used, dropped = select_frames(req.track, req.joints, req.options)
+        except CalibrationError as exc:
+            results[i] = exc
+            continue
+        key = (
+            id(req.joints), id(req.points), id(req.chain), id(req.ref),
+            req.mode, req.intrinsics, req.options.robust, used.tobytes(),
+        )  # fmt: skip
+        groups.setdefault(key, (used, []))[1].append((i, tuple(dropped)))
+    for used, members in groups.values():
+        req = requests[members[0][0]]
+        # Both frame-index arrays are strictly increasing and contain every used frame.
+        tracks = [requests[i].track for i, _ in members]
+        uv = np.array([t.uv[np.searchsorted(t.frame_index, used)] for t in tracks])
+        try:
+            points = _pair_points(req, used)
+            opts = RefineOptions(robust=req.options.robust)
+            solutions = solve_pnp(points, uv, req.intrinsics, opts=opts)
+        except CalibrationError as exc:
+            solutions = [exc] * len(members)
+        for (i, dropped), sol in zip(members, solutions):
+            if isinstance(sol, CalibrationError):
+                results[i] = sol
+            else:
+                results[i] = CalibrationResult(sol.pose, sol, len(used), dropped)
+    return results
+
+
+def _pair_points(req: CalibrationRequest, used: np.ndarray) -> np.ndarray:
+    """The object points (len(used), 3) of the used frames: the request's
+    given points, or forward kinematics at their joint readings."""
     rows = np.searchsorted(req.joints.frame_index, used)
-    uv = req.track.uv[np.searchsorted(req.track.frame_index, used)]
     if req.points is None:
-        points = object_points(req.mode, req.chain, req.ref, req.joints.positions[rows])
-    else:
-        if req.mode is Mode.EYE_IN_HAND:
-            _check_base_reference(req.ref)
-        points = req.points[rows]
-    solution = solve_pnp(points, uv, req.intrinsics, opts=RefineOptions(robust=req.options.robust))
-    return CalibrationResult(
-        pose=solution.pose,
-        solution=solution,
-        n_pairs_used=len(used),
-        dropped=tuple(dropped),
-    )
+        return object_points(req.mode, req.chain, req.ref, req.joints.positions[rows])
+    if req.mode is Mode.EYE_IN_HAND:
+        _check_base_reference(req.ref)
+    return req.points[rows]
 
 
 def _log_so3(r: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ path (or stdout for `eval`).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -54,7 +55,10 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and building it costs more than a parse."""
     parser = argparse.ArgumentParser(
         prog="refcal",
         description="Markerless camera-to-robot calibration from a tracked reference point.",

@@ -6,6 +6,10 @@ reprojection error refines it.  Degeneracy of the 3D point arrangement is
 diagnosed before solving; collinear or too-small point sets are rejected
 because they admit no well-conditioned unique pose.
 
+Every stage runs on a stack: S pixel sets (S, n, 2) that share one point
+set (n, 3) and its weights are solved in one pass, each exactly as it
+would be alone.  A single solve is a stack of one.
+
 Pose convention: the returned pose maps object-frame points into the
 camera frame, so ``project(k, apply(pose, p3))`` reproduces the pixel.
 """
@@ -16,10 +20,12 @@ import contextlib
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    CalibrationError,
     DegenerateConfiguration,
     DivergedBehindCamera,
     EmptyInput,
@@ -67,6 +73,15 @@ class PnPSolution:
     condition_report: DegeneracyReport
 
 
+class PoseStack(NamedTuple):
+    """S poses as rotations (S, 3, 3) and translations (S, 3): the stacked
+    form of ``Pose`` that ``retract``, ``linearize_reprojection`` and
+    ``refine_pose`` also take."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+
+
 @dataclass(frozen=True)
 class RefineOptions:
     max_iters: int = 100
@@ -104,16 +119,17 @@ def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
 
 
 def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, 3) points, (n, 2) pixels and (n,) weights (all ones when None) as
-    float arrays; rejects mismatched shapes, non-finite coordinates and
-    negative weights, and raises EmptyInput when n is zero."""
+    """(n, 3) points, (n, 2) pixels or a stack (S, n, 2) of them, and (n,)
+    weights (all ones when None) as float arrays; rejects mismatched shapes,
+    non-finite coordinates and negative weights, and raises EmptyInput when
+    n is zero."""
     pts3 = np.asarray(pts3, dtype=float)
     pix = np.asarray(pix, dtype=float)
     n = len(pts3) if pts3.ndim else 0
     w = np.ones(n) if w is None else np.asarray(w, dtype=float)
-    if pts3.shape != (n, 3) or pix.shape != (n, 2) or w.shape != (n,):
+    if pts3.shape != (n, 3) or pix.shape[-2:] != (n, 2) or pix.ndim > 3 or w.shape != (n,):
         raise ValueError(
-            f"expected (n, 3) points, (n, 2) pixels and (n,) weights, got "
+            f"expected (n, 3) points, (n, 2) or (S, n, 2) pixels and (n,) weights, got "
             f"{pts3.shape}, {pix.shape} and {w.shape}"
         )
     if n == 0:
@@ -123,6 +139,26 @@ def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(w >= 0):
         raise ValueError("correspondence weights must be nonnegative")
     return pts3, pix, w
+
+
+def _raised(outcome):
+    """A one-problem call's outcome: returned, or raised if it is an error."""
+    if isinstance(outcome, CalibrationError):
+        raise outcome
+    return outcome
+
+
+def _checked_points(pts3: np.ndarray) -> DegeneracyReport:
+    """The degeneracy report of the points; a degenerate or near-collinear
+    arrangement raises DegenerateConfiguration."""
+    report = check_degeneracy(pts3)
+    if report.classification in (DEGENERATE, NEAR_COLLINEAR):
+        raise DegenerateConfiguration(
+            f"point arrangement is {report.classification} "
+            f"(n={report.n_points}); sweep a wider, non-collinear volume",
+            report=report,
+        )
+    return report
 
 
 def _control_points(pts3: np.ndarray, w: np.ndarray, planar: bool) -> np.ndarray:
@@ -160,80 +196,95 @@ def _barycentric(pts3: np.ndarray, ctrl: np.ndarray) -> np.ndarray:
 def _kernel_basis(
     alphas: np.ndarray, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics, n_vecs: int
 ) -> np.ndarray:
-    """Smallest right-singular vectors of the 2n x 3m projection system."""
+    """Smallest right-singular vectors (..., n_vecs, m, 3) of the 2n x 3m
+    projection system of each pixel set (..., n, 2)."""
     n, m = alphas.shape
-    rows = np.zeros((n, 2, m, 3))  # point, pixel axis, control point, coordinate
+    lead = pix.shape[:-2]
+    rows = np.zeros((*lead, n, 2, m, 3))  # point, pixel axis, control point, coordinate
     sw = np.sqrt(w)[:, None]
-    rows[:, 0, :, 0] = alphas * k.fx * sw
-    rows[:, 0, :, 2] = alphas * (k.cx - pix[:, :1]) * sw
-    rows[:, 1, :, 1] = alphas * k.fy * sw
-    rows[:, 1, :, 2] = alphas * (k.cy - pix[:, 1:]) * sw
-    rows = rows.reshape(2 * n, 3 * m)
+    rows[..., 0, :, 0] = alphas * k.fx * sw
+    rows[..., 0, :, 2] = alphas * (k.cx - pix[..., :1]) * sw
+    rows[..., 1, :, 1] = alphas * k.fy * sw
+    rows[..., 1, :, 2] = alphas * (k.cy - pix[..., 1:]) * sw
+    rows = rows.reshape(*lead, 2 * n, 3 * m)
     try:
-        _, evecs = np.linalg.eigh(rows.T @ rows)
+        _, evecs = np.linalg.eigh(np.swapaxes(rows, -1, -2) @ rows)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("null-space extraction failed") from exc
-    return evecs[:, :n_vecs].T.reshape(n_vecs, m, 3)
+    return np.swapaxes(evecs[..., :n_vecs], -1, -2).reshape(*lead, n_vecs, m, 3)
 
 
 def _initial_betas(gram: np.ndarray, rho: np.ndarray, n_cases: int) -> np.ndarray:
-    """Linearized distance-constraint betas of kernel cases 1..n_cases,
-    zero-padded to (C, 3); a case with a degenerate kernel vector gets NaN.
+    """Linearized distance-constraint betas (..., C, 3) of kernel cases
+    1..n_cases, zero-padded; a case with a degenerate kernel vector gets NaN.
 
-    ``gram`` (P, 3, 3) holds the Gram matrix of each control-point pair's
-    kernel differences.  Case 1 fits one scale to the distances; cases 2
-    and 3 fit the first three or all six columns of one system in the
-    products b11, b12, b22, b13, b23, b33, through its normal equations.
+    ``gram`` (..., P, 3, 3) holds the Gram matrix of each control-point
+    pair's kernel differences.  Case 1 fits one scale to the distances;
+    cases 2 and 3 fit the first three or all six columns of one system in
+    the products b11, b12, b22, b13, b23, b33, through its normal equations.
     """
-    betas = np.zeros((n_cases, 3))
-    norms2 = gram[:, 0, 0]
-    denom = float(norms2.sum())
-    betas[0, 0] = (np.sqrt(rho) * np.sqrt(norms2)).sum() / denom if denom >= 1e-30 else np.nan
-    cols = gram[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]] * [1.0, 2.0, 1.0, 2.0, 2.0, 1.0]
+    betas = np.zeros((*gram.shape[:-3], n_cases, 3))
+    norms2 = gram[..., 0, 0]
+    denom = norms2.sum(axis=-1)
+    ok = denom >= 1e-30
+    scale = (np.sqrt(rho) * np.sqrt(norms2)).sum(axis=-1) / np.where(ok, denom, 1.0)
+    betas[..., 0, 0] = np.where(ok, scale, np.nan)
+    # C order whatever the stack size, so each member's products run alike.
+    cols = np.multiply(
+        gram[..., [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]], [1.0, 2.0, 1.0, 2.0, 2.0, 1.0], order="C"
+    )
+    cols_t = np.swapaxes(cols, -1, -2)
     used = np.repeat(np.tri(n_cases - 1, 2, dtype=bool), 3, axis=1)  # (C - 1, 6)
-    lhs = np.where(used[:, :, None] & used[:, None, :], cols.T @ cols, np.eye(6))
-    sol = _solve_each(lhs, np.where(used, cols.T @ rho, 0.0))
-    signs = sol[:, [0, 1, 3]]
-    signs[:, 0] = 1.0
+    lhs = np.where(used[:, :, None] & used[:, None, :], (cols_t @ cols)[..., None, :, :], np.eye(6))
+    sol = _solve_each(lhs, np.where(used, (cols_t @ rho)[..., None, :], 0.0))
+    signs = sol[..., [0, 1, 3]]
+    signs[..., 0] = 1.0
     # Case 2 keeps b1, b2 and case 3 all three; b1 comes out positive.
-    betas[1:] = np.copysign(np.sqrt(np.abs(sol[:, [0, 2, 5]])), signs) * np.tri(n_cases - 1, 3, 1)
+    betas[..., 1:, :] = np.copysign(np.sqrt(np.abs(sol[..., [0, 2, 5]])), signs) * np.tri(
+        n_cases - 1, 3, 1
+    )
     return betas
 
 
 def _solve_each(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """x (C, k) with h[c] @ x[c] = g[c]; a zero row where h[c] is singular."""
+    """x (..., k) with h[i] @ x[i] = g[i]; a zero row where h[i] is singular."""
     try:
         return np.linalg.solve(h, g[..., None])[..., 0]
     except np.linalg.LinAlgError:  # some system is singular: solve one by one
-        x = np.zeros_like(g)
-        for c in range(len(g)):
+        hs = np.broadcast_to(h, (*g.shape, g.shape[-1])).reshape(-1, g.shape[-1], g.shape[-1])
+        x = np.zeros_like(g).reshape(-1, g.shape[-1])
+        for i, (hi, gi) in enumerate(zip(hs, g.reshape(x.shape))):
             with contextlib.suppress(np.linalg.LinAlgError):
-                x[c] = np.linalg.solve(h[c], g[c])
-        return x
+                x[i] = np.linalg.solve(hi, gi)
+        return x.reshape(g.shape)
 
 
 def _refine_betas(gram: np.ndarray, rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Gauss-Newton on the squared control-point distance constraints, run on
-    all kernel cases at once.
+    all kernel cases of every stack member at once.
 
-    ``gram`` (P, 3, 3) is as in ``_initial_betas``; row c of ``betas`` (C, 3)
-    holds case c + 1's betas, zero-padded.  A case stops once its step falls
-    below 1e-12; a case whose normal equations are singular takes no step
-    and keeps its current betas.
+    ``gram`` (..., P, 3, 3) is as in ``_initial_betas``; row c of ``betas``
+    (..., C, 3) holds case c + 1's betas, zero-padded.  A case stops once
+    its step falls below 1e-12; a case whose normal equations are singular
+    takes no step and keeps its current betas.
     """
-    used = np.tri(len(betas), 3, dtype=bool)  # case c + 1 moves its first c + 1 betas
-    gram = gram * (used[:, :, None] & used[:, None, :])[:, None]  # (C, P, 3, 3)
+    n_cases, n_pairs = betas.shape[-2], gram.shape[-3]
+    used = np.tri(n_cases, 3, dtype=bool)  # case c + 1 moves its first c + 1 betas
+    # Each case's Gram matrices, stacked as rows: (..., C, P * 3, 3).
+    gram = (gram[..., None, :, :, :] * (used[:, :, None] & used[:, None, :])[:, None]).reshape(
+        *betas.shape[:-1], n_pairs * 3, 3
+    )
     pad = np.eye(3) * ~used[:, None, :]  # unit rows for the unused betas: zero steps
     betas = betas.copy()
-    active = np.ones(len(betas), dtype=bool)
+    active = np.ones(betas.shape[:-1], dtype=bool)
     for _ in range(8):
-        jac = 2.0 * (gram @ betas[:, None, :, None])[..., 0]  # (C, P, 3)
-        resid = 0.5 * (jac * betas[:, None]).sum(axis=2) - rho  # squared distances - rho
-        jt = np.swapaxes(jac, 1, 2)
+        jac = 2.0 * (gram @ betas[..., None]).reshape(*betas.shape[:-1], n_pairs, 3)
+        resid = 0.5 * (jac * betas[..., None, :]).sum(axis=-1) - rho  # squared distances - rho
+        jt = np.swapaxes(jac, -1, -2)
         step = _solve_each(jt @ jac + pad, -(jt @ resid[..., None])[..., 0])
-        step[~active] = 0.0
+        step = np.where(active[..., None], step, 0.0)
         betas += step
-        active &= np.max(np.abs(step), axis=1) >= 1e-12
+        active &= (np.abs(step) >= 1e-12).any(axis=-1)
         if not active.any():
             break
     return betas
@@ -246,52 +297,69 @@ def _linear_candidates(
     k: CameraIntrinsics,
     planar: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (C, 3, 3) and translations (C, 3) of the kernel cases with a
-    solution, in case order: each case's control points, then one weighted
-    Kabsch alignment (R @ pts3 + t ~= camera-frame points) per case."""
+    """Rotations (..., C, 3, 3) and translations (..., C, 3) of the kernel
+    cases of each pixel set (..., n, 2), in case order, NaN for a case
+    without a solution: the shared control points, then one weighted Kabsch
+    alignment (R @ pts3 + t ~= camera-frame points) per case."""
     ctrl = _control_points(pts3, w, planar)
     alphas = _barycentric(pts3, ctrl)
-    kernel = _kernel_basis(alphas, pix, w, k, n_vecs=3)
+    kernel = _kernel_basis(alphas, pix, w, k, n_vecs=3)  # (..., 3, m, 3)
     i, j = np.array(list(combinations(range(len(ctrl)), 2))).T
     rho = ((ctrl[i] - ctrl[j]) ** 2).sum(axis=1)
-    dv = kernel[:, i] - kernel[:, j]  # (3, P, 3)
-    gram = np.einsum("apd,bpd->pab", dv, dv)
+    dv = kernel[..., i, :] - kernel[..., j, :]  # (..., 3, P, 3)
+    gram = np.einsum("...apd,...bpd->...pab", dv, dv)
     betas = _refine_betas(gram, rho, _initial_betas(gram, rho, 2 if planar else 3))
-    betas = betas[np.all(np.isfinite(betas), axis=1)]
-    if not len(betas):
-        raise NumericalFailure("no usable control-point solution")
-    xc = alphas @ (betas @ kernel.reshape(3, -1)).reshape(len(betas), -1, 3)  # (C, n, 3)
+    solved = np.all(np.isfinite(betas), axis=-1)
+    betas = np.where(solved[..., None], betas, 0.0)
+    lead = pix.shape[:-2]
+    m = len(ctrl)
+    ctrl_cam = (betas @ kernel.reshape(*lead, 3, 3 * m)).reshape(*betas.shape[:-1], m, 3)
+    xc = alphas @ ctrl_cam  # (..., C, n, 3)
     wsum = float(w.sum())
-    xc = np.where((xc[..., 2] @ w < 0)[:, None, None], -xc, xc)
+    xc = np.where((xc[..., 2] @ w < 0)[..., None, None], -xc, xc)
     c_src = w @ pts3 / wsum
-    c_dst = w @ xc / wsum  # (C, 3)
-    cross = np.swapaxes((xc - c_dst[:, None]) * w[:, None], 1, 2) @ (pts3 - c_src)
+    c_dst = w @ xc / wsum  # (..., C, 3)
+    cross = np.swapaxes((xc - c_dst[..., None, :]) * w[:, None], -1, -2) @ (pts3 - c_src)
     try:
         u, _, vt = np.linalg.svd(cross)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("pose alignment SVD failed") from exc
-    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[:, None]
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
     r = u @ vt
-    return r, c_dst - r @ c_src
+    t = c_dst - r @ c_src
+    r[~solved] = np.nan
+    t[~solved] = np.nan
+    return r, t
 
 
-def retract(pose: Pose, delta: np.ndarray) -> Pose:
-    """Apply a local increment (rotation vector, translation) to a pose."""
-    d = np.asarray(delta, dtype=float).reshape(6)
-    wx, wy, wz = float(d[0]), float(d[1]), float(d[2])
+def _rodrigues(wx: float, wy: float, wz: float) -> list:
+    """The rotation matrix (nested lists) of one rotation vector."""
     angle = math.sqrt(wx * wx + wy * wy + wz * wz)
     if angle == 0:
-        return Pose(pose.rotation, pose.translation + d[3:])
+        return [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     x, y, z = wx / angle, wy / angle, wz / angle
     s, c = math.sin(angle), 1.0 - math.cos(angle)
-    dr = np.array(
-        [
-            [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
-            [c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x],
-            [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)],
-        ]
-    )
-    return Pose(dr @ pose.rotation, pose.translation + d[3:])
+    return [
+        [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
+        [c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x],
+        [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)],
+    ]
+
+
+def retract(pose, delta):
+    """Apply a local increment (rotation vector, translation) to a pose.
+
+    Also takes a PoseStack with increments (S, 6) and returns a PoseStack.
+    Each increment's rotation comes from Python floats: for stacks of a few
+    poses that is cheaper than the same formula in array arithmetic.
+    """
+    d = np.asarray(delta, dtype=float)
+    rotvecs = d[..., :3].reshape(-1, 3).tolist()
+    dr = np.array([_rodrigues(*v) for v in rotvecs]).reshape(*d.shape[:-1], 3, 3)
+    rotation, translation = dr @ pose.rotation, pose.translation + d[..., 3:]
+    if isinstance(pose, Pose):
+        return Pose(rotation, translation)
+    return PoseStack(rotation, translation)
 
 
 def _pixel_residuals(
@@ -299,13 +367,14 @@ def _pixel_residuals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals (..., n, 2) of camera-frame points (..., n, 3) against the
     pixels, zero for points at or behind the camera plane, with the depths
-    (..., n) and the depths used as divisors (1 where behind)."""
+    (..., n) and the normalized image coordinates (..., n, 2) (x, y as if
+    at depth 1 where behind)."""
     z = pc[..., 2]
     good = z > MIN_DEPTH
-    zs = np.where(good, z, 1.0)
-    resid = pc[..., :2] * (k.fx, k.fy) / zs[..., None] + (k.cx, k.cy) - pix
+    xy = pc[..., :2] / np.where(good, z, 1.0)[..., None]
+    resid = xy * (k.fx, k.fy) + (k.cx, k.cy) - pix
     resid[~good] = 0.0
-    return resid, z, zs
+    return resid, z, xy
 
 
 # -[v]x = v @ _NEG_SKEW, reshaped to 3 x 3: the cross-product matrices of
@@ -314,153 +383,244 @@ _NEG_SKEW = -np.array([skew(e) for e in np.eye(3)]).reshape(3, 9)
 
 
 def linearize_reprojection(
-    pose: Pose, pts3: np.ndarray, pix: np.ndarray, k: CameraIntrinsics
+    pose, pts3: np.ndarray, pix: np.ndarray, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals and Jacobian of the pixel error w.r.t. a local increment.
 
     Returns (residuals (n, 2), jacobian (n, 2, 6), depth (n,)); the
     increment convention matches ``retract``.  Rows for points at or behind
-    the camera plane are zeroed and must be masked by the caller.
+    the camera plane are zeroed and must be masked by the caller.  A
+    PoseStack of S poses with pixels (S, n, 2) gives every output a leading
+    S axis.
     """
-    rotated = pts3 @ pose.rotation.T
-    pc = rotated + pose.translation
-    resid, z, zs = _pixel_residuals(pc, pix, k)
-    n = pts3.shape[0]
-    # d(pixel)/d(camera point)
-    a = np.zeros((n, 2, 3))
-    a[:, 0, 0] = k.fx / zs
-    a[:, 0, 2] = -k.fx * pc[:, 0] / zs**2
-    a[:, 1, 1] = k.fy / zs
-    a[:, 1, 2] = -k.fy * pc[:, 1] / zs**2
-    jac = np.empty((n, 2, 6))
+    rotated = pts3 @ np.swapaxes(pose.rotation, -1, -2)
+    pc = rotated + pose.translation[..., None, :]
+    resid, z, xy = _pixel_residuals(pc, pix, k)
+    # d(pixel)/d(camera point) = diag(fx, fy) / z @ [[1, 0, -x], [0, 1, -y]],
+    # zero (1 / inf) for points at or behind the camera plane
+    a = np.zeros((*z.shape, 2, 3))
+    a[..., 0, 0] = 1.0
+    a[..., 1, 1] = 1.0
+    a[..., 2] = -xy
+    a *= ((k.fx, k.fy) / np.where(z > MIN_DEPTH, z, math.inf)[..., None])[..., None]
+    jac = np.empty((*z.shape, 2, 6))
     # d(camera point)/d(rotation increment) = -[R p]x
-    jac[:, :, :3] = a @ (rotated @ _NEG_SKEW).reshape(n, 3, 3)
-    jac[:, :, 3:] = a
-    jac[~(z > MIN_DEPTH)] = 0.0
+    jac[..., :3] = a @ (rotated @ _NEG_SKEW).reshape(*z.shape, 3, 3)
+    jac[..., 3:] = a
     return resid, jac, z
 
 
 def _robust_weights(resid_norms: np.ndarray, opts: RefineOptions) -> np.ndarray:
-    if not opts.robust:
-        return np.ones_like(resid_norms)
     s = opts.huber_scale_px
     return np.where(resid_norms <= s, 1.0, s / np.maximum(resid_norms, 1e-30))
 
 
-def _cost(norms: np.ndarray, z: np.ndarray, w_eff: np.ndarray, opts: RefineOptions) -> float:
-    """Weighted (optionally Huber) cost of the residual norms (n,) at depths
-    (n,); inf if an active point is behind the camera or most of the cloud
-    is."""
-    behind = z <= MIN_DEPTH
-    n_behind = np.count_nonzero(behind)
-    if n_behind and (2 * n_behind > len(z) or np.any(w_eff[behind] > 0)):
-        return math.inf
+def _cost(norms: np.ndarray, z: np.ndarray, w_eff: np.ndarray, opts: RefineOptions) -> np.ndarray:
+    """Weighted (optionally Huber) cost (M,) of each member's residual norms
+    (M, n) at depths (M, n); inf where an active point is behind the camera
+    or most of the cloud is."""
     if opts.robust:
         s = opts.huber_scale_px
         rho = np.where(norms <= s, norms**2, s * (2.0 * norms - s))
     else:
         rho = norms**2
-    return float((w_eff * rho).sum())
+    cost = (w_eff * rho).sum(axis=-1)
+    behind = z <= MIN_DEPTH
+    if behind.any():
+        blocked = (2 * behind.sum(axis=-1) > z.shape[-1]) | np.any(behind & (w_eff > 0), axis=-1)
+        cost = np.where(blocked, math.inf, cost)
+    return cost
+
+
+def _normal_equations(
+    resid: np.ndarray, jac: np.ndarray, norms: np.ndarray, w_eff: np.ndarray, opts: RefineOptions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Newton matrices (M, 6, 6), gradients (M, 6) and damping
+    diagonals (M, 6) of each member's (optionally Huber-)weighted residuals
+    (M, n, 2) with Jacobians (M, n, 2, 6)."""
+    sw = np.sqrt(w_eff * _robust_weights(norms, opts) if opts.robust else w_eff)
+    m, n = sw.shape
+    jw = (jac * sw[..., None, None]).reshape(m, 2 * n, 6)
+    jt = np.swapaxes(jw, 1, 2)
+    h = jt @ jw
+    g = (jt @ (resid * sw[..., None]).reshape(m, 2 * n, 1))[..., 0]
+    return h, g, np.maximum(np.diagonal(h, axis1=1, axis2=2), 1e-12)
+
+
+_EYE6 = np.eye(6)
+
+
+def _flat(g: np.ndarray) -> np.ndarray:
+    """Whether each gradient (M, 6) is zero to within 1e-14: a stationary pose."""
+    return np.abs(g).max(axis=-1) < 1e-14
 
 
 def refine_pose(
-    initial: Pose, pts3, pix, k: CameraIntrinsics, w=None, opts: RefineOptions | None = None
-) -> PnPSolution:
+    initial,
+    pts3,
+    pix,
+    k: CameraIntrinsics,
+    w=None,
+    opts: RefineOptions | None = None,
+    *,
+    report: DegeneracyReport | None = None,
+):
     """Damped least-squares (Levenberg-Marquardt) reprojection refinement.
 
-    Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
-    Points behind the camera at the initial pose are down-weighted to zero
-    and re-checked after each accepted step; accepted steps never increase
-    the cost.  Each trial pose is linearized once: an accepted trial's
-    residuals, Jacobian and depths serve the next step and the result.
-    Raises DivergedBehindCamera when the majority of points sit at
-    non-positive depth.
+    Takes an initial Pose, (n, 3) object points, (n, 2) pixels and optional
+    (n,) weights.  Points behind the camera at the initial pose are
+    down-weighted to zero and re-checked after each accepted step; accepted
+    steps never increase the cost.  Each trial pose is linearized once: an
+    accepted trial's residuals, Jacobian and depths serve the next step and
+    the result.  Raises DivergedBehindCamera when the majority of points
+    sit at non-positive depth.
+
+    ``initial`` may also be a PoseStack of M poses, with pixels (M, n, 2).
+    Every round takes one batched trial step for each member still running;
+    each member keeps its own damping, admitted points and stop test, and a
+    member that stops is frozen, so it takes exactly the steps it would
+    take alone.  The result is then a list with one PnPSolution or
+    DivergedBehindCamera per member.  A caller that has validated its
+    inputs passes the points' DegeneracyReport as ``report``, which skips
+    both the validation and the check.
     """
     opts = opts or RefineOptions()
-    pts3, pix, w_user = _validated(pts3, pix, w)
-    report = check_degeneracy(pts3)
+    if report is None:
+        pts3, pix, w = _validated(pts3, pix, w)
+        report = check_degeneracy(pts3)
+    if pix.shape[:-2] != np.shape(initial.rotation)[:-2]:
+        raise ValueError("expected one (n, 2) pixel set per initial pose")
     n = len(pts3)
-    pose = initial
-    resid, jac, z = linearize_reprojection(pose, pts3, pix, k)
-    norms = np.linalg.norm(resid, axis=1)
-    w_eff = np.where(z <= MIN_DEPTH, 0.0, w_user)
+    rot = np.asarray(initial.rotation, dtype=float).reshape(-1, 3, 3)
+    trans = np.asarray(initial.translation, dtype=float).reshape(-1, 3)
+    px = pix.reshape(-1, n, 2)
+    m = len(rot)
+    resid, jac, z = linearize_reprojection(PoseStack(rot, trans), pts3, px, k)
+    norms = np.hypot(resid[..., 0], resid[..., 1])
+    w_eff = np.where(z <= MIN_DEPTH, 0.0, w)
+    held_out = (w_eff == 0.0) & (w > 0.0)  # points behind the camera, until they come back
+    any_held_out = held_out.any()
     cost = _cost(norms, z, w_eff, opts)
-    if not math.isfinite(cost):
-        raise DivergedBehindCamera(f"the initial pose puts most of the {n} points behind it")
-    lam = opts.damping_init
-    for _ in range(opts.max_iters):
-        w_total = w_eff * _robust_weights(norms, opts)
-        sw = np.sqrt(w_total)[:, None]
-        jw = (jac * sw[..., None]).reshape(2 * n, 6)
-        rw = (resid * sw).reshape(2 * n)
-        g = jw.T @ rw
-        if np.max(np.abs(g)) < 1e-14:
+    diverged = ~np.isfinite(cost)
+    h, g, damp = _normal_equations(resid, jac, norms, w_eff, opts)
+    lam = np.full(m, opts.damping_init)
+    n_systems = np.ones(m, dtype=int)
+    stop = diverged | _flat(g) | (opts.max_iters < 1 or opts.damping_init >= 1e12)
+    ids = np.arange(m)  # the member of each running row
+    final = None  # the members' last states, filled in as they stop
+    rounds = 0
+    while True:
+        n_stop = np.count_nonzero(stop)
+        if final is None and n_stop == m:  # all at once: the rows are the members
+            final = rot, trans, norms, z
             break
-        h = jw.T @ jw
-        diag = np.maximum(np.diag(h), 1e-12)
-        accepted = False
-        while lam < 1e12:
-            try:
-                step = np.linalg.solve(h + lam * np.diag(diag), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = retract(pose, step)
-            t_resid, t_jac, t_z = linearize_reprojection(trial, pts3, pix, k)
-            t_norms = np.linalg.norm(t_resid, axis=1)
-            new_cost = _cost(t_norms, t_z, w_eff, opts)
-            if new_cost < cost:
-                rel_drop = (cost - new_cost) / max(cost, 1e-300)
-                pose, resid, jac, z, norms = trial, t_resid, t_jac, t_z, t_norms
-                cost = new_cost
-                lam = max(lam / 3.0, 1e-12)
-                # Re-admit points that have come back in front of the camera.
-                revived = (w_eff == 0.0) & (w_user > 0.0) & (z > MIN_DEPTH)
-                if np.any(revived):
-                    w_eff = np.where(revived, w_user, w_eff)
-                    cost = _cost(norms, z, w_eff, opts)
-                accepted = True
+        if n_stop:
+            if final is None:
+                final = [np.empty((m, *a.shape[1:])) for a in (rot, trans, norms, z)]
+            for out, a in zip(final, (rot, trans, norms, z)):
+                out[ids[stop]] = a[stop]
+            if n_stop == len(ids):
                 break
-            lam *= 10.0
-        if not accepted or rel_drop < opts.fn_tol:
-            break
+            run = ~stop
+            ids, rot, trans, norms, z, w_eff, held_out, cost, lam, n_systems, h, g, damp, px = (
+                a[run]
+                for a in (
+                    ids, rot, trans, norms, z, w_eff, held_out, cost, lam, n_systems, h, g, damp, px
+                )
+            )
+            any_held_out = held_out.any()
+        rounds += 1
+        step = _solve_each(h + _EYE6 * (lam[:, None] * damp)[:, None, :], -g)
+        trial = retract(PoseStack(rot, trans), step)
+        t_resid, t_jac, t_z = linearize_reprojection(trial, pts3, px, k)
+        t_norms = np.hypot(t_resid[..., 0], t_resid[..., 1])
+        new_cost = _cost(t_norms, t_z, w_eff, opts)
+        better = new_cost < cost
+        n_better = np.count_nonzero(better)
+        if not n_better:
+            lam = lam * 10.0
+            stop = lam >= 1e12
+            continue
+        rel_drop = (cost - new_cost) / np.maximum(cost, 1e-300)
+        every = n_better == len(ids)
+        if every:
+            rot, trans, norms, z, cost = trial.rotation, trial.translation, t_norms, t_z, new_cost
+            lam = np.maximum(lam / 3.0, 1e-12)
+        else:
+            rot = np.where(better[:, None, None], trial.rotation, rot)
+            trans = np.where(better[:, None], trial.translation, trans)
+            norms = np.where(better[:, None], t_norms, norms)
+            z = np.where(better[:, None], t_z, z)
+            cost = np.where(better, new_cost, cost)
+            lam = np.where(better, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
+        if any_held_out:
+            # Re-admit points that have come back in front of the camera.
+            revived = held_out & better[:, None] & (z > MIN_DEPTH)
+            if revived.any():
+                w_eff = np.where(revived, w, w_eff)
+                held_out &= ~revived
+                any_held_out = held_out.any()
+                cost = np.where(revived.any(axis=-1), _cost(norms, z, w_eff, opts), cost)
+        # The next step's system; a member that stops here never uses it.
+        if every:
+            h, g, damp = _normal_equations(t_resid, t_jac, norms, w_eff, opts)
+        else:
+            h[better], g[better], damp[better] = _normal_equations(
+                t_resid[better], t_jac[better], norms[better], w_eff[better], opts
+            )
+        n_systems += better
+        stop = (rel_drop < opts.fn_tol) | _flat(g)
+        if rounds >= opts.max_iters:  # n_systems <= rounds + 1: none is used up before
+            stop |= n_systems > opts.max_iters
+        if not every:
+            stop = np.where(better, stop, lam >= 1e12)
 
+    rot, trans, norms, z = final
     norms = np.where(z > MIN_DEPTH, norms, math.inf)
-    rms = math.sqrt(float(np.mean(norms**2))) if np.all(np.isfinite(norms)) else math.inf
-    return PnPSolution(
-        pose=pose,
-        rms_reprojection_error=rms,
-        per_point_residuals=norms,
-        condition_report=report,
-    )
+    rms = np.sqrt(np.mean(norms**2, axis=-1))  # inf with any point behind the camera
+    outcomes = [
+        DivergedBehindCamera(f"the initial pose puts most of the {n} points behind it")
+        if diverged[j]
+        else PnPSolution(Pose(rot[j], trans[j]), float(rms[j]), norms[j], report)
+        for j in range(m)
+    ]
+    return _raised(outcomes[0]) if isinstance(initial, Pose) else outcomes
 
 
 def _linear_stage(
-    pts3: np.ndarray, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics
-) -> tuple[DegeneracyReport, list[Pose]]:
-    """Degeneracy guard, then the control-point candidates cheapest first.
+    pts3: np.ndarray, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics, report: DegeneracyReport
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """The control-point candidates of each pixel set of a stack (S, n, 2):
+    rotations (S, C, 3, 3), translations (S, C, 3) and, per set, a list of
+    its candidate indices cheapest first, or the NumericalFailure that
+    leaves it without one.
 
     All candidates are scored in one projection by their plain reprojection
     cost, with the points behind the camera zeroed as ``refine_pose`` zeroes
-    them at its start; a candidate with most points behind the camera scores
-    inf and is left out.  Equal costs keep case order.
+    them at its start; a candidate with most points behind the camera (or
+    a case without a solution) scores inf and is left out.  Equal costs
+    keep case order.
     """
-    report = check_degeneracy(pts3)
-    if report.classification in (DEGENERATE, NEAR_COLLINEAR):
-        raise DegenerateConfiguration(
-            f"point arrangement is {report.classification} "
-            f"(n={report.n_points}); sweep a wider, non-collinear volume",
-            report=report,
-        )
     r, t = _linear_candidates(pts3, pix, w, k, planar=report.classification == NEAR_PLANAR)
-    resid, z, _ = _pixel_residuals(pts3 @ np.swapaxes(r, 1, 2) + t[:, None], pix, k)
+    pc = pts3 @ np.swapaxes(r, -1, -2) + t[..., None, :]
+    resid, z, _ = _pixel_residuals(pc, pix[:, None], k)
     front = z > MIN_DEPTH
-    costs = (np.where(front, w, 0.0) * (resid**2).sum(axis=2)).sum(axis=1)
-    costs[2 * (~front).sum(axis=1) > len(pts3)] = math.inf
-    ranked = [Pose(r[c], t[c]) for c in np.argsort(costs, kind="stable") if math.isfinite(costs[c])]
-    if not ranked:
-        raise NumericalFailure("every control-point candidate puts most points behind the camera")
-    return report, ranked
+    costs = (np.where(front, w, 0.0) * (resid**2).sum(axis=-1)).sum(axis=-1)
+    costs[2 * (~front).sum(axis=-1) > len(pts3)] = math.inf
+    ranked = []
+    for cost, solved, order in zip(
+        costs, np.isfinite(t[..., 0]), np.argsort(costs, axis=-1, kind="stable")
+    ):
+        cands = [int(c) for c in order if math.isfinite(cost[c])]
+        if cands:
+            ranked.append(cands)
+        elif solved.any():
+            ranked.append(
+                NumericalFailure("every control-point candidate puts most points behind the camera")
+            )
+        else:
+            ranked.append(NumericalFailure("no usable control-point solution"))
+    return r, t, ranked
 
 
 def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
@@ -470,31 +630,54 @@ def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
     reprojection cost wins.
     """
     pts3, pix, w = _validated(pts3, pix, w)
-    return _linear_stage(pts3, pix, w, k)[1][0]
+    if pix.ndim != 2:
+        raise ValueError(f"expected (n, 2) pixels, got {pix.shape}")
+    r, t, (ranked,) = _linear_stage(pts3, pix[None], w, k, _checked_points(pts3))
+    best = _raised(ranked)[0]
+    return Pose(r[0, best], t[0, best])
 
 
-def solve_pnp(
-    pts3, pix, k: CameraIntrinsics, w=None, opts: RefineOptions | None = None
-) -> PnPSolution:
+def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, opts: RefineOptions | None = None):
     """Full pipeline: degeneracy check, linear solve, refinement.
 
     Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
     Near-planar point sets refine from every linear candidate (multi-start)
     because the planar problem has a two-fold ambiguity the closed form may
-    land on the wrong side of.
+    land on the wrong side of; the lowest rms wins, the better-ranked
+    candidate on a tie.
+
+    ``pix`` may also be a stack (S, n, 2) of pixel sets that share the
+    points and weights.  The stack is solved in one pass, the multi-start
+    candidates of every set refined as members of one ``refine_pose``
+    stack, and the result is a list with one PnPSolution or
+    CalibrationError per set.  Invalid input and a degenerate point set
+    still raise: they fail every set alike.
     """
     pts3, pix, w = _validated(pts3, pix, w)
-    report, candidates = _linear_stage(pts3, pix, w, k)
-    if report.classification != NEAR_PLANAR:
-        candidates = candidates[:1]
-    best: PnPSolution | None = None
-    for cand in candidates:
-        try:
-            sol = refine_pose(cand, pts3, pix, k, w, opts)
-        except (DivergedBehindCamera, NumericalFailure):
-            continue
-        if best is None or sol.rms_reprojection_error < best.rms_reprojection_error:
-            best = sol
-    if best is None:
-        raise NumericalFailure("refinement failed from every linear candidate")
-    return best
+    report = _checked_points(pts3)
+    stack = pix.reshape(-1, *pix.shape[-2:])
+    r, t, ranked = _linear_stage(pts3, stack, w, k, report)
+    n_starts = None if report.classification == NEAR_PLANAR else 1
+    starts = [
+        (s, c)
+        for s, cands in enumerate(ranked)
+        if isinstance(cands, list)
+        for c in cands[:n_starts]
+    ]
+    outcomes = [None if isinstance(cands, list) else cands for cands in ranked]
+    if starts:
+        owner, case = np.array(starts).T
+        refined = refine_pose(
+            PoseStack(r[owner, case], t[owner, case]), pts3, stack[owner], k, w, opts, report=report
+        )
+        for s, sol in zip(owner.tolist(), refined):
+            best = outcomes[s]
+            if isinstance(sol, PnPSolution) and (
+                best is None or sol.rms_reprojection_error < best.rms_reprojection_error
+            ):
+                outcomes[s] = sol
+    outcomes = [
+        NumericalFailure("refinement failed from every linear candidate") if o is None else o
+        for o in outcomes
+    ]
+    return outcomes if pix.ndim == 3 else _raised(outcomes[0])

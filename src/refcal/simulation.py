@@ -28,7 +28,8 @@ from .calibration import (
     CalibrationRequest,
     Mode,
     Track2D,
-    calibrate,
+    calibrate,  # noqa: F401  (the benchmark tracer wraps refcal.simulation.calibrate)
+    calibrate_each,
     object_points,
 )
 from .errors import CalibrationError, TooFewPairs, UnreachableView
@@ -106,6 +107,10 @@ class ScenarioConfig:
             raise ValueError("fps and duration must be positive")
         if not 0 < self.radius_range[0] <= self.radius_range[1]:
             raise ValueError("radius range must be positive and ordered")
+        if self.n_direction_switches < 1:
+            raise ValueError(
+                f"n_direction_switches must be at least 1, got {self.n_direction_switches}"
+            )
 
     @property
     def n_frames(self) -> int:
@@ -159,7 +164,7 @@ def _trajectory(chain: KinematicChain, cfg: ScenarioConfig, rng: np.random.Gener
     n_joints = chain.n_actuated
     n = cfg.n_frames
     dt = 1.0 / cfg.fps
-    seg_len = cfg.duration / max(cfg.n_direction_switches, 1)
+    seg_len = cfg.duration / cfg.n_direction_switches
     lo, hi = chain.limits
     limited = np.isfinite(hi - lo)
     margin = np.where(limited, 0.3 * (hi - lo), 0.0)
@@ -437,29 +442,40 @@ def _sweep(
 ) -> SweepResult:
     """Calibrate each of n_repeats scenes once per parameter value, from the
     track observe(param, scene, noise_seed) returns; a CalibrationError
-    counts as a failed repeat.  The scenes are shared across values."""
+    counts as a failed repeat.  The scenes are shared across values, and a
+    scene's calibrations run in one calibrate_each call, so values whose
+    tracks select the same frames share one stacked solve."""
     if n_repeats < 1:
         raise ValueError(f"a sweep needs at least 1 repeat, got {n_repeats}")
+    params = list(params)
     scenes = []
     for r in range(n_repeats):
         scene_cfg = replace(cfg, seed=_child_seed(cfg.seed, _REPEAT, r))
         scenes.append((generate_scene(scene_cfg, chain, ref), _child_seed(cfg.seed, _NOISE, r)))
     options = CalibrationOptions(min_pairs=4)
-    cells = []
-    for param in params:
-        errors = []
-        n_fail = 0
-        for scene, noise_seed in scenes:
+    errors: list[list[PoseError]] = [[] for _ in params]
+    n_fail = [0] * len(params)
+    for scene, noise_seed in scenes:
+        slots, requests = [], []
+        for p, param in enumerate(params):
             try:
                 track = observe(param, scene, noise_seed)
-                req = CalibrationRequest(
+            except CalibrationError:
+                n_fail[p] += 1
+                continue
+            slots.append(p)
+            requests.append(
+                CalibrationRequest(
                     cfg.mode, chain, ref, cfg.camera, track, scene.joint_log, options, scene.points
                 )
-                errors.append(evaluate(calibrate(req).pose, scene.t_gt))
-            except CalibrationError:
-                n_fail += 1
-        cells.append(_cell(float(param), errors, n_fail))
-    return SweepResult(kind, tuple(cells), _sweep_metadata(cfg, chain, ref, n_repeats))
+            )
+        for p, result in zip(slots, calibrate_each(requests)):
+            if isinstance(result, CalibrationError):
+                n_fail[p] += 1
+            else:
+                errors[p].append(evaluate(result.pose, scene.t_gt))
+    cells = tuple(_cell(float(v), e, f) for v, e, f in zip(params, errors, n_fail))
+    return SweepResult(kind, cells, _sweep_metadata(cfg, chain, ref, n_repeats))
 
 
 def run_noise_sweep(

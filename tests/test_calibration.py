@@ -16,6 +16,7 @@ from refcal.calibration import (
     Mode,
     Track2D,
     calibrate,
+    calibrate_each,
     select_frames,
     solve_axxb,
 )
@@ -307,3 +308,62 @@ def test_axxb_needs_two_motions():
         solve_axxb([a], [a])
     with pytest.raises(ValueError):
         solve_axxb([a, a], [a])
+
+
+def test_calibrate_each_stacks_requests_that_select_the_same_frames(panda, monkeypatch):
+    import refcal.calibration
+
+    chain, ref = panda
+    scene = generate_scene(ScenarioConfig(seed=48), chain, ref)
+    tracks = [
+        corrupt_track(scene.clean_track, NoiseModel(sigma=s), seed=48) for s in (0.0, 2.0, 5.0)
+    ]
+    usable = scene.clean_track.frame_index[scene.clean_track.visible]
+    subset = tracks[1].subset(usable[::3])
+    requests = [_request(scene, Mode.EYE_ON_BASE, track=t) for t in tracks]
+    requests.insert(1, _request(scene, Mode.EYE_ON_BASE, track=subset))
+    requests.append(_request(scene, Mode.EYE_ON_BASE, track=subset, min_pairs=len(usable)))
+    requests.append(replace(requests[2], options=CalibrationOptions(robust=True)))
+    stacks = []
+    original = refcal.calibration.solve_pnp
+
+    def counted(points, pix, *args, **kwargs):
+        stacks.append(pix.shape[0])
+        return original(points, pix, *args, **kwargs)
+
+    monkeypatch.setattr(refcal.calibration, "solve_pnp", counted)
+    results = calibrate_each(requests)
+    # The three noise levels share a stack; the subset and the robust copy
+    # of one level solve alone; the request asking for more pairs than its
+    # subset has fails alone, before any solve.
+    assert sorted(stacks) == [1, 1, 3]
+    assert isinstance(results[4], TooFewPairs)
+    for req, result in zip(requests[:4] + requests[5:], results[:4] + results[5:]):
+        alone = calibrate(req)
+        assert np.array_equal(result.pose.rotation, alone.pose.rotation)
+        assert np.array_equal(result.pose.translation, alone.pose.translation)
+        assert result.n_pairs_used == alone.n_pairs_used
+        assert result.dropped == alone.dropped
+    assert calibrate_each([]) == []
+
+
+def test_calibrate_each_gives_a_stack_its_shared_error():
+    # The rail of test_collinear_trajectory_rejected, seen twice: the point
+    # set is collinear whatever the pixels, so both requests fail with it.
+    chain = KinematicChain(
+        "rail", (Joint("slide", "prismatic", Pose(np.eye(3), (0, 0, 0)), axis=(1.0, 0, 0)),)
+    )
+    ref = ReferencePoint(link_index=1, offset=(0.0, 0.0, 0.0))
+    n = 30
+    joints = JointLog(np.arange(n), np.arange(n) / 30.0, np.linspace(-0.4, 0.4, n)[:, None])
+    cam = invert(Pose(rotation_about_axis((1.0, 0.0, 0.0), -math.pi / 2), (0.0, -2.0, 0.0)))
+    uv = project(K, apply(cam, np.column_stack([joints.positions[:, 0], np.zeros(n), np.zeros(n)])))
+    requests = [
+        CalibrationRequest(
+            Mode.EYE_ON_BASE, chain, ref, K,
+            Track2D(np.arange(n), uv + offset, np.ones(n, bool), np.ones(n, bool)), joints,
+        )  # fmt: skip
+        for offset in (0.0, 1.5)
+    ]
+    results = calibrate_each(requests)
+    assert [type(r) for r in results] == [DegenerateConfiguration] * 2

@@ -249,3 +249,22 @@ def test_simulate_non_finite_sigma_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "sigma=nan" in proc.stderr
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    # Building the parser costs more than a parse; main reuses one parser
+    # per process, and a parse leaves it fit for the next.
+    from refcal.cli import _build_parser
+    from refcal.fileio import write_pose_file
+    from refcal.geometry import identity
+
+    pose = tmp_path / "pose.json"
+    write_pose_file(identity(), pose)
+    _build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["eval", "--est", str(pose), "--gt", str(pose)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--est", str(pose)])
+    assert exc.value.code == 2
+    assert main(["eval", "--est", str(pose), "--gt", str(pose)]) == 0
+    assert _build_parser.cache_info().misses == 1

@@ -6,7 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import random_pose, reprojection_rms, synth_scene
-from refcal.errors import DegenerateConfiguration, DivergedBehindCamera, EmptyInput
+from refcal import pnp
+from refcal.errors import (
+    DegenerateConfiguration,
+    DivergedBehindCamera,
+    EmptyInput,
+    NumericalFailure,
+)
 from refcal.geometry import (
     MIN_DEPTH,
     CameraIntrinsics,
@@ -24,6 +30,7 @@ from refcal.pnp import (
     NEAR_COLLINEAR,
     NEAR_PLANAR,
     WELL_CONDITIONED,
+    PoseStack,
     RefineOptions,
     _barycentric,
     _control_points,
@@ -478,3 +485,110 @@ def test_solve_pnp_robust_downweights_outliers():
     err_plain = np.linalg.norm(plain.pose.translation - t_gt.translation)
     err_robust = np.linalg.norm(robust.pose.translation - t_gt.translation)
     assert err_robust < err_plain
+
+
+# ---------------------------------------------------------- stacked solves ---
+
+
+def _assert_same_solution(sol, alone):
+    assert_allclose(sol.pose.rotation, alone.pose.rotation, rtol=0, atol=1e-9)
+    assert_allclose(sol.pose.translation, alone.pose.translation, rtol=0, atol=1e-9)
+    assert sol.rms_reprojection_error == pytest.approx(
+        alone.rms_reprojection_error, rel=1e-9, abs=1e-12
+    )
+    assert sol.condition_report.classification == alone.condition_report.classification
+
+
+@pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("planar", [False, True], ids=["well_conditioned", "near_planar"])
+def test_stacked_solve_matches_each_set_alone(planar, weighted, robust):
+    # One point set seen at sigma = 0, 1, 3 and 8 px (common random numbers,
+    # as in the noise sweep), plus a set with three gross outliers.
+    rng = np.random.default_rng(197)
+    opts = RefineOptions(robust=robust)
+    for _ in range(3):
+        _, pts, pix = synth_scene(rng, 24, K, planar=planar)
+        if planar:
+            pts = pts + rng.normal(0.0, 1e-4, pts.shape)
+        w = rng.uniform(0.3, 1.0, 24) if weighted else None
+        unit = rng.standard_normal(pix.shape)
+        stack = np.stack([pix + sigma * unit for sigma in (0.0, 1.0, 3.0, 8.0)] + [pix + unit])
+        stack[4, :3] += 90.0
+        solved = solve_pnp(pts, stack, K, w, opts)
+        assert len(solved) == len(stack)
+        for sol, pix_s in zip(solved, stack):
+            _assert_same_solution(sol, solve_pnp(pts, pix_s, K, w, opts))
+        if not planar:  # the planar points were moved off the plane after projecting
+            assert solved[0].rms_reprojection_error < 1e-6
+
+
+def test_stacked_solve_reports_a_failed_set_alone():
+    # Set 1 is seen by a camera with five of its eight points behind it: no
+    # control-point candidate keeps most points in front, so only that set
+    # fails, with the error it raises alone.
+    pts = np.array(
+        [[-0.4, -0.3, 10.0], [0.4, 0.2, 11.0], [0.1, 0.5, 12.0], [-0.2, 0.1, -0.5],
+         [0.3, -0.2, -0.6], [0.2, 0.3, -0.7], [-0.3, -0.1, -0.8], [0.1, 0.2, -0.9]]
+    )  # fmt: skip
+    # The pinhole formula, applied through z < 0 as well.
+    behind = pts[:, :2] / pts[:, 2:] * (K.fx, K.fy) + (K.cx, K.cy)
+    t_gt = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.2), (0.1, -0.1, 3.0))
+    front = project(K, apply(t_gt, pts))
+    with pytest.raises(NumericalFailure) as alone:
+        solve_pnp(pts, behind, K)
+    solved = solve_pnp(pts, np.stack([front, behind, front + 0.5]), K)
+    assert type(solved[1]) is NumericalFailure
+    assert str(solved[1]) == str(alone.value)
+    _assert_same_solution(solved[0], solve_pnp(pts, front, K))
+    _assert_same_solution(solved[2], solve_pnp(pts, front + 0.5, K))
+
+
+def test_stacked_refinement_reports_a_diverged_member_alone():
+    rng = np.random.default_rng(199)
+    t_gt, pts, pix = synth_scene(rng, 20, K)
+    noisy = pix + rng.normal(0.0, 2.0, pix.shape)
+    starts = [
+        Pose(rotation_about_axis((0.0, 0.0, 1.0), 0.05) @ t_gt.rotation, t_gt.translation),
+        Pose(t_gt.rotation, t_gt.translation - np.array([0.0, 0.0, 10.0])),  # behind the camera
+        t_gt,
+    ]
+    stack = PoseStack(
+        np.stack([s.rotation for s in starts]), np.stack([s.translation for s in starts])
+    )
+    refined = refine_pose(stack, pts, np.stack([noisy, noisy, pix]), K)
+    assert isinstance(refined[1], DivergedBehindCamera)
+    with pytest.raises(DivergedBehindCamera):
+        refine_pose(starts[1], pts, noisy, K)
+    _assert_same_solution(refined[0], refine_pose(starts[0], pts, noisy, K))
+    _assert_same_solution(refined[2], refine_pose(starts[2], pts, pix, K))
+    # One pixel set per start pose, and the closed form takes one set.
+    for bad in (noisy, np.stack([noisy, noisy])):
+        with pytest.raises(ValueError):
+            refine_pose(stack, pts, bad, K)
+    with pytest.raises(ValueError):
+        refine_pose(t_gt, pts, np.stack([noisy]), K)
+    with pytest.raises(ValueError):
+        solve_pnp_linear(pts, np.stack([noisy]), K)
+    empty = PoseStack(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+    assert refine_pose(empty, pts, np.zeros((0, 20, 2)), K) == []
+    assert solve_pnp(pts, np.zeros((0, 20, 2)), K) == []
+
+
+@pytest.mark.parametrize("n_sets", [None, 1, 5], ids=["one_problem", "stack_of_1", "stack_of_5"])
+def test_one_degeneracy_check_per_solve(monkeypatch, n_sets):
+    # The guard's report is the one the refinement reports: a solve checks
+    # and validates its points once, and a stack shares one of each.
+    calls = []
+    for name in ("check_degeneracy", "_validated"):
+
+        def counted(*args, _name=name, _original=getattr(pnp, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(pnp, name, counted)
+    rng = np.random.default_rng(211)
+    _, pts, pix = synth_scene(rng, 15, K, planar=True)
+    pix = pix if n_sets is None else pix + rng.normal(0.0, 1.0, (n_sets, *pix.shape))
+    solve_pnp(pts + rng.normal(0.0, 1e-4, pts.shape), pix, K)
+    assert sorted(calls) == ["_validated", "check_degeneracy"]

@@ -1,12 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helpers import random_pose
-from refcal.calibration import Mode, Track2D, object_points
-from refcal.errors import UnreachableView
+from refcal.calibration import (
+    CalibrationOptions,
+    CalibrationRequest,
+    Mode,
+    Track2D,
+    calibrate,
+    object_points,
+)
+from refcal.errors import CalibrationError, UnreachableView
 from refcal.geometry import (
     MIN_DEPTH,
     CameraIntrinsics,
@@ -20,8 +28,11 @@ from refcal.geometry import (
 )
 from refcal.kinematics import forward_kinematics
 from refcal.simulation import (
+    _NOISE,
+    _REPEAT,
     NoiseModel,
     ScenarioConfig,
+    _child_seed,
     corrupt_track,
     evaluate,
     export_scene,
@@ -41,6 +52,14 @@ def test_scene_deterministic(panda):
     assert np.array_equal(a.clean_track.uv, b.clean_track.uv, equal_nan=True)
     assert np.array_equal(a.t_gt.rotation, b.t_gt.rotation)
     assert np.array_equal(a.t_gt.translation, b.t_gt.translation)
+
+
+@pytest.mark.parametrize("n_switches", [0, -2])
+def test_config_rejects_fewer_than_one_direction_switch(n_switches):
+    # Zero switches drew no direction at all (the arm never moved), and a
+    # negative count behaved like one.
+    with pytest.raises(ValueError, match=f"got {n_switches}"):
+        ScenarioConfig(seed=1, n_direction_switches=n_switches)
 
 
 def test_scene_frame_count(panda):
@@ -273,6 +292,43 @@ def test_noise_sweep_smoke(panda, tmp_path):
     text = out.read_text()
     assert "# meta: seed=20" in text
     assert "param,mean_e_x_cm,mean_e_y_cm,mean_e_z_cm,mean_e_trans_cm,mean_e_r_rad,n_fail" in text
+
+
+def test_noise_sweep_matches_a_calibrate_per_request(panda, panda_base):
+    # The sweep stacks a scene's sigma values into one solve; a plain loop of
+    # one calibrate per (sigma, scene) must give the same table.  The
+    # five-frame scenes of a close camera fail in 4 of 9 calibrations: as a
+    # whole scene (too few visible frames) and as one sigma of a stack.
+    short = ScenarioConfig(seed=39, fps=1.0, duration=5.0, radius_range=(0.6, 1.0))
+    for (chain, ref), cfg, sigmas in (
+        (panda_base, ScenarioConfig(seed=29, mode=Mode.EYE_IN_HAND), [0.0, 2.0, 6.0, 10.0]),
+        (panda, short, [0.0, 1.0, 30.0]),
+    ):
+        n_failed = 0
+        sweep = run_noise_sweep(cfg, chain, ref, sigmas, n_repeats=3)
+        scenes = [
+            (generate_scene(replace(cfg, seed=_child_seed(cfg.seed, _REPEAT, r)), chain, ref),
+             _child_seed(cfg.seed, _NOISE, r))
+            for r in range(3)
+        ]  # fmt: skip
+        for sigma, cell in zip(sigmas, sweep.cells):
+            errors, n_fail = [], 0
+            for scene, noise_seed in scenes:
+                track = corrupt_track(scene.clean_track, NoiseModel(sigma=sigma), noise_seed)
+                req = CalibrationRequest(
+                    cfg.mode, chain, ref, cfg.camera, track, scene.joint_log,
+                    CalibrationOptions(min_pairs=4), scene.points,
+                )  # fmt: skip
+                try:
+                    errors.append(evaluate(calibrate(req).pose, scene.t_gt))
+                except CalibrationError:
+                    n_fail += 1
+            assert cell.n_fail == n_fail
+            n_failed += n_fail
+            for name in ("e_x_cm", "e_y_cm", "e_z_cm", "e_trans_cm", "e_r_rad"):
+                expected = [getattr(e, name) for e in errors]
+                assert_allclose(getattr(cell, name), expected, rtol=1e-9, atol=1e-12)
+    assert n_failed == 4
 
 
 def test_noise_sweep_deterministic(panda):
