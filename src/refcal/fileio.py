@@ -75,8 +75,17 @@ def _write_json(doc: dict, path) -> None:
 
 
 def _load_json(path) -> dict:
+    """A JSON object from path; NaN, Infinity and overflowing numbers such as
+    1e999 (all of which Python's json accepts) raise ParseError."""
+
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite number {text}", path=path)
+        return value
+
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), path=path, line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):

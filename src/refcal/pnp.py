@@ -450,11 +450,6 @@ def _normal_equations(
 _EYE6 = np.eye(6)
 
 
-def _flat(g: np.ndarray) -> np.ndarray:
-    """Whether each gradient (M, 6) is zero to within 1e-14: a stationary pose."""
-    return np.abs(g).max(axis=-1) < 1e-14
-
-
 def refine_pose(
     initial,
     pts3,
@@ -472,17 +467,22 @@ def refine_pose(
     down-weighted to zero and re-checked after each accepted step; accepted
     steps never increase the cost.  Each trial pose is linearized once: an
     accepted trial's residuals, Jacobian and depths serve the next step and
-    the result.  Raises DivergedBehindCamera when the majority of points
-    sit at non-positive depth.
+    the result.  A member stops when an accepted step lowers its cost by
+    less than ``fn_tol`` relative, when its cost is at or below an absolute
+    floor of 1e-16 per unit weight (1e-8 px rms: a noiseless fit at
+    rounding level, checked at the start too), after ``max_iters`` accepted
+    steps, or when its damping reaches 1e12.  Raises DivergedBehindCamera
+    when the majority of points sit at non-positive depth.
 
     ``initial`` may also be a PoseStack of M poses, with pixels (M, n, 2).
-    Every round takes one batched trial step for each member still running;
-    each member keeps its own damping, admitted points and stop test, and a
-    member that stops is frozen, so it takes exactly the steps it would
-    take alone.  The result is then a list with one PnPSolution or
-    DivergedBehindCamera per member.  A caller that has validated its
-    inputs passes the points' DegeneracyReport as ``report``, which skips
-    both the validation and the check.
+    Every round takes one batched trial step for all members, each with its
+    own damping, admitted points and stop test.  A ``running`` mask gates
+    every update: a member that has stopped keeps its row and rides along
+    unchanged, so each takes exactly the steps it would take alone.  The
+    result is then a list with one PnPSolution or DivergedBehindCamera per
+    member.  A caller that has validated its inputs passes the points'
+    DegeneracyReport as ``report``, which skips both the validation and the
+    check.
     """
     opts = opts or RefineOptions()
     if report is None:
@@ -495,87 +495,46 @@ def refine_pose(
     trans = np.asarray(initial.translation, dtype=float).reshape(-1, 3)
     px = pix.reshape(-1, n, 2)
     m = len(rot)
+    floor = 1e-16 * w.sum()
     resid, jac, z = linearize_reprojection(PoseStack(rot, trans), pts3, px, k)
     norms = np.hypot(resid[..., 0], resid[..., 1])
     w_eff = np.where(z <= MIN_DEPTH, 0.0, w)
     held_out = (w_eff == 0.0) & (w > 0.0)  # points behind the camera, until they come back
-    any_held_out = held_out.any()
     cost = _cost(norms, z, w_eff, opts)
     diverged = ~np.isfinite(cost)
-    h, g, damp = _normal_equations(resid, jac, norms, w_eff, opts)
+    cost[diverged] = 0.0  # a diverged member never runs; zero keeps its masked arithmetic finite
     lam = np.full(m, opts.damping_init)
-    n_systems = np.ones(m, dtype=int)
-    stop = diverged | _flat(g) | (opts.max_iters < 1 or opts.damping_init >= 1e12)
-    ids = np.arange(m)  # the member of each running row
-    final = None  # the members' last states, filled in as they stop
-    rounds = 0
-    while True:
-        n_stop = np.count_nonzero(stop)
-        if final is None and n_stop == m:  # all at once: the rows are the members
-            final = rot, trans, norms, z
-            break
-        if n_stop:
-            if final is None:
-                final = [np.empty((m, *a.shape[1:])) for a in (rot, trans, norms, z)]
-            for out, a in zip(final, (rot, trans, norms, z)):
-                out[ids[stop]] = a[stop]
-            if n_stop == len(ids):
-                break
-            run = ~stop
-            ids, rot, trans, norms, z, w_eff, held_out, cost, lam, n_systems, h, g, damp, px = (
-                a[run]
-                for a in (
-                    ids, rot, trans, norms, z, w_eff, held_out, cost, lam, n_systems, h, g, damp, px
-                )
-            )
-            any_held_out = held_out.any()
-        rounds += 1
+    n_steps = np.zeros(m, dtype=int)  # accepted steps
+    running = ~diverged & (cost > floor) & (opts.max_iters >= 1) & (opts.damping_init < 1e12)
+    while running.any():
+        h, g, damp = _normal_equations(resid, jac, norms, w_eff, opts)
         step = _solve_each(h + _EYE6 * (lam[:, None] * damp)[:, None, :], -g)
         trial = retract(PoseStack(rot, trans), step)
         t_resid, t_jac, t_z = linearize_reprojection(trial, pts3, px, k)
         t_norms = np.hypot(t_resid[..., 0], t_resid[..., 1])
         new_cost = _cost(t_norms, t_z, w_eff, opts)
-        better = new_cost < cost
-        n_better = np.count_nonzero(better)
-        if not n_better:
-            lam = lam * 10.0
-            stop = lam >= 1e12
-            continue
+        better = running & (new_cost < cost)
         rel_drop = (cost - new_cost) / np.maximum(cost, 1e-300)
-        every = n_better == len(ids)
-        if every:
-            rot, trans, norms, z, cost = trial.rotation, trial.translation, t_norms, t_z, new_cost
-            lam = np.maximum(lam / 3.0, 1e-12)
-        else:
-            rot = np.where(better[:, None, None], trial.rotation, rot)
-            trans = np.where(better[:, None], trial.translation, trans)
-            norms = np.where(better[:, None], t_norms, norms)
-            z = np.where(better[:, None], t_z, z)
-            cost = np.where(better, new_cost, cost)
-            lam = np.where(better, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
-        if any_held_out:
-            # Re-admit points that have come back in front of the camera.
-            revived = held_out & better[:, None] & (z > MIN_DEPTH)
-            if revived.any():
-                w_eff = np.where(revived, w, w_eff)
-                held_out &= ~revived
-                any_held_out = held_out.any()
-                cost = np.where(revived.any(axis=-1), _cost(norms, z, w_eff, opts), cost)
-        # The next step's system; a member that stops here never uses it.
-        if every:
-            h, g, damp = _normal_equations(t_resid, t_jac, norms, w_eff, opts)
-        else:
-            h[better], g[better], damp[better] = _normal_equations(
-                t_resid[better], t_jac[better], norms[better], w_eff[better], opts
-            )
-        n_systems += better
-        stop = (rel_drop < opts.fn_tol) | _flat(g)
-        if rounds >= opts.max_iters:  # n_systems <= rounds + 1: none is used up before
-            stop |= n_systems > opts.max_iters
-        if not every:
-            stop = np.where(better, stop, lam >= 1e12)
+        b2, b3 = better[:, None], better[:, None, None]
+        rot = np.where(b3, trial.rotation, rot)
+        trans = np.where(b2, trial.translation, trans)
+        resid = np.where(b3, t_resid, resid)
+        jac = np.where(b3[..., None], t_jac, jac)
+        norms = np.where(b2, t_norms, norms)
+        z = np.where(b2, t_z, z)
+        cost = np.where(better, new_cost, cost)
+        # The cap changes no running member's stop test; it keeps a stopped
+        # member's damping from overflowing however long the rest run.
+        lam = np.where(better, np.maximum(lam / 3.0, 1e-12), np.minimum(lam * 10.0, 1e12))
+        if held_out.any():  # re-admit points that have come back in front of the camera
+            revived = held_out & b2 & (z > MIN_DEPTH)
+            w_eff = np.where(revived, w, w_eff)
+            held_out &= ~revived
+            cost = np.where(revived.any(axis=-1), _cost(norms, z, w_eff, opts), cost)
+        n_steps += better
+        done = (rel_drop < opts.fn_tol) | (cost <= floor) | (n_steps >= opts.max_iters)
+        running &= ~np.where(better, done, lam >= 1e12)
 
-    rot, trans, norms, z = final
     norms = np.where(z > MIN_DEPTH, norms, math.inf)
     rms = np.sqrt(np.mean(norms**2, axis=-1))  # inf with any point behind the camera
     outcomes = [

@@ -447,7 +447,6 @@ def _sweep(
     tracks select the same frames share one stacked solve."""
     if n_repeats < 1:
         raise ValueError(f"a sweep needs at least 1 repeat, got {n_repeats}")
-    params = list(params)
     scenes = []
     for r in range(n_repeats):
         scene_cfg = replace(cfg, seed=_child_seed(cfg.seed, _REPEAT, r))
@@ -490,6 +489,7 @@ def run_noise_sweep(
     Scenes are shared across sigma values (only the noise substream
     scales), so the sweep isolates the solver's noise response.
     """
+    sigma_values = list(sigma_values)
     for sigma in sigma_values:
         NoiseModel(sigma=sigma)  # rejects a bad sigma before any scene is made
 
@@ -512,6 +512,7 @@ def run_frames_sweep(
     scene's own noise model is applied; a scene with fewer usable frames
     than asked for counts as a failed repeat.
     """
+    n_values = list(n_values)
     if min(n_values) < 4:
         raise ValueError("frame counts below 4 cannot be solved")
 

@@ -104,6 +104,31 @@ def test_bad_file_content_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_finite_chain_number_exits_2_naming_the_file(tmp_path, capsys):
+    # A NaN in the chain file is reported against that file, not later as
+    # non-finite correspondences.
+    scene_dir = tmp_path / "scene"
+    assert main(["simulate", "--seed", "5", "--chain", _chain(), "-o", str(scene_dir)]) == 0
+    chain_file = scene_dir / "chain.json"
+    doc = json.loads(chain_file.read_text())
+    doc["joints"][2]["axis"] = [0.0, 0.0, float("nan")]
+    chain_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([
+        "calibrate", "--mode", "eob",
+        "--chain", str(chain_file),
+        "--joints", str(scene_dir / "joints.csv"),
+        "--track", str(scene_dir / "track.csv"),
+        "--intrinsics", str(scene_dir / "intrinsics.json"),
+        "-o", str(tmp_path / "result.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(chain_file) in err
+    assert "non-finite number NaN" in err
+    assert "Traceback" not in err
+
+
 def test_degenerate_track_exits_3(tmp_path, capsys):
     # A track confined to a line: build files by hand around a rail chain.
     chain_file = tmp_path / "rail.json"

@@ -382,3 +382,46 @@ def test_file_digest(tmp_path):
     assert file_digest(p) == (
         "sha256:2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824"
     )
+
+
+# ---------------------------------------------------- non-finite numbers ---
+
+
+def _chain_text(axis_z="1", origin_z="0", offset_z="0"):
+    return (
+        '{"name": "x", "joints": [{"name": "j1", "kind": "revolute",'
+        f' "axis": [0, 0, {axis_z}], "origin": {{"t": [0, 0, {origin_z}], "q": [1, 0, 0, 0]}}}}],'
+        f' "reference_point": {{"link": 1, "offset": [0, 0, {offset_z}]}}}}'
+    )
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_chain_file, _chain_text(axis_z="NaN")),
+        (parse_chain_file, _chain_text(origin_z="NaN")),
+        (parse_chain_file, _chain_text(offset_z="1e999")),
+        (parse_intrinsics_file,
+         '{"fx": Infinity, "fy": 500, "cx": 320, "cy": 240, "width": 640, "height": 480}'),
+        (parse_pose_file, '{"translation_m": [0, -Infinity, 0], "quaternion_wxyz": [1, 0, 0, 0]}'),
+    ],
+    ids=["chain_axis_nan", "chain_origin_nan", "chain_offset_1e999", "intrinsics_inf",
+         "pose_minus_inf"],
+)  # fmt: skip
+def test_json_files_reject_non_finite_numbers(tmp_path, parse, text):
+    p = tmp_path / "f.json"
+    p.write_text(text)
+    with pytest.raises(ParseError, match="non-finite number") as err:
+        parse(p)
+    assert err.value.path == p
+
+
+def test_result_file_rejects_non_finite_numbers(panda, tmp_path):
+    p = tmp_path / "r.json"
+    write_result(_result_doc(panda), p)
+    text = p.read_text()
+    head, tail = text.split('"rms_reprojection_px": ')
+    p.write_text(head + '"rms_reprojection_px": NaN' + tail[tail.index(","):])
+    with pytest.raises(ParseError, match="non-finite number NaN") as err:
+        parse_result_file(p)
+    assert err.value.path == p

@@ -348,6 +348,34 @@ def test_refine_readmits_points_that_come_back_in_front(sigma):
     assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < tol
 
 
+@pytest.mark.parametrize("n", [12, 118])
+def test_noiseless_refinement_stops_at_the_cost_floor(monkeypatch, n):
+    # A noiseless fit reaches rounding-level cost within a few steps; the
+    # absolute floor ends it there instead of damping up to 1e12.
+    calls = []
+
+    def counted(*args, _original=pnp.linearize_reprojection):
+        calls.append(1)
+        return _original(*args)
+
+    monkeypatch.setattr(pnp, "linearize_reprojection", counted)
+    rng = np.random.default_rng(223)
+    t_gt, pts, pix = synth_scene(rng, n, K)
+    sol = solve_pnp(pts, pix, K)
+    assert len(calls) <= 8
+    assert sol.rms_reprojection_error < 1e-7
+    # From a start 5 degrees / 5 cm off, the floor fires after accepted steps.
+    calls.clear()
+    start = Pose(
+        rotation_about_axis(np.array([0.0, 0.0, 1.0]), math.radians(5)) @ t_gt.rotation,
+        t_gt.translation + (0.05, 0.0, 0.0),
+    )
+    sol = refine_pose(start, pts, pix, K)
+    assert len(calls) <= 8
+    assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-8
+    assert rotation_error(sol.pose, t_gt) < 1e-8
+
+
 def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(139)
     h = 1e-6

@@ -373,6 +373,23 @@ def test_sweeps_reject_non_positive_repeats(panda, n_repeats):
         run_frames_sweep(cfg, chain, ref, [10], n_repeats=n_repeats)
 
 
+@pytest.mark.parametrize(
+    "run_sweep, values",
+    [(run_noise_sweep, [0.0, 2.0]), (run_frames_sweep, [10, 20])],
+    ids=["noise", "frames"],
+)
+def test_sweeps_accept_a_generator_of_values(panda, run_sweep, values):
+    # The values are read once: validating them must not use up a generator.
+    chain, ref = panda
+    cfg = ScenarioConfig(seed=28, noise=NoiseModel(sigma=1.0))
+    from_list = run_sweep(cfg, chain, ref, values, 1)
+    from_generator = run_sweep(cfg, chain, ref, (v for v in values), 1)
+    assert [c.param for c in from_generator.cells] == values
+    for got, expected in zip(from_generator.cells, from_list.cells):
+        assert np.array_equal(got.e_trans_cm, expected.e_trans_cm)
+        assert got.n_fail == expected.n_fail
+
+
 @pytest.mark.parametrize("sigma, mu", [(math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf)])
 def test_noise_model_rejects_non_finite_values(sigma, mu):
     with pytest.raises(ValueError, match=f"sigma={sigma}, mu={mu}"):
