@@ -15,17 +15,7 @@ import numpy as np
 
 from ._version import __version__
 from .calibration import CalibrationOptions, CalibrationRequest, Mode, calibrate
-from .errors import (
-    CalibrationError,
-    DegenerateConfiguration,
-    DivergedBehindCamera,
-    InsufficientMotion,
-    NumericalFailure,
-    ParseError,
-    SchemaMismatch,
-    TooFewPairs,
-    UnreachableView,
-)
+from .errors import CalibrationError, ParseError, SchemaMismatch
 from .fileio import (
     ResultDocument,
     check_joint_count,
@@ -212,23 +202,11 @@ _COMMANDS = {
     "eval": _cmd_eval,
 }
 
-_DEGENERATE_ERRORS = (
-    TooFewPairs,
-    DegenerateConfiguration,
-    InsufficientMotion,
-    UnreachableView,
-    NumericalFailure,
-    DivergedBehindCamera,
-)
-
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _DEGENERATE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (ParseError, SchemaMismatch, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -74,18 +77,36 @@ def _write_json(doc: dict, path) -> None:
     Path(path).write_text(_emit(doc) + "\n")
 
 
+def _read_text(path) -> str:
+    """The file's text; input that is not UTF-8 raises ParseError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc}", path=path, line=line) from exc
+
+
 def _load_json(path) -> dict:
     """A JSON object from path; NaN, Infinity and overflowing numbers such as
-    1e999 (all of which Python's json accepts) raise ParseError."""
+    1e999 (all of which Python's json accepts) raise ParseError at their
+    line and column."""
+    text = _read_text(path)
 
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite number {text}", path=path)
-        return value
+    def finite(token: str) -> float:
+        value = float(token)
+        if math.isfinite(value):
+            return value
+        # json's hooks get no position: find the token's first whole
+        # occurrence, stepping over string literals.
+        pattern = r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])' + re.escape(token) + r"(?![\w.+-])"
+        pos = next(m.start() for m in re.finditer(pattern, text) if m.group() == token)
+        line = text.count("\n", 0, pos) + 1
+        column = pos - text.rfind("\n", 0, pos)
+        raise ParseError(f"non-finite number {token}", path=path, line=line, column=column)
 
     try:
-        doc = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
+        doc = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), path=path, line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):
@@ -208,61 +229,72 @@ def write_chain_file(chain: KinematicChain, ref: ReferencePoint, path) -> None:
 # ------------------------------------------------------------- CSV files ---
 
 
-def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        return [row for row in csv.reader(fh)]
+def _frame_table(path, header) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Frames (N,) int64, body column names and body cells (N, C) of a CSV file
+    whose first column is a strictly increasing frame index; header(n) is the
+    header expected when the first row has n names."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(str(exc), path=path, line=reader.line_num) from exc
+    names = [h.strip() for h in rows[0]] if rows else []
+    want = header(len(names))
+    if names != want:
+        column = next(c for c, (a, b) in enumerate(zip_longest(names, want), 1) if a != b)
+        message = f"header must be {','.join(want)!r}, got {','.join(names)!r}"
+        raise ParseError(message, path=path, line=1, column=column)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(want):
+            column = 1 + min(len(row), len(want))
+            message = f"expected {len(want)} fields, got {len(row)}"
+            raise ParseError(message, path=path, line=lineno, column=column)
+    table = np.array(rows[1:], dtype=object).reshape(-1, len(want))
+    frames = _cells_as(path, table[:, :1], 1, np.int64, "int64 frame index")[:, 0]
+    back = np.flatnonzero(frames[1:] <= frames[:-1])
+    if back.size:
+        k = int(back[0]) + 1
+        message = f"frame {frames[k]} does not increase past {frames[k - 1]}"
+        raise NonMonotoneFrames(message, path=path, line=k + 2, column=1)
+    return frames, want[1:], table[:, 1:]
+
+
+def _cells_as(path, cells: np.ndarray, col: int, dtype, what: str) -> np.ndarray:
+    """cells as one dtype array, each read as int() or float() reads it.  On a
+    failure the first cell that fails alone is named; cells[0, 0] is at line 2,
+    column col."""
+    try:
+        return cells.astype(dtype)
+    except (ValueError, OverflowError):
+        for (i, j), text in np.ndenumerate(cells):
+            try:
+                cells[i, j : j + 1].astype(dtype)
+            except (ValueError, OverflowError) as exc:
+                message = f"bad {what} {text!r}"
+                raise ParseError(message, path=path, line=i + 2, column=col + j) from exc
+        raise
+
+
+def _reject(path, bad: np.ndarray, col: int, message) -> None:
+    """ParseError at the first true cell of bad, whose [0, 0] is at line 2,
+    column col; message(i, j) says what is wrong there."""
+    if bad.any():
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        raise ParseError(message(i, j), path=path, line=i + 2, column=col + j)
 
 
 def parse_joint_log_csv(path) -> JointLog:
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError("empty file, expected a 'frame,t,j1,...' header", path=path, line=1)
-    header = [h.strip() for h in rows[0]]
-    if header[:2] != ["frame", "t"] or len(header) < 3:
-        raise ParseError("header must be 'frame,t,j1,...,jJ'", path=path, line=1)
-    for i, name in enumerate(header[2:], start=1):
-        if name != f"j{i}":
-            raise ParseError(
-                f"joint column {i} must be named 'j{i}', got {name!r}",
-                path=path,
-                line=1,
-                column=i + 2,
-            )
-    n_joints = len(header) - 2
-    frames, ts, qs = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", path=path, line=lineno
-            )
-        try:
-            frame = int(row[0])
-        except ValueError as exc:
-            raise ParseError(f"bad frame index {row[0]!r}", path=path, line=lineno, column=1) from exc
-        if frames and frame <= frames[-1]:
-            raise NonMonotoneFrames(
-                f"frame {frame} does not increase past {frames[-1]}", path=path, line=lineno
-            )
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
-        for col, v in enumerate(values, start=2):
-            if not math.isfinite(v):
-                raise ParseError(
-                    f"non-finite {header[col - 1]!r} value {row[col - 1]!r}",
-                    path=path,
-                    line=lineno,
-                    column=col,
-                )
-        frames.append(frame)
-        ts.append(values[0])
-        qs.append(values[1:])
-    return JointLog(
-        frame_index=np.array(frames, dtype=np.int64),
-        timestamps=np.array(ts),
-        positions=np.array(qs).reshape(len(frames), n_joints),
+    """A joint log: header 'frame,t,j1,...,jJ', then per frame its index, a
+    timestamp and J joint readings, all finite.  Faults of structure (header,
+    field count, frame column) are reported before faults of value."""
+    frames, names, cells = _frame_table(
+        path, lambda n: ["frame", "t"] + [f"j{i}" for i in range(1, max(n - 1, 2))]
     )
+    values = _cells_as(path, cells, 2, float, "number")
+    _reject(
+        path, ~np.isfinite(values), 2, lambda i, j: f"non-finite {names[j]!r} value {cells[i, j]!r}"
+    )
+    return JointLog(frame_index=frames, timestamps=values[:, 0], positions=values[:, 1:])
 
 
 def write_joint_log_csv(log: JointLog, path) -> None:
@@ -280,63 +312,22 @@ _TRACK_HEADER = ["frame", "u", "v", "visible", "sync"]
 
 
 def parse_track_csv(path) -> Track2D:
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError("empty file, expected 'frame,u,v,visible,sync' header", path=path, line=1)
-    if [h.strip() for h in rows[0]] != _TRACK_HEADER:
-        raise ParseError("header must be 'frame,u,v,visible,sync'", path=path, line=1)
-    frames, uv, vis, sync = [], [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 5:
-            raise ParseError(f"expected 5 fields, got {len(row)}", path=path, line=lineno)
-        try:
-            frame = int(row[0])
-        except ValueError as exc:
-            raise ParseError(f"bad frame index {row[0]!r}", path=path, line=lineno, column=1) from exc
-        if frames and frame <= frames[-1]:
-            raise NonMonotoneFrames(
-                f"frame {frame} does not increase past {frames[-1]}", path=path, line=lineno
-            )
-        if row[3] not in ("0", "1") or row[4] not in ("0", "1"):
-            raise ParseError("visible and sync must be 0 or 1", path=path, line=lineno, column=4)
-        visible = row[3] == "1"
-        coords = []
-        for col, text in ((2, row[1]), (3, row[2])):
-            text = text.strip()
-            if text == "":
-                if visible:
-                    raise ParseError(
-                        "u and v may be empty only when visible=0",
-                        path=path,
-                        line=lineno,
-                        column=col,
-                    )
-                coords.append(math.nan)
-            else:
-                try:
-                    value = float(text)
-                except ValueError as exc:
-                    raise ParseError(
-                        f"bad pixel coordinate {text!r}", path=path, line=lineno, column=col
-                    ) from exc
-                if visible and not math.isfinite(value):
-                    raise ParseError(
-                        f"non-finite pixel coordinate {text!r} on a visible row",
-                        path=path,
-                        line=lineno,
-                        column=col,
-                    )
-                coords.append(value)
-        frames.append(frame)
-        uv.append(coords)
-        vis.append(visible)
-        sync.append(row[4] == "1")
-    return Track2D(
-        frame_index=np.array(frames, dtype=np.int64),
-        uv=np.array(uv).reshape(len(frames), 2),
-        visible=np.array(vis, dtype=bool),
-        sync=np.array(sync, dtype=bool),
+    """A 2D track: header 'frame,u,v,visible,sync', then per frame its index,
+    pixel u and v, and visible and sync flags of 0 or 1; u and v may be empty
+    only when visible=0 and are finite when visible=1.  Faults of structure
+    (header, field count, frame column) are reported before faults of value."""
+    frames, names, cells = _frame_table(path, lambda n: _TRACK_HEADER)
+    flags, text = cells[:, 2:], np.frompyfunc(str.strip, 1, 1)(cells[:, :2])
+    bad = (flags != "0") & (flags != "1")
+    _reject(path, bad, 4, lambda i, j: f"{names[2 + j]} must be 0 or 1, got {flags[i, j]!r}")
+    visible, blank = flags[:, :1] == "1", text == ""  # (N, 1) and (N, 2)
+    _reject(path, blank & visible, 2, lambda i, j: "u and v may be empty only when visible=0")
+    uv = _cells_as(path, np.where(blank, "nan", text), 2, float, "pixel coordinate")
+    bad = ~np.isfinite(uv) & visible
+    _reject(
+        path, bad, 2, lambda i, j: f"non-finite pixel coordinate {text[i, j]!r} on a visible row"
     )
+    return Track2D(frame_index=frames, uv=uv, visible=visible, sync=flags[:, 1] == "1")
 
 
 def write_track_csv(track: Track2D, path) -> None:

@@ -445,6 +445,8 @@ def _sweep(
     counts as a failed repeat.  The scenes are shared across values, and a
     scene's calibrations run in one calibrate_each call, so values whose
     tracks select the same frames share one stacked solve."""
+    if not params:
+        raise ValueError(f"a {kind} sweep needs at least one value, got {params!r}")
     if n_repeats < 1:
         raise ValueError(f"a sweep needs at least 1 repeat, got {n_repeats}")
     scenes = []
@@ -513,7 +515,7 @@ def run_frames_sweep(
     than asked for counts as a failed repeat.
     """
     n_values = list(n_values)
-    if min(n_values) < 4:
+    if any(n < 4 for n in n_values):
         raise ValueError("frame counts below 4 cannot be solved")
 
     def observe(n, scene, noise_seed):

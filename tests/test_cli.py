@@ -249,6 +249,23 @@ def test_non_finite_track_pixel_exits_2_without_traceback(tmp_path):
     assert f"{track}:{row + 1}:2" in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["joints.csv", "track.csv"])
+def test_frame_index_beyond_int64_exits_2_without_traceback(tmp_path, name):
+    scene = tmp_path / "scene"
+    assert main(["simulate", "--seed", "5", "--chain", _chain(), "-o", str(scene)]) == 0
+    bad = scene / name
+    lines = bad.read_text().splitlines()
+    lines[1] = "99999999999999999999999" + lines[1][lines[1].index(","):]
+    bad.write_text("\n".join(lines) + "\n")
+    proc = _run_cli("calibrate", "--mode", "eob", "--chain", str(scene / "chain.json"),
+                    "--joints", str(scene / "joints.csv"), "--track", str(scene / "track.csv"),
+                    "--intrinsics", str(scene / "intrinsics.json"),
+                    "-o", str(tmp_path / "result.json"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{bad}:2:1" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "command, values, bad",
     [

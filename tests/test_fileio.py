@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_pose
-from refcal.calibration import CalibrationOptions, CalibrationRequest, Mode, calibrate
+from refcal.calibration import CalibrationOptions, CalibrationRequest, Mode, Track2D, calibrate
 from refcal.errors import NonMonotoneFrames, ParseError, SchemaMismatch, TooFewPairs
 from refcal.fileio import (
     ResultDocument,
@@ -396,24 +398,28 @@ def _chain_text(axis_z="1", origin_z="0", offset_z="0"):
 
 
 @pytest.mark.parametrize(
-    "parse, text",
+    "parse, text, line, column",
     [
-        (parse_chain_file, _chain_text(axis_z="NaN")),
-        (parse_chain_file, _chain_text(origin_z="NaN")),
-        (parse_chain_file, _chain_text(offset_z="1e999")),
+        (parse_chain_file, _chain_text(axis_z="NaN"), 1, 76),
+        (parse_chain_file, _chain_text(origin_z="NaN"), 1, 103),
+        (parse_chain_file, _chain_text(offset_z="1e999"), 1, 177),
+        (parse_chain_file,
+         _chain_text(offset_z="1e999").replace('"x"', '"x 1e999"').replace("], ", "],\n  "), 4, 51),
         (parse_intrinsics_file,
-         '{"fx": Infinity, "fy": 500, "cx": 320, "cy": 240, "width": 640, "height": 480}'),
-        (parse_pose_file, '{"translation_m": [0, -Infinity, 0], "quaternion_wxyz": [1, 0, 0, 0]}'),
+         '{"fx": Infinity, "fy": 500, "cx": 320, "cy": 240, "width": 640, "height": 480}', 1, 8),
+        (parse_pose_file, '{"translation_m": [0, -Infinity, 0], "quaternion_wxyz": [1, 0, 0, 0]}',
+         1, 23),
     ],
-    ids=["chain_axis_nan", "chain_origin_nan", "chain_offset_1e999", "intrinsics_inf",
-         "pose_minus_inf"],
+    ids=["chain_axis_nan", "chain_origin_nan", "chain_offset_1e999",
+         "chain_offset_1e999_after_a_string_holding_it", "intrinsics_inf", "pose_minus_inf"],
 )  # fmt: skip
-def test_json_files_reject_non_finite_numbers(tmp_path, parse, text):
+def test_json_files_reject_non_finite_numbers(tmp_path, parse, text, line, column):
     p = tmp_path / "f.json"
     p.write_text(text)
     with pytest.raises(ParseError, match="non-finite number") as err:
         parse(p)
     assert err.value.path == p
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_result_file_rejects_non_finite_numbers(panda, tmp_path):
@@ -425,3 +431,82 @@ def test_result_file_rejects_non_finite_numbers(panda, tmp_path):
     with pytest.raises(ParseError, match="non-finite number NaN") as err:
         parse_result_file(p)
     assert err.value.path == p
+
+
+# ------------------------------------------------ malformed input, any reader ---
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_joint_log_csv, "frame,t,j1\n99999999999999999999999,0.0,0.5\n"),
+        (parse_track_csv, "frame,u,v,visible,sync\n99999999999999999999999,1.0,2.0,1,1\n"),
+    ],
+    ids=["joints", "track"],
+)
+def test_csv_frame_index_beyond_int64_is_a_parse_error(tmp_path, parse, text):
+    p = tmp_path / "f.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match="99999999999999999999999") as err:
+        parse(p)
+    assert (err.value.path, err.value.line, err.value.column) == (p, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "parse, data, line",
+    [
+        (parse_joint_log_csv, b"frame,t,j1\n0,0.0,0.5\n1,0.1,0.\xff6\n", 3),
+        (parse_track_csv, b"frame,u,v,visible,sync\n0,1.0,2\xff.0,1,1\n", 2),
+        (parse_chain_file, b'{"name": "x\xff",\n "joints": []}', 1),
+    ],
+    ids=["joints", "track", "chain"],
+)
+def test_input_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, parse, data, line):
+    p = tmp_path / "f"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        parse(p)
+    assert (err.value.path, err.value.line) == (p, line)
+
+
+def test_csv_field_past_the_csv_size_limit_is_a_parse_error(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("frame,u,v,visible,sync\n0,1.0,2.0,1,1\n1," + "1" * 200_000 + ",2.0,1,1\n")
+    with pytest.raises(ParseError) as err:
+        parse_track_csv(p)
+    assert (err.value.path, err.value.line) == (p, 3)
+
+
+_FIELDS = st.sampled_from(
+    ["0", "1", "2", "7", "-3", " 4", "1.5", "nan", "-inf", "1e999", "", " ", "x", '"1"',
+     "99999999999999999999999"]
+)  # fmt: skip
+_ROWS = st.lists(st.lists(_FIELDS, min_size=3, max_size=6).map(",".join), max_size=6)
+_CSV_TEXT = st.one_of(
+    st.text(),
+    st.tuples(st.sampled_from(["frame,t,j1,j2", "frame,u,v,visible,sync"]), _ROWS).map(
+        lambda parts: "\n".join([parts[0], *parts[1]]) + "\n"
+    ),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    parse=st.sampled_from([parse_joint_log_csv, parse_track_csv]),
+    data=st.one_of(_CSV_TEXT.map(str.encode), st.binary()),
+)
+def test_csv_parsers_return_a_table_or_raise_a_located_parse_error(tmp_path, parse, data):
+    p = tmp_path / "f.csv"
+    p.write_bytes(data)
+    try:
+        result = parse(p)
+    except ParseError as exc:
+        assert exc.path == p
+        assert exc.line is not None
+    else:
+        assert isinstance(result, JointLog if parse is parse_joint_log_csv else Track2D)

@@ -409,6 +409,19 @@ def test_noise_sweep_rejects_bad_sigma_before_making_scenes(panda, monkeypatch):
             run_noise_sweep(ScenarioConfig(seed=28), chain, ref, [0.0, bad], n_repeats=1)
 
 
+@pytest.mark.parametrize("run_sweep", [run_noise_sweep, run_frames_sweep], ids=["noise", "frames"])
+def test_sweeps_reject_an_empty_value_list_before_making_scenes(panda, monkeypatch, run_sweep):
+    import refcal.simulation
+
+    def no_scenes(*args):
+        raise AssertionError("a scene was generated for an empty value list")
+
+    monkeypatch.setattr(refcal.simulation, "generate_scene", no_scenes)
+    chain, ref = panda
+    with pytest.raises(ValueError, match=r"needs at least one value, got \[\]"):
+        run_sweep(ScenarioConfig(seed=28), chain, ref, [], 1)
+
+
 # ------------------------------------------------------------- dual scenes ---
 
 
