@@ -207,8 +207,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, SchemaMismatch, FileNotFoundError, ValueError) as exc:
+    except (ParseError, SchemaMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # an input or output path that cannot be read or written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)

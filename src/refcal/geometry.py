@@ -102,9 +102,14 @@ def compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
     either side possibly one transform for all N; each product rotation is
     re-projected onto SO(3) on its own if it drifts past ORTHONORMAL_TOL."""
     r = np.matmul(ra, rb)
-    drift = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
-    for i in np.flatnonzero(drift > ORTHONORMAL_TOL):
-        r[i] = orthonormalize(r[i])
+    # The Gram product of a contiguous transpose takes BLAS's fast path; one
+    # global max clears the common stack in which no rotation has drifted.
+    drift = np.matmul(np.ascontiguousarray(np.swapaxes(r, -1, -2)), r)
+    drift -= np.eye(3)
+    np.abs(drift, out=drift)
+    if drift.max() > ORTHONORMAL_TOL:
+        for i in np.flatnonzero(drift.max(axis=(-2, -1)) > ORTHONORMAL_TOL):
+            r[i] = orthonormalize(r[i])
     return r, np.matmul(ra, np.asarray(tb)[..., None])[..., 0] + ta
 
 
@@ -155,13 +160,20 @@ def rot_z(angle: float) -> np.ndarray:
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrix (3, 3) of a vector (3,), or a stack of them
+    (..., 3, 3) of vectors (..., 3)."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    k = np.zeros((*v.shape, 3))
+    k[..., 0, 1], k[..., 0, 2] = -z, y
+    k[..., 1, 0], k[..., 1, 2] = z, -x
+    k[..., 2, 0], k[..., 2, 1] = -y, x
+    return k
 
 
 def rotation_about_axis(axis: np.ndarray, angle) -> np.ndarray:
-    """Rodrigues rotation about a unit axis; an array of angles gives a
-    stack of rotations, shape angle.shape + (3, 3)."""
+    """Rodrigues rotation about a unit axis; arrays of axes (..., 3) and
+    angles broadcast to a stack of rotations, shape (..., 3, 3)."""
     k = skew(axis)
     a = np.asarray(angle, dtype=float)[..., None, None]
     return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * (k @ k)

@@ -162,24 +162,32 @@ def forward_kinematics(
         )
     _check_limits(chain, rows, strict_limits)
     n = len(rows)
-    r, t = np.broadcast_to(np.eye(3), (n, 3, 3)), np.zeros((n, 3))
-    rotations, translations = [r], [t]
-    columns = iter(rows.T)
-    for joint in chain.joints:
-        # The joint's origin folded into its motion: one transform per link.
+    kinds = [j.kind for j in chain.joints if j.actuated]
+    revolute = [j for j in chain.joints if j.kind == REVOLUTE]
+    origins = np.array([j.origin.rotation for j in revolute]).reshape(-1, 1, 3, 3)
+    k = skew(np.array([j.axis for j in revolute]).reshape(-1, 1, 3))
+    theta = rows[:, [c for c, kind in enumerate(kinds) if kind == REVOLUTE]].T[..., None, None]
+    # Each revolute joint's origin folded into its motion, all in one
+    # broadcast: origin . Rodrigues(axis, theta), (R, N, 3, 3).
+    turned = iter(
+        origins + np.sin(theta) * (origins @ k) + (1.0 - np.cos(theta)) * (origins @ (k @ k))
+    )
+    slid = iter(rows[:, [c for c, kind in enumerate(kinds) if kind == PRISMATIC]].T)
+    rotations = np.empty((n, chain.n_links, 3, 3))
+    translations = np.empty((n, chain.n_links, 3))
+    rotations[:, 0], translations[:, 0] = np.eye(3), 0.0
+    for i, joint in enumerate(chain.joints):
         local_r, local_t = joint.origin.rotation, joint.origin.translation
         if joint.kind == REVOLUTE:
-            k = skew(joint.axis)
-            theta = next(columns)[:, None, None]
-            local_r = local_r + np.sin(theta) * (local_r @ k) + (1.0 - np.cos(theta)) * (local_r @ (k @ k))
+            local_r = next(turned)
         elif joint.kind == PRISMATIC:
-            local_t = local_t + next(columns)[:, None] * (local_r @ joint.axis)
-        r, t = compose_stack(r, t, local_r, local_t)
-        rotations.append(r)
-        translations.append(t)
+            local_t = local_t + next(slid)[:, None] * (local_r @ joint.axis)
+        rotations[:, i + 1], translations[:, i + 1] = compose_stack(
+            rotations[:, i], translations[:, i], local_r, local_t
+        )
     if q.ndim < 2:
-        return [Pose(r[0], t[0]) for r, t in zip(rotations, translations)]
-    return np.stack(rotations, axis=1), np.stack(translations, axis=1)
+        return [Pose(r, t) for r, t in zip(rotations[0], translations[0])]
+    return rotations, translations
 
 
 def end_effector_pose(chain: KinematicChain, q: np.ndarray, strict_limits: bool = False) -> Pose:

@@ -466,13 +466,14 @@ def refine_pose(
     (n,) weights.  Points behind the camera at the initial pose are
     down-weighted to zero and re-checked after each accepted step; accepted
     steps never increase the cost.  Each trial pose is linearized once: an
-    accepted trial's residuals, Jacobian and depths serve the next step and
-    the result.  A member stops when an accepted step lowers its cost by
-    less than ``fn_tol`` relative, when its cost is at or below an absolute
-    floor of 1e-16 per unit weight (1e-8 px rms: a noiseless fit at
-    rounding level, checked at the start too), after ``max_iters`` accepted
-    steps, or when its damping reaches 1e12.  Raises DivergedBehindCamera
-    when the majority of points sit at non-positive depth.
+    accepted trial's normal equations, residual norms and depths serve the
+    next step and the result.  A member stops when an accepted step lowers
+    its cost by less than ``fn_tol`` relative, when its cost is at or below
+    an absolute floor of 1e-16 per unit weight (1e-8 px rms: a noiseless
+    fit at rounding level, checked at the start too), after ``max_iters``
+    accepted steps, or when its damping reaches 1e12.  Raises
+    DivergedBehindCamera when the majority of points sit at non-positive
+    depth.
 
     ``initial`` may also be a PoseStack of M poses, with pixels (M, n, 2).
     Every round takes one batched trial step for all members, each with its
@@ -503,11 +504,14 @@ def refine_pose(
     cost = _cost(norms, z, w_eff, opts)
     diverged = ~np.isfinite(cost)
     cost[diverged] = 0.0  # a diverged member never runs; zero keeps its masked arithmetic finite
+    # Each member's state: pose, normal equations, residual norms, depths and
+    # cost.  An accepted trial replaces a member's whole state at once.
+    state = (rot, trans, *_normal_equations(resid, jac, norms, w_eff, opts), norms, z, cost)
     lam = np.full(m, opts.damping_init)
     n_steps = np.zeros(m, dtype=int)  # accepted steps
     running = ~diverged & (cost > floor) & (opts.max_iters >= 1) & (opts.damping_init < 1e12)
     while running.any():
-        h, g, damp = _normal_equations(resid, jac, norms, w_eff, opts)
+        rot, trans, h, g, damp, norms, z, cost = state
         step = _solve_each(h + _EYE6 * (lam[:, None] * damp)[:, None, :], -g)
         trial = retract(PoseStack(rot, trans), step)
         t_resid, t_jac, t_z = linearize_reprojection(trial, pts3, px, k)
@@ -515,26 +519,29 @@ def refine_pose(
         new_cost = _cost(t_norms, t_z, w_eff, opts)
         better = running & (new_cost < cost)
         rel_drop = (cost - new_cost) / np.maximum(cost, 1e-300)
-        b2, b3 = better[:, None], better[:, None, None]
-        rot = np.where(b3, trial.rotation, rot)
-        trans = np.where(b2, trial.translation, trans)
-        resid = np.where(b3, t_resid, resid)
-        jac = np.where(b3[..., None], t_jac, jac)
-        norms = np.where(b2, t_norms, norms)
-        z = np.where(b2, t_z, z)
-        cost = np.where(better, new_cost, cost)
+        if held_out.any():  # re-admit points that have come back in front of the camera
+            revived = held_out & better[:, None] & (t_z > MIN_DEPTH)
+            w_eff = np.where(revived, w, w_eff)
+            held_out &= ~revived
+            new_cost = np.where(revived.any(axis=-1), _cost(t_norms, t_z, w_eff, opts), new_cost)
+        n_steps += better
+        done = (rel_drop < opts.fn_tol) | (new_cost <= floor) | (n_steps >= opts.max_iters)
+        if better.any():
+            # Only a member that steps again needs its trial's normal equations.
+            system = (h, g, damp)
+            if (better & ~done).any():
+                system = _normal_equations(t_resid, t_jac, t_norms, w_eff, opts)
+            trial_state = (*trial, *system, t_norms, t_z, new_cost)
+            if not better.all():  # a member that did not improve keeps its state
+                for new, kept in zip(trial_state, state):
+                    np.copyto(new, kept, where=~better.reshape(-1, *(1,) * (new.ndim - 1)))
+            state = trial_state
         # The cap changes no running member's stop test; it keeps a stopped
         # member's damping from overflowing however long the rest run.
         lam = np.where(better, np.maximum(lam / 3.0, 1e-12), np.minimum(lam * 10.0, 1e12))
-        if held_out.any():  # re-admit points that have come back in front of the camera
-            revived = held_out & b2 & (z > MIN_DEPTH)
-            w_eff = np.where(revived, w, w_eff)
-            held_out &= ~revived
-            cost = np.where(revived.any(axis=-1), _cost(norms, z, w_eff, opts), cost)
-        n_steps += better
-        done = (rel_drop < opts.fn_tol) | (cost <= floor) | (n_steps >= opts.max_iters)
         running &= ~np.where(better, done, lam >= 1e12)
 
+    rot, trans, _, _, _, norms, z, _ = state
     norms = np.where(z > MIN_DEPTH, norms, math.inf)
     rms = np.sqrt(np.mean(norms**2, axis=-1))  # inf with any point behind the camera
     outcomes = [

@@ -39,7 +39,7 @@ from .geometry import (
     Pose,
     apply,
     compose,
-    invert,
+    invert_stack,
     rotation_about_axis,
     rotation_error,
     translation_error,
@@ -171,18 +171,20 @@ def _trajectory(chain: KinematicChain, cfg: ScenarioConfig, rng: np.random.Gener
     q = rng.uniform(
         np.where(limited, lo, -math.pi / 2) + margin, np.where(limited, hi, math.pi / 2) - margin
     )
-    positions = np.tile(q, (n, 1))
     segment = np.minimum((np.arange(n) * dt / seg_len).astype(np.int64), cfg.n_direction_switches - 1)
     starts = np.flatnonzero(np.diff(segment, prepend=-1))  # one direction drawn per segment
-    for start, stop in zip(starts, [*starts[1:], n]):
-        direction = rng.standard_normal(n_joints)
-        direction /= max(np.linalg.norm(direction), 1e-12)
-        step = cfg.joint_speed * direction * dt
+    directions = rng.standard_normal((len(starts), n_joints))
+    directions /= np.maximum(_norms(directions), 1e-12)[:, None]
+    steps = cfg.joint_speed * directions * dt
+    positions = np.empty((n, n_joints))
+    positions[:1] = q
+    for start, stop, step in zip(starts, [*starts[1:], n], steps):
         # The velocity is constant over a segment, so a joint clamped at a limit
         # stays there: clipping the running sum once equals clipping each step.
-        first = max(start, 1)  # frame 0 is the start itself
-        walk = np.cumsum([positions[first - 1], *[step] * (stop - first)], axis=0)
-        positions[first:stop] = np.clip(walk[1:], lo, hi)
+        walk = positions[max(start, 1) - 1 : stop]  # from the frame before; frame 0 is the start
+        walk[1:] = step
+        np.cumsum(walk, axis=0, out=walk)
+        np.clip(walk[1:], lo, hi, out=walk[1:])
     return JointLog(
         frame_index=np.arange(n, dtype=np.int64),
         timestamps=np.arange(n) * dt,
@@ -190,51 +192,73 @@ def _trajectory(chain: KinematicChain, cfg: ScenarioConfig, rng: np.random.Gener
     )
 
 
-def _look_at(position: np.ndarray, target: np.ndarray) -> Pose:
-    """Camera pose (camera-to-base) at `position`, z axis toward `target`,
-    zero roll (image y axis as downward as the geometry allows)."""
-    fwd = np.asarray(target, dtype=float) - np.asarray(position, dtype=float)
-    norm = np.linalg.norm(fwd)
-    if norm < 1e-12:
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of v (M, D), bit for bit np.linalg.norm
+    of each row: both take the BLAS dot product."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+_UP = np.array([0.0, 0.0, 1.0])
+_NORTH = np.array([0.0, 1.0, 0.0])
+
+
+def _look_at(positions: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Camera-to-base rotations (M, 3, 3) of cameras at positions (M, 3),
+    each z axis toward target, zero roll (image y axis as downward as the
+    geometry allows)."""
+    fwd = np.asarray(target, dtype=float) - positions
+    norm = _norms(fwd)
+    if np.any(norm < 1e-12):
         raise ValueError("camera position coincides with the look-at target")
-    z = fwd / norm
-    up = np.array([0.0, 0.0, 1.0])
-    y = -up + float(up @ z) * z
-    ynorm = np.linalg.norm(y)
-    if ynorm < 1e-9:
+    z = fwd / norm[:, None]
+    y = -_UP + (z @ _UP)[:, None] * z
+    ynorm = _norms(y)
+    flat = ynorm < 1e-9
+    if flat.any():
         # Looking straight up/down: pick an arbitrary horizontal image y.
-        y = np.array([0.0, 1.0, 0.0]) - float(np.array([0.0, 1.0, 0.0]) @ z) * z
-        ynorm = np.linalg.norm(y)
-    y = y / ynorm
-    x = np.cross(y, z)
-    return Pose(np.column_stack([x, y, z]), position)
+        y[flat] = _NORTH - (z[flat] @ _NORTH)[:, None] * z[flat]
+        ynorm[flat] = _norms(y[flat])
+    y /= ynorm[:, None]
+    return np.stack([np.cross(y, z), y, z], axis=-1)
 
 
-def _shell_camera(cfg: ScenarioConfig, target: np.ndarray, rng: np.random.Generator) -> Pose:
-    """A camera on the spherical shell around the base, aimed at target."""
-    radius = rng.uniform(*cfg.radius_range)
-    elevation = rng.uniform(*cfg.elevation_range)
-    azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    position = radius * np.array(
-        [
-            math.cos(elevation) * math.cos(azimuth),
-            math.cos(elevation) * math.sin(azimuth),
-            math.sin(elevation),
-        ]
+def _shell_cameras(
+    cfg: ScenarioConfig, target: np.ndarray, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """n cameras on the spherical shell around the base, aimed at target:
+    camera-to-base rotations (n, 3, 3) and positions (n, 3).  Each draws
+    its radius, elevation and azimuth in turn."""
+    radius, elevation, azimuth = rng.uniform(
+        (cfg.radius_range[0], cfg.elevation_range[0], 0.0),
+        (cfg.radius_range[1], cfg.elevation_range[1], 2.0 * math.pi),
+        (n, 3),
+    ).T
+    horizontal = np.cos(elevation)
+    direction = np.stack(
+        [horizontal * np.cos(azimuth), horizontal * np.sin(azimuth), np.sin(elevation)], axis=-1
     )
-    return _look_at(position, target)
+    positions = radius[:, None] * direction
+    return _look_at(positions, target), positions
 
 
-def _hand_camera(cfg: ScenarioConfig, target: np.ndarray, rng: np.random.Generator) -> Pose:
-    """A camera mounted near the end-effector origin, aimed at target (in the
-    end-effector frame) and then tilted by up to eih_tilt_max."""
-    offset = rng.standard_normal(3)
-    offset *= rng.uniform(0.0, cfg.eih_offset_max) / max(np.linalg.norm(offset), 1e-12)
-    mount = _look_at(offset, target)
-    axis = rng.standard_normal(3)
-    axis /= max(np.linalg.norm(axis), 1e-12)
-    tilt = rotation_about_axis(axis, rng.uniform(0.0, cfg.eih_tilt_max))
-    return Pose(mount.rotation @ tilt, mount.translation)
+def _hand_cameras(
+    cfg: ScenarioConfig, target: np.ndarray, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """n cameras mounted near the end-effector origin, aimed at target (in
+    the end-effector frame) and then tilted by up to eih_tilt_max:
+    camera-to-end-effector rotations (n, 3, 3) and positions (n, 3).  Each
+    draws its offset direction, offset length, tilt axis and tilt angle in
+    turn."""
+    draws = np.empty((n, 8))
+    for row in draws:
+        row[:3] = rng.standard_normal(3)
+        row[3] = rng.uniform(0.0, cfg.eih_offset_max)
+        row[4:7] = rng.standard_normal(3)
+        row[7] = rng.uniform(0.0, cfg.eih_tilt_max)
+    offset, axis = draws[:, :3], draws[:, 4:7]
+    offset *= (draws[:, 3] / np.maximum(_norms(offset), 1e-12))[:, None]
+    axis /= np.maximum(_norms(axis), 1e-12)[:, None]
+    return _look_at(offset, target) @ rotation_about_axis(axis, draws[:, 7]), offset
 
 
 def _project_visible(k: CameraIntrinsics, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,14 +305,12 @@ def _placed_scene(
     target: np.ndarray,
 ) -> GroundTruthScene:
     """The scene from the camera placement, of 20 drawn by
-    camera(cfg, target, rng), that sees the object points in the most
+    camera(cfg, target, rng, 20), that sees the object points in the most
     frames; a real capture frames the point deliberately.  The first
     placement that sees at least half the frames wins outright; otherwise
     the first with the most visible frames does."""
-    rng = _substream(cfg.seed, _PLACEMENT)
-    poses = [invert(camera(cfg, target, rng)) for _ in range(20)]
-    rotations = np.stack([p.rotation for p in poses])
-    translations = np.stack([p.translation for p in poses])
+    placements = camera(cfg, target, _substream(cfg.seed, _PLACEMENT), 20)
+    rotations, translations = invert_stack(*placements)
     pc = points @ rotations.transpose(0, 2, 1) + translations[:, None, :]  # (20, N, 3)
     n_vis = _project_visible(cfg.camera, pc)[1].sum(axis=1)
     reached = np.flatnonzero(n_vis >= log.n_frames // 2)
@@ -298,7 +320,10 @@ def _placed_scene(
             "reference point never visible after 20 camera placements; "
             "widen the placement bounds or shorten the chain"
         )
-    return _scene(cfg, chain, ref, log, poses[pick], points)
+    # rotations[pick] is a transposed view, and Pose keeps its memory order:
+    # the BLAS products that later take this pose see the layout, and their
+    # last bits with it.
+    return _scene(cfg, chain, ref, log, Pose(rotations[pick], translations[pick]), points)
 
 
 def generate_scene(
@@ -314,7 +339,7 @@ def generate_scene(
     """
     log = _trajectory(chain, cfg, _substream(cfg.seed, _TRAJECTORY))
     points = object_points(cfg.mode, chain, ref, log.positions)
-    camera = _shell_camera if cfg.mode is Mode.EYE_ON_BASE else _hand_camera
+    camera = _shell_cameras if cfg.mode is Mode.EYE_ON_BASE else _hand_cameras
     return _placed_scene(cfg, chain, ref, log, points, camera, points.mean(axis=0))
 
 
@@ -342,7 +367,7 @@ def generate_dual_view_scenes(
     p_arm = object_points(Mode.EYE_ON_BASE, chain, arm_ref, log.positions)
     base_in_ee = object_points(Mode.EYE_IN_HAND, chain, base_ref, log.positions)
     target = 0.5 * (p_arm.mean(axis=0) + base_ref.offset)
-    eob_scene = _placed_scene(cfg, chain, arm_ref, log, p_arm, _shell_camera, target)
+    eob_scene = _placed_scene(cfg, chain, arm_ref, log, p_arm, _shell_cameras, target)
 
     anchors = [min(int(frac * log.n_frames), log.n_frames - 1) for frac in anchor_fractions]
     rotations, translations = forward_kinematics(chain, log.positions[anchors])

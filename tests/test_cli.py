@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import refcal
-from refcal.cli import main
+from refcal.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
 from refcal.fileio import builtin_chain_path, parse_pose_file, parse_result_file
 from refcal.geometry import rotation_error
 
@@ -95,6 +99,31 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
     code = main(["simulate", "--seed", "1", "--chain", str(tmp_path / "nope.json"),
                  "-o", str(tmp_path / "x")])
     assert code == 2
+
+
+def _calibrate_args(scene, joints=None, track=None, output=None):
+    return [
+        "calibrate", "--mode", "eob",
+        "--chain", str(scene / "chain.json"),
+        "--joints", str(joints or scene / "joints.csv"),
+        "--track", str(track or scene / "track.csv"),
+        "--intrinsics", str(scene / "intrinsics.json"),
+        "-o", str(output or scene.parent / "result.json"),
+    ]
+
+
+@pytest.mark.parametrize("role", ["joints", "output"])
+def test_directory_as_a_file_path_exits_2_naming_it(tmp_path, role):
+    # An input to read or an output to write that is a directory is bad
+    # input, reported with its path rather than as a traceback.
+    scene = tmp_path / "scene"
+    assert main(["simulate", "--seed", "5", "--chain", _chain(), "-o", str(scene)]) == 0
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    proc = _run_cli(*_calibrate_args(scene, **{role: folder}))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {folder}: " in proc.stderr
 
 
 def test_bad_file_content_exits_2(tmp_path, capsys):
@@ -310,3 +339,41 @@ def test_main_builds_its_parser_once(tmp_path, capsys):
     assert exc.value.code == 2
     assert main(["eval", "--est", str(pose), "--gt", str(pose)]) == 0
     assert _build_parser.cache_info().misses == 1
+
+
+@pytest.fixture(scope="module")
+def noisy_scene(tmp_path_factory):
+    scene = tmp_path_factory.mktemp("capture") / "scene"
+    assert main(["simulate", "--seed", "5", "--chain", _chain(), "--sigma", "1.0",
+                 "-o", str(scene)]) == 0
+    return scene
+
+
+def _spliced(original: bytes):
+    """The bytes of a valid file with one span of it replaced by arbitrary bytes."""
+    return st.tuples(
+        st.integers(0, len(original)), st.integers(0, 64), st.binary(max_size=64)
+    ).map(lambda cut: original[: cut[0]] + cut[2] + original[cut[0] + cut[1]:])
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_calibrate_on_arbitrary_bytes_keeps_the_exit_code_contract(tmp_path, noisy_scene, data):
+    # Whatever the joint log or track file holds, calibrate exits 0, 2 or 3
+    # and reports an error as a message, never as a traceback.
+    name = data.draw(st.sampled_from(["joints.csv", "track.csv"]))
+    original = (noisy_scene / name).read_bytes()
+    bad = tmp_path / name
+    bad.write_bytes(data.draw(st.one_of(st.binary(), _spliced(original))))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(_calibrate_args(
+            noisy_scene, **{name.removesuffix(".csv"): bad}, output=tmp_path / "result.json"
+        ))
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE)
+    assert "Traceback" not in stderr.getvalue()

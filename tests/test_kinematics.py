@@ -388,3 +388,25 @@ def test_batched_fk_reprojects_drifted_rotations():
         for k, pose in enumerate(_per_frame_fk(chain, qi)):
             assert_allclose(rotations[i, k], pose.rotation, rtol=0, atol=1e-12)
             assert_allclose(translations[i, k], pose.translation, rtol=0, atol=1e-12)
+
+
+def test_batched_fk_reprojects_only_the_drifted_frame():
+    # An origin stretched along x by 8e-10 has R^T R - I = diag(1.6e-9, 0, 0).
+    # After a z rotation by theta the largest entry is 1.6e-9 max(c^2, s^2,
+    # |c s|): past ORTHONORMAL_TOL at theta = 0, 0.8e-9 at odd multiples of
+    # pi/4.  So only the frame at 0 is re-projected; the others keep their drift.
+    stretched = Pose(np.diag([1.0 + 8e-10, 1.0, 1.0]), (0.1, 0.0, 0.2))
+    chain = KinematicChain(
+        name="drift-one",
+        joints=(_revolute("j1", origin=stretched), _fixed("tool", (0.0, 0.0, 0.1))),
+    )
+    q = np.array([[math.pi / 4], [-math.pi / 4], [0.0], [3 * math.pi / 4]])
+    rotations, translations = forward_kinematics(chain, q)
+    drift = np.abs(np.swapaxes(rotations, -1, -2) @ rotations - np.eye(3)).max(axis=(-2, -1))
+    assert drift[2, 1:].max() < 1e-12
+    for i in (0, 1, 3):
+        assert_allclose(drift[i, 1:], 8e-10, rtol=1e-3)
+    for i, qi in enumerate(q):
+        for k, pose in enumerate(_per_frame_fk(chain, qi)):
+            assert_allclose(rotations[i, k], pose.rotation, rtol=0, atol=1e-12)
+            assert_allclose(translations[i, k], pose.translation, rtol=0, atol=1e-12)

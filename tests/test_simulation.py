@@ -162,16 +162,18 @@ def test_placement_pick_matches_sequential_best_of_20(panda, panda_base, mode, s
     cfg = ScenarioConfig(seed=seed, mode=mode)
     scene = generate_scene(cfg, chain, ref)
 
-    # The placement loop as it ran one placement at a time: keep the first
-    # strictly better count, stop at the first that sees half the frames.
+    # The placement loop as it ran one placement at a time: draw one camera
+    # per sampler call, keep the first strictly better count, stop at the
+    # first that sees half the frames.
     log = sim._trajectory(chain, cfg, sim._substream(seed, sim._TRAJECTORY))
     points = object_points(mode, chain, ref, log.positions)
-    camera = sim._shell_camera if mode is Mode.EYE_ON_BASE else sim._hand_camera
+    camera = sim._shell_cameras if mode is Mode.EYE_ON_BASE else sim._hand_cameras
     rng = sim._substream(seed, sim._PLACEMENT)
     k = cfg.camera
     best, n_best = None, -1
     for _ in range(20):
-        t_gt = invert(camera(cfg, points.mean(axis=0), rng))
+        rotation, position = camera(cfg, points.mean(axis=0), rng, 1)
+        t_gt = invert(Pose(rotation[0], position[0]))
         pc = apply(t_gt, points)
         front = pc[:, 2] > MIN_DEPTH
         uv = np.full((len(pc), 2), np.nan)
@@ -189,6 +191,49 @@ def test_placement_pick_matches_sequential_best_of_20(panda, panda_base, mode, s
     assert np.array_equal(scene.clean_track.uv, uv, equal_nan=True)
     assert np.array_equal(scene.clean_track.visible, visible)
     assert np.array_equal(scene.points, points)
+
+
+def test_look_at_stack_rows_equal_one_row_calls():
+    from refcal import simulation as sim
+
+    target = np.array([0.1, -0.2, 0.3])
+    positions = np.array(
+        [[1.0, 0.5, 1.2], [0.1, -0.2, 2.0], [-0.7, 0.4, 0.1], [0.1, -0.2, -1.5]]
+    )  # the second looks straight down, the fourth straight up
+    rotations = sim._look_at(positions, target)
+    for position, rotation in zip(positions, rotations):
+        assert np.array_equal(rotation, sim._look_at(position[None], target)[0])
+        assert_allclose(rotation.T @ rotation, np.eye(3), rtol=0, atol=1e-15)
+        assert np.linalg.det(rotation) > 0
+        view = rotation[:, 2]  # the optical axis
+        assert_allclose(view, (target - position) / np.linalg.norm(target - position), atol=1e-15)
+    # The straight-down camera takes the horizontal fallback image y.
+    assert_allclose(rotations[1][:, 1], (0.0, 1.0, 0.0), atol=1e-15)
+
+
+def test_look_at_rejects_a_position_on_the_target():
+    from refcal import simulation as sim
+
+    target = np.array([0.1, -0.2, 0.3])
+    with pytest.raises(ValueError, match="coincides"):
+        sim._look_at(np.array([[1.0, 0.5, 1.2], target, [0.0, 0.0, 2.0]]), target)
+
+
+@pytest.mark.parametrize("sampler", ["_shell_cameras", "_hand_cameras"])
+def test_camera_sampler_draws_placements_in_order(sampler):
+    # One call for 20 placements draws the stream that 20 calls for one do.
+    from refcal import simulation as sim
+
+    camera = getattr(sim, sampler)
+    cfg = ScenarioConfig(seed=3)
+    target = np.array([0.3, 0.1, 0.4])
+    rotations, positions = camera(cfg, target, sim._substream(3, sim._PLACEMENT), 20)
+    assert rotations.shape == (20, 3, 3) and positions.shape == (20, 3)
+    rng = sim._substream(3, sim._PLACEMENT)
+    for rotation, position in zip(rotations, positions):
+        one_r, one_p = camera(cfg, target, rng, 1)
+        assert np.array_equal(rotation, one_r[0])
+        assert np.array_equal(position, one_p[0])
 
 
 def test_eih_scene_requires_base_ref(panda):
