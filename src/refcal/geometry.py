@@ -103,11 +103,12 @@ def compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
     re-projected onto SO(3) on its own if it drifts past ORTHONORMAL_TOL."""
     r = np.matmul(ra, rb)
     # The Gram product of a contiguous transpose takes BLAS's fast path; one
-    # global max clears the common stack in which no rotation has drifted.
+    # global max (0 for an empty stack) clears a stack in which no rotation
+    # has drifted.
     drift = np.matmul(np.ascontiguousarray(np.swapaxes(r, -1, -2)), r)
     drift -= np.eye(3)
     np.abs(drift, out=drift)
-    if drift.max() > ORTHONORMAL_TOL:
+    if drift.max(initial=0.0) > ORTHONORMAL_TOL:
         for i in np.flatnonzero(drift.max(axis=(-2, -1)) > ORTHONORMAL_TOL):
             r[i] = orthonormalize(r[i])
     return r, np.matmul(ra, np.asarray(tb)[..., None])[..., 0] + ta

@@ -527,10 +527,7 @@ def refine_pose(
         n_steps += better
         done = (rel_drop < opts.fn_tol) | (new_cost <= floor) | (n_steps >= opts.max_iters)
         if better.any():
-            # Only a member that steps again needs its trial's normal equations.
-            system = (h, g, damp)
-            if (better & ~done).any():
-                system = _normal_equations(t_resid, t_jac, t_norms, w_eff, opts)
+            system = _normal_equations(t_resid, t_jac, t_norms, w_eff, opts)
             trial_state = (*trial, *system, t_norms, t_z, new_cost)
             if not better.all():  # a member that did not improve keeps its state
                 for new, kept in zip(trial_state, state):

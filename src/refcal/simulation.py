@@ -195,7 +195,7 @@ def _trajectory(chain: KinematicChain, cfg: ScenarioConfig, rng: np.random.Gener
 def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of v (M, D), bit for bit np.linalg.norm
     of each row: both take the BLAS dot product."""
-    return np.sqrt(np.vecdot(v, v))
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 _UP = np.array([0.0, 0.0, 1.0])

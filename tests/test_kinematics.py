@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from refcal.calibration import Mode, object_points
 from refcal.errors import DimensionMismatch, JointLimitViolation, JointLimitWarning
 from refcal.fileio import builtin_chain_path, parse_chain_file
 from refcal.geometry import Pose, apply, compose, identity, invert, rot_z, skew
@@ -410,3 +411,15 @@ def test_batched_fk_reprojects_only_the_drifted_frame():
         for k, pose in enumerate(_per_frame_fk(chain, qi)):
             assert_allclose(rotations[i, k], pose.rotation, rtol=0, atol=1e-12)
             assert_allclose(translations[i, k], pose.translation, rtol=0, atol=1e-12)
+
+
+def test_batched_fk_on_zero_readings(panda, panda_base):
+    chain, ref = panda
+    q = np.zeros((0, chain.n_actuated))
+    rotations, translations = forward_kinematics(chain, q)
+    assert rotations.shape == (0, chain.n_links, 3, 3)
+    assert translations.shape == (0, chain.n_links, 3)
+    assert reference_point_in_base(chain, ref, q).shape == (0, 3)
+    assert object_points(Mode.EYE_ON_BASE, chain, ref, q).shape == (0, 3)
+    chain, ref = panda_base
+    assert object_points(Mode.EYE_IN_HAND, chain, ref, q).shape == (0, 3)
