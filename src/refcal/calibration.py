@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, InsufficientMotion, TooFewPairs
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics, Pose, freeze, log_so3, orthonormalize
 from .kinematics import (
     JointLog,
     KinematicChain,
@@ -58,22 +58,16 @@ class Track2D:
     sync: np.ndarray
 
     def __post_init__(self):
-        fi = np.array(self.frame_index, dtype=np.int64).reshape(-1)
-        uv = np.array(self.uv, dtype=float).reshape(-1, 2)
-        vis = np.array(self.visible, dtype=bool).reshape(-1)
-        sync = np.array(self.sync, dtype=bool).reshape(-1)
+        fi = freeze(self, "frame_index", np.int64, shape=-1)
+        uv = freeze(self, "uv", shape=(-1, 2))
+        vis = freeze(self, "visible", bool, shape=-1)
+        sync = freeze(self, "sync", bool, shape=-1)
         if not (len(fi) == len(uv) == len(vis) == len(sync)):
             raise ValueError("track arrays must have equal length")
         if len(fi) > 1 and np.any(np.diff(fi) <= 0):
             raise ValueError("track frame indices must be strictly increasing")
         if np.any(~np.isfinite(uv[vis])):
             raise ValueError("visible frames must carry finite pixel coordinates")
-        for a in (fi, uv, vis, sync):
-            a.setflags(write=False)
-        object.__setattr__(self, "frame_index", fi)
-        object.__setattr__(self, "uv", uv)
-        object.__setattr__(self, "visible", vis)
-        object.__setattr__(self, "sync", sync)
 
     @property
     def n_frames(self) -> int:
@@ -252,27 +246,6 @@ def _pair_points(req: CalibrationRequest, used: np.ndarray) -> np.ndarray:
     return req.points[rows]
 
 
-def _log_so3(r: np.ndarray) -> np.ndarray:
-    """Rotation vector of a rotation matrix (angle times unit axis)."""
-    c = (np.trace(r) - 1.0) / 2.0
-    angle = float(np.arccos(min(1.0, max(-1.0, c))))
-    if angle < 1e-12:
-        return np.zeros(3)
-    if np.pi - angle < 1e-6:
-        # Near half-turn: extract the axis from the symmetric part.
-        a2 = (np.diag(r) + 1.0) / 2.0
-        k = int(np.argmax(a2))
-        axis = np.zeros(3)
-        axis[k] = np.sqrt(max(a2[k], 0.0))
-        for j in range(3):
-            if j != k:
-                axis[j] = (r[k, j] + r[j, k]) / (4.0 * axis[k])
-        axis /= np.linalg.norm(axis)
-        return axis * angle
-    v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return v * (angle / (2.0 * np.sin(angle)))
-
-
 def solve_axxb(a_list, b_list) -> Pose:
     """Classical two-stage hand-eye solve of A_i X = X B_i.
 
@@ -286,8 +259,8 @@ def solve_axxb(a_list, b_list) -> Pose:
         raise ValueError(f"got {len(a_list)} camera motions but {len(b_list)} robot motions")
     if len(a_list) < 2:
         raise InsufficientMotion(f"need at least 2 motion pairs, got {len(a_list)}")
-    alphas = np.array([_log_so3(a.rotation) for a in a_list])
-    betas = np.array([_log_so3(b.rotation) for b in b_list])
+    alphas = np.array([log_so3(a.rotation) for a in a_list])
+    betas = np.array([log_so3(b.rotation) for b in b_list])
     angles = np.linalg.norm(alphas, axis=1)
     axes = [alphas[i] / angles[i] for i in range(len(a_list)) if angles[i] > 1e-8]
     diverse = any(
@@ -300,10 +273,7 @@ def solve_axxb(a_list, b_list) -> Pose:
             "rotation axes of the motions are parallel; include motions "
             "rotating about at least two distinct axes"
         )
-    cross = betas.T @ alphas
-    u, _, vt = np.linalg.svd(cross.T)
-    d = np.sign(np.linalg.det(u @ vt))
-    rot = u @ np.diag([1.0, 1.0, d]) @ vt
+    rot = orthonormalize(alphas.T @ betas)
     c = np.vstack([a.rotation - np.eye(3) for a in a_list])
     rhs = np.concatenate([rot @ b.translation - a.translation for a, b in zip(a_list, b_list)])
     t, *_ = np.linalg.lstsq(c, rhs, rcond=None)

@@ -78,20 +78,26 @@ def _write_json(doc: dict, path) -> None:
 
 
 def _read_text(path) -> str:
-    """The file's text; input that is not UTF-8 raises ParseError at its line."""
+    """The file's text; input that is not UTF-8 raises ParseError at its line,
+    counting \r\n, \r and \n line ends as csv does."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
         raise ParseError(f"not UTF-8: {exc}", path=path, line=line) from exc
 
 
 def _load_json(path) -> dict:
-    """A JSON object from path; NaN, Infinity and overflowing numbers such as
-    1e999 (all of which Python's json accepts) raise ParseError at their
-    line and column."""
+    """A JSON object from path; NaN, Infinity and numbers past float range
+    such as 1e999 or a 400-digit integer (all of which Python's json
+    accepts) raise ParseError at their line and column."""
     text = _read_text(path)
+
+    def integer(token: str) -> int:
+        if len(token) > 300:  # a shorter integer always fits a float
+            finite(token)
+        return int(token)
 
     def finite(token: str) -> float:
         value = float(token)
@@ -106,7 +112,7 @@ def _load_json(path) -> dict:
         raise ParseError(f"non-finite number {token}", path=path, line=line, column=column)
 
     try:
-        doc = json.loads(text, parse_float=finite, parse_constant=finite)
+        doc = json.loads(text, parse_float=finite, parse_int=integer, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), path=path, line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):
@@ -126,9 +132,7 @@ def _pose_doc(pose: Pose) -> dict:
     # rotation, so a written pose is a pure function of (quaternion,
     # translation) and write . parse is the identity on files.
     q = pose_quaternion(pose)
-    m = np.eye(4)
-    m[:3, :3] = quaternion_to_matrix(q)
-    m[:3, 3] = pose.translation
+    m = Pose(quaternion_to_matrix(q), pose.translation).matrix()
     return {
         "translation_m": [float(v) for v in pose.translation],
         "quaternion_wxyz": [float(v) for v in q],
@@ -140,17 +144,15 @@ def _pose_from_doc(doc: dict, path) -> Pose:
     try:
         t = np.array(doc["translation_m"], dtype=float)
         q = np.array(doc["quaternion_wxyz"], dtype=float)
+        if t.shape != (3,) or q.shape != (4,):
+            raise ValueError("pose needs a 3-vector translation and 4-vector quaternion")
+        if abs(math.hypot(*q) - 1.0) > 1e-9:
+            raise ValueError("quaternion is not unit-norm within 1e-9")
+        return pose_from_quaternion(t, q)
     except KeyError as exc:
         raise ParseError(f"pose object missing field: {exc}", path=path) from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad pose object: {exc}", path=path) from exc
-    if t.shape != (3,) or q.shape != (4,):
-        raise ParseError("pose needs a 3-vector translation and 4-vector quaternion", path=path)
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
-        raise ParseError("pose translation and quaternion must be finite", path=path)
-    if abs(math.sqrt(sum(float(v) ** 2 for v in q)) - 1.0) > 1e-9:
-        raise ParseError("quaternion is not unit-norm within 1e-9", path=path)
-    return pose_from_quaternion(t, q)
 
 
 def write_pose_file(pose: Pose, path) -> None:
@@ -229,6 +231,14 @@ def write_chain_file(chain: KinematicChain, ref: ReferencePoint, path) -> None:
 # ------------------------------------------------------------- CSV files ---
 
 
+def _record_line(path, k: int) -> int:
+    """Line on which CSV record k (0: the header) starts; a record may span lines."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    for _ in zip(range(k), reader):
+        pass
+    return reader.line_num + 1
+
+
 def _frame_table(path, header) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Frames (N,) int64, body column names and body cells (N, C) of a CSV file
     whose first column is a strictly increasing frame index; header(n) is the
@@ -244,25 +254,25 @@ def _frame_table(path, header) -> tuple[np.ndarray, list[str], np.ndarray]:
         column = next(c for c, (a, b) in enumerate(zip_longest(names, want), 1) if a != b)
         message = f"header must be {','.join(want)!r}, got {','.join(names)!r}"
         raise ParseError(message, path=path, line=1, column=column)
-    for lineno, row in enumerate(rows[1:], start=2):
+    for k, row in enumerate(rows[1:], start=1):
         if len(row) != len(want):
             column = 1 + min(len(row), len(want))
             message = f"expected {len(want)} fields, got {len(row)}"
-            raise ParseError(message, path=path, line=lineno, column=column)
+            raise ParseError(message, path=path, line=_record_line(path, k), column=column)
     table = np.array(rows[1:], dtype=object).reshape(-1, len(want))
     frames = _cells_as(path, table[:, :1], 1, np.int64, "int64 frame index")[:, 0]
     back = np.flatnonzero(frames[1:] <= frames[:-1])
     if back.size:
         k = int(back[0]) + 1
         message = f"frame {frames[k]} does not increase past {frames[k - 1]}"
-        raise NonMonotoneFrames(message, path=path, line=k + 2, column=1)
+        raise NonMonotoneFrames(message, path=path, line=_record_line(path, k + 1), column=1)
     return frames, want[1:], table[:, 1:]
 
 
 def _cells_as(path, cells: np.ndarray, col: int, dtype, what: str) -> np.ndarray:
     """cells as one dtype array, each read as int() or float() reads it.  On a
-    failure the first cell that fails alone is named; cells[0, 0] is at line 2,
-    column col."""
+    failure the first cell that fails alone is named; cells[0, 0] is in the
+    first body record, column col."""
     try:
         return cells.astype(dtype)
     except (ValueError, OverflowError):
@@ -270,17 +280,17 @@ def _cells_as(path, cells: np.ndarray, col: int, dtype, what: str) -> np.ndarray
             try:
                 cells[i, j : j + 1].astype(dtype)
             except (ValueError, OverflowError) as exc:
-                message = f"bad {what} {text!r}"
-                raise ParseError(message, path=path, line=i + 2, column=col + j) from exc
+                line, message = _record_line(path, i + 1), f"bad {what} {text!r}"
+                raise ParseError(message, path=path, line=line, column=col + j) from exc
         raise
 
 
 def _reject(path, bad: np.ndarray, col: int, message) -> None:
-    """ParseError at the first true cell of bad, whose [0, 0] is at line 2,
-    column col; message(i, j) says what is wrong there."""
+    """ParseError at the first true cell of bad, whose [0, 0] is in the first
+    body record, column col; message(i, j) says what is wrong there."""
     if bad.any():
         i, j = (int(k) for k in np.argwhere(bad)[0])
-        raise ParseError(message(i, j), path=path, line=i + 2, column=col + j)
+        raise ParseError(message(i, j), path=path, line=_record_line(path, i + 1), column=col + j)
 
 
 def parse_joint_log_csv(path) -> JointLog:
@@ -428,10 +438,13 @@ def write_result(doc: ResultDocument, path) -> None:
 def parse_result_file(path) -> ResultDocument:
     doc = _load_json(path)
     try:
+        rms = float(doc["rms_reprojection_px"])
+        if not math.isfinite(rms):  # the JSON text was a string such as "nan"
+            raise ValueError(f"rms_reprojection_px must be finite, got {rms}")
         return ResultDocument(
             mode=str(doc["mode"]),
             pose=_pose_from_doc(doc["pose"], path),
-            rms_reprojection_px=float(doc["rms_reprojection_px"]),
+            rms_reprojection_px=rms,
             n_pairs_used=int(doc["n_pairs_used"]),
             dropped=tuple((int(d["frame"]), str(d["reason"])) for d in doc["dropped"]),
             condition=str(doc["condition"]),
@@ -440,8 +453,6 @@ def parse_result_file(path) -> ResultDocument:
             input_digests=dict(doc["inputs"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(f"bad result file: {exc}", path=path) from exc
 
 

@@ -26,6 +26,17 @@ ORTHONORMAL_TOL = 1e-9
 MIN_DEPTH = 1e-9
 
 
+def freeze(obj, name: str, dtype=float, shape=None, ndmin: int = 0) -> np.ndarray:
+    """Set a frozen dataclass's field to a read-only C-order copy (equal values,
+    equal bits in BLAS products) of dtype, ndmin dimensions and shape."""
+    a = np.array(getattr(obj, name), dtype=dtype, order="C", ndmin=ndmin)
+    if shape is not None:
+        a = a.reshape(shape)
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: 3x3 rotation plus translation in meters."""
@@ -34,12 +45,8 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rotation, dtype=float).reshape(3, 3)
-        t = np.array(self.translation, dtype=float).reshape(3)
-        r.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        freeze(self, "rotation", shape=(3, 3))
+        freeze(self, "translation", shape=3)
 
     def matrix(self) -> np.ndarray:
         """The equivalent 4x4 homogeneous matrix."""
@@ -61,9 +68,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got {self.fx}, {self.fy}")
-        if not (0 < self.cx < self.width and 0 < self.cy < self.height):
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError(f"focal lengths must be finite and positive, got {self.fx}, {self.fy}")
+        if not (0 < self.cx < self.width and 0 < self.cy < self.height):  # hence finite
             raise ValueError(
                 f"principal point ({self.cx}, {self.cy}) outside image "
                 f"{self.width}x{self.height}"
@@ -80,7 +87,8 @@ class CameraIntrinsics:
         """Square-pixel intrinsics from a horizontal field of view in degrees."""
         if not 0 < fov_deg < 180:
             raise ValueError(f"horizontal FOV must be in (0, 180) degrees, got {fov_deg}")
-        f = (width / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
+        tan_half = math.tan(math.radians(fov_deg) / 2.0)  # 0 if it underflows: no finite f
+        f = (width / 2.0) / tan_half if tan_half > 0 else math.inf
         return cls(fx=f, fy=f, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
 
 
@@ -89,11 +97,11 @@ def identity() -> Pose:
 
 
 def orthonormalize(r: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix in the Frobenius sense (polar projection)."""
+    """Nearest rotation matrix in the Frobenius sense (polar projection, or
+    the Kabsch rotation of a cross-covariance) of each matrix (..., 3, 3);
+    raises np.linalg.LinAlgError when the SVD does not converge."""
     u, _, vt = np.linalg.svd(np.asarray(r, dtype=float))
-    if np.linalg.det(u @ vt) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]  # a reflection becomes a rotation
     return u @ vt
 
 
@@ -109,8 +117,8 @@ def compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
     drift -= np.eye(3)
     np.abs(drift, out=drift)
     if drift.max(initial=0.0) > ORTHONORMAL_TOL:
-        for i in np.flatnonzero(drift.max(axis=(-2, -1)) > ORTHONORMAL_TOL):
-            r[i] = orthonormalize(r[i])
+        bad = drift.max(axis=(-2, -1)) > ORTHONORMAL_TOL
+        r[bad] = orthonormalize(r[bad])
     return r, np.matmul(ra, np.asarray(tb)[..., None])[..., 0] + ta
 
 
@@ -122,7 +130,9 @@ def invert_stack(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_stack(r: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Transform one point (3,) or one point per frame (N, 3) by each of a
-    stack of transforms, rotations (N, 3, 3) and translations (N, 3)."""
+    stack of transforms, rotations (N, 3, 3) and translations (N, 3).  Not
+    the stacked ``apply``: the two round differently in the last bit for
+    about half of all poses, and both feed scene digests."""
     return (r @ np.asarray(points, dtype=float)[..., None])[..., 0] + t
 
 
@@ -135,8 +145,8 @@ def compose(a: Pose, b: Pose) -> Pose:
 
 
 def invert(p: Pose) -> Pose:
-    rt = p.rotation.T
-    return Pose(rt, -(rt @ p.translation))
+    r, t = invert_stack(p.rotation[None], p.translation[None])
+    return Pose(r[0], t[0])
 
 
 def apply(p: Pose, points: np.ndarray) -> np.ndarray:
@@ -228,12 +238,17 @@ def pose_from_quaternion(translation: np.ndarray, q_wxyz: np.ndarray) -> Pose:
     ingested value bit for bit.
     """
     q = np.array(q_wxyz, dtype=float).reshape(4)
-    n2 = float(q @ q)
-    if n2 < 1e-12:
-        raise ValueError("quaternion norm too small to define a rotation")
+    with np.errstate(over="ignore"):
+        n2 = float(q @ q)
+    # Past about 1e154 the square overflows; math.hypot does not.
+    norm = math.sqrt(n2) if n2 < math.inf else math.hypot(*q)
+    if not (n2 >= 1e-12 and norm < math.inf):  # NaN fails too
+        raise ValueError(f"quaternion must be finite with a norm of at least 1e-6, got {q}")
     if abs(n2 - 1.0) > 1e-12:
-        q = q / math.sqrt(n2)
+        q = q / norm
     p = Pose(quaternion_to_matrix(q), translation)
+    if not np.isfinite(p.translation).all():
+        raise ValueError(f"translation must be finite, got {p.translation}")
     q.setflags(write=False)
     object.__setattr__(p, "_quat_cache", q)
     return p
@@ -254,23 +269,25 @@ def pose_from_matrix(m: np.ndarray) -> Pose:
     return Pose(m[:3, :3], m[:3, 3])
 
 
-def project(k: CameraIntrinsics, p_cam: np.ndarray) -> np.ndarray:
-    """Perspective projection of camera-frame points onto the image plane.
-
-    Raises NonPositiveDepth if any point has z <= 1e-9.
-    """
+def pixels(k: CameraIntrinsics, p_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pinhole pixels (..., 2) of camera-frame points (..., 3), NaN at or behind
+    the camera plane (z <= MIN_DEPTH), and whether each point is in front."""
     pts = np.asarray(p_cam, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    z = pts[:, 2]
-    if np.any(z <= MIN_DEPTH):
-        raise NonPositiveDepth(
-            f"{int(np.sum(z <= MIN_DEPTH))} point(s) at or behind the camera plane"
-        )
-    uv = np.empty((pts.shape[0], 2))
-    uv[:, 0] = k.fx * pts[:, 0] / z + k.cx
-    uv[:, 1] = k.fy * pts[:, 1] / z + k.cy
-    return uv[0] if single else uv
+    z = pts[..., 2]
+    front = z > MIN_DEPTH
+    zs = np.where(front, z, 1.0)
+    uv = np.stack([k.fx * pts[..., 0] / zs + k.cx, k.fy * pts[..., 1] / zs + k.cy], axis=-1)
+    uv[~front] = np.nan
+    return uv, front
+
+
+def project(k: CameraIntrinsics, p_cam: np.ndarray) -> np.ndarray:
+    """Perspective projection of camera-frame points (3,) or (N, 3) onto the
+    image plane; raises NonPositiveDepth unless every z exceeds MIN_DEPTH."""
+    uv, front = pixels(k, p_cam)
+    if not front.all():
+        raise NonPositiveDepth(f"{int((~front).sum())} point(s) at or behind the camera plane")
+    return uv
 
 
 def unproject(k: CameraIntrinsics, pixel: np.ndarray, depth: float) -> np.ndarray:
@@ -281,16 +298,32 @@ def unproject(k: CameraIntrinsics, pixel: np.ndarray, depth: float) -> np.ndarra
     return np.array([(u - k.cx) * depth / k.fx, (v - k.cy) * depth / k.fy, depth])
 
 
-def rotation_error(a: Pose, b: Pose) -> float:
-    """Geodesic angle between two rotations, in [0, pi] radians.
-
-    atan2 of the sine (from the skew part) and the cosine (from the trace)
-    stays accurate at every angle, where acos of the trace alone cannot
-    resolve angles below about 2e-8 rad.
-    """
-    r = a.rotation @ b.rotation.T
+def _skew_and_angle(r: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Skew part s = 2 sin(angle) axis of a rotation matrix, its norm, and the
+    angle in [0, pi]: atan2 of sine and cosine (the trace) stays accurate at
+    every angle, where acos of the trace cannot resolve below about 2e-8 rad."""
     s = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return math.atan2(float(np.linalg.norm(s)) / 2.0, (np.trace(r) - 1.0) / 2.0)
+    norm = float(np.linalg.norm(s))
+    return s, norm, math.atan2(norm / 2.0, (np.trace(r) - 1.0) / 2.0)
+
+
+def log_so3(r: np.ndarray) -> np.ndarray:
+    """Rotation vector (angle times unit axis) of a rotation matrix, with the
+    angle ``rotation_error`` measures.  Past a quarter turn the skew part fades
+    toward a half turn, so (r + r.T) / 2 - cos(angle) I = (1 - cos(angle))
+    axis axis.T gives the axis there, and the skew part only its sign."""
+    r = np.asarray(r, dtype=float)
+    s, norm, angle = _skew_and_angle(r)
+    if angle <= math.pi / 2:
+        return s * (angle / norm) if norm > 0 else np.zeros(3)
+    m = (r + r.T) / 2.0 - math.cos(angle) * np.eye(3)
+    axis = m[:, int(np.argmax(np.diagonal(m)))]
+    return math.copysign(angle, axis @ s) * (axis / np.linalg.norm(axis))
+
+
+def rotation_error(a: Pose, b: Pose) -> float:
+    """Geodesic angle between two rotations, in [0, pi] radians."""
+    return _skew_and_angle(a.rotation @ b.rotation.T)[2]
 
 
 def translation_error(a: Pose, b: Pose) -> np.ndarray:

@@ -10,13 +10,14 @@ plus a z-axis revolute or prismatic joint.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, JointLimitViolation, JointLimitWarning
-from .geometry import Pose, apply_stack, compose_stack, invert_stack, skew
+from .geometry import Pose, apply_stack, compose_stack, freeze, invert_stack, skew
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -35,15 +36,14 @@ class Joint:
     def __post_init__(self):
         if self.kind not in JOINT_KINDS:
             raise ValueError(f"joint {self.name!r}: unknown kind {self.kind!r}")
-        ax = np.array(self.axis, dtype=float).reshape(3)
-        if self.kind != FIXED and abs(np.linalg.norm(ax) - 1.0) > 1e-9:
-            raise ValueError(f"joint {self.name!r}: axis must have unit norm")
-        ax.setflags(write=False)
-        object.__setattr__(self, "axis", ax)
+        ax = freeze(self, "axis", shape=3)
+        unit = self.kind == FIXED or abs(math.hypot(*ax) - 1.0) <= 1e-9
+        if not (unit and np.isfinite(ax).all()):
+            raise ValueError(f"joint {self.name!r}: axis must be finite, of unit norm unless fixed")
         if self.limits is not None:
             lo, hi = self.limits
-            if not lo < hi:
-                raise ValueError(f"joint {self.name!r}: limits must satisfy lo < hi")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"joint {self.name!r}: limits must be finite and satisfy lo < hi")
             object.__setattr__(self, "limits", (float(lo), float(hi)))
 
     @property
@@ -90,9 +90,8 @@ class ReferencePoint:
     offset: np.ndarray
 
     def __post_init__(self):
-        off = np.array(self.offset, dtype=float).reshape(3)
-        off.setflags(write=False)
-        object.__setattr__(self, "offset", off)
+        if not np.isfinite(freeze(self, "offset", shape=3)).all():
+            raise ValueError(f"reference point offset must be finite, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -104,18 +103,13 @@ class JointLog:
     positions: np.ndarray
 
     def __post_init__(self):
-        fi = np.array(self.frame_index, dtype=np.int64).reshape(-1)
-        ts = np.array(self.timestamps, dtype=float).reshape(-1)
-        pos = np.atleast_2d(np.array(self.positions, dtype=float))
+        fi = freeze(self, "frame_index", np.int64, shape=-1)
+        ts = freeze(self, "timestamps", shape=-1)
+        pos = freeze(self, "positions", ndmin=2)
         if not (len(fi) == len(ts) == len(pos)):
             raise ValueError("frame_index, timestamps and positions must have equal length")
         if len(fi) > 1 and np.any(np.diff(fi) <= 0):
             raise ValueError("frame indices must be strictly increasing")
-        for a in (fi, ts, pos):
-            a.setflags(write=False)
-        object.__setattr__(self, "frame_index", fi)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "positions", pos)
 
     @property
     def n_frames(self) -> int:

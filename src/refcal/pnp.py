@@ -31,7 +31,7 @@ from .errors import (
     EmptyInput,
     NumericalFailure,
 )
-from .geometry import MIN_DEPTH, CameraIntrinsics, Pose, skew
+from .geometry import MIN_DEPTH, CameraIntrinsics, Pose, freeze, orthonormalize, skew
 
 WELL_CONDITIONED = "well_conditioned"
 NEAR_COLLINEAR = "near_collinear"
@@ -52,6 +52,11 @@ SPREAD_RATIO_TOL = 0.02
 # metres from the truth.
 MIN_SPREAD_M = 0.01
 
+# LM stop (relative cost drop), initial damping, and Huber scale (px) of the robust loss.
+FN_TOL = 1e-10
+DAMPING_INIT = 1e-3
+HUBER_SCALE_PX = 3.0
+
 
 @dataclass(frozen=True)
 class DegeneracyReport:
@@ -60,9 +65,7 @@ class DegeneracyReport:
     classification: str
 
     def __post_init__(self):
-        sv = np.array(self.spread_singular_values, dtype=float).reshape(3)
-        sv.setflags(write=False)
-        object.__setattr__(self, "spread_singular_values", sv)
+        freeze(self, "spread_singular_values", shape=3)
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,7 @@ class PoseStack(NamedTuple):
 @dataclass(frozen=True)
 class RefineOptions:
     max_iters: int = 100
-    fn_tol: float = 1e-10
-    damping_init: float = 1e-3
     robust: bool = False
-    huber_scale_px: float = 3.0
 
 
 def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
@@ -321,11 +321,9 @@ def _linear_candidates(
     c_dst = w @ xc / wsum  # (..., C, 3)
     cross = np.swapaxes((xc - c_dst[..., None, :]) * w[:, None], -1, -2) @ (pts3 - c_src)
     try:
-        u, _, vt = np.linalg.svd(cross)
+        r = orthonormalize(cross)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("pose alignment SVD failed") from exc
-    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
-    r = u @ vt
     t = c_dst - r @ c_src
     r[~solved] = np.nan
     t[~solved] = np.nan
@@ -368,7 +366,9 @@ def _pixel_residuals(
     """Residuals (..., n, 2) of camera-frame points (..., n, 3) against the
     pixels, zero for points at or behind the camera plane, with the depths
     (..., n) and the normalized image coordinates (..., n, 2) (x, y as if
-    at depth 1 where behind)."""
+    at depth 1 where behind).  Not ``geometry.pixels``: the Jacobian reuses
+    these x / z, and this (x / z) * f rounds differently from its f * x / z,
+    which would move nearly every refined pose in its last digits."""
     z = pc[..., 2]
     good = z > MIN_DEPTH
     xy = pc[..., :2] / np.where(good, z, 1.0)[..., None]
@@ -410,17 +410,12 @@ def linearize_reprojection(
     return resid, jac, z
 
 
-def _robust_weights(resid_norms: np.ndarray, opts: RefineOptions) -> np.ndarray:
-    s = opts.huber_scale_px
-    return np.where(resid_norms <= s, 1.0, s / np.maximum(resid_norms, 1e-30))
-
-
 def _cost(norms: np.ndarray, z: np.ndarray, w_eff: np.ndarray, opts: RefineOptions) -> np.ndarray:
     """Weighted (optionally Huber) cost (M,) of each member's residual norms
     (M, n) at depths (M, n); inf where an active point is behind the camera
     or most of the cloud is."""
     if opts.robust:
-        s = opts.huber_scale_px
+        s = HUBER_SCALE_PX
         rho = np.where(norms <= s, norms**2, s * (2.0 * norms - s))
     else:
         rho = norms**2
@@ -438,7 +433,10 @@ def _normal_equations(
     """Gauss-Newton matrices (M, 6, 6), gradients (M, 6) and damping
     diagonals (M, 6) of each member's (optionally Huber-)weighted residuals
     (M, n, 2) with Jacobians (M, n, 2, 6)."""
-    sw = np.sqrt(w_eff * _robust_weights(norms, opts) if opts.robust else w_eff)
+    if opts.robust:
+        s = HUBER_SCALE_PX
+        w_eff = w_eff * np.where(norms <= s, 1.0, s / np.maximum(norms, 1e-30))
+    sw = np.sqrt(w_eff)
     m, n = sw.shape
     jw = (jac * sw[..., None, None]).reshape(m, 2 * n, 6)
     jt = np.swapaxes(jw, 1, 2)
@@ -468,7 +466,7 @@ def refine_pose(
     steps never increase the cost.  Each trial pose is linearized once: an
     accepted trial's normal equations, residual norms and depths serve the
     next step and the result.  A member stops when an accepted step lowers
-    its cost by less than ``fn_tol`` relative, when its cost is at or below
+    its cost by less than FN_TOL relative, when its cost is at or below
     an absolute floor of 1e-16 per unit weight (1e-8 px rms: a noiseless
     fit at rounding level, checked at the start too), after ``max_iters``
     accepted steps, or when its damping reaches 1e12.  Raises
@@ -507,9 +505,9 @@ def refine_pose(
     # Each member's state: pose, normal equations, residual norms, depths and
     # cost.  An accepted trial replaces a member's whole state at once.
     state = (rot, trans, *_normal_equations(resid, jac, norms, w_eff, opts), norms, z, cost)
-    lam = np.full(m, opts.damping_init)
+    lam = np.full(m, DAMPING_INIT)
     n_steps = np.zeros(m, dtype=int)  # accepted steps
-    running = ~diverged & (cost > floor) & (opts.max_iters >= 1) & (opts.damping_init < 1e12)
+    running = ~diverged & (cost > floor) & (opts.max_iters >= 1)
     while running.any():
         rot, trans, h, g, damp, norms, z, cost = state
         step = _solve_each(h + _EYE6 * (lam[:, None] * damp)[:, None, :], -g)
@@ -525,7 +523,7 @@ def refine_pose(
             held_out &= ~revived
             new_cost = np.where(revived.any(axis=-1), _cost(t_norms, t_z, w_eff, opts), new_cost)
         n_steps += better
-        done = (rel_drop < opts.fn_tol) | (new_cost <= floor) | (n_steps >= opts.max_iters)
+        done = (rel_drop < FN_TOL) | (new_cost <= floor) | (n_steps >= opts.max_iters)
         if better.any():
             system = _normal_equations(t_resid, t_jac, t_norms, w_eff, opts)
             trial_state = (*trial, *system, t_norms, t_z, new_cost)

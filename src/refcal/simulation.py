@@ -31,15 +31,17 @@ from .calibration import (
     calibrate,  # noqa: F401  (the benchmark tracer wraps refcal.simulation.calibrate)
     calibrate_each,
     object_points,
+    select_frames,
 )
-from .errors import CalibrationError, TooFewPairs, UnreachableView
+from .errors import CalibrationError, UnreachableView
 from .geometry import (
-    MIN_DEPTH,
     CameraIntrinsics,
     Pose,
     apply,
     compose,
+    freeze,
     invert_stack,
+    pixels,
     rotation_about_axis,
     rotation_error,
     translation_error,
@@ -135,6 +137,9 @@ class GroundTruthScene:
     clean_track: Track2D
     points: np.ndarray
 
+    def __post_init__(self):
+        freeze(self, "points", shape=(-1, 3))
+
 
 @dataclass(frozen=True)
 class PoseError:
@@ -147,7 +152,10 @@ class PoseError:
 
     @property
     def e_trans_cm(self) -> float:
-        return math.sqrt(self.e_x_cm**2 + self.e_y_cm**2 + self.e_z_cm**2)
+        try:  # x**2 rounds unlike x * x; it raises where a square overflows
+            return math.sqrt(self.e_x_cm**2 + self.e_y_cm**2 + self.e_z_cm**2)
+        except OverflowError:
+            return math.inf
 
 
 def evaluate(t_est: Pose, t_gt: Pose) -> PoseError:
@@ -264,19 +272,9 @@ def _hand_cameras(
 def _project_visible(k: CameraIntrinsics, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pixels of camera-frame points pc (..., 3), NaN at or behind the camera
     plane, and whether each lands inside the image."""
-    z = pc[..., 2]
-    front = z > MIN_DEPTH
-    zs = np.where(front, z, 1.0)
-    uv = np.stack([k.fx * pc[..., 0] / zs + k.cx, k.fy * pc[..., 1] / zs + k.cy], axis=-1)
-    uv[~front] = np.nan
-    visible = (
-        front
-        & (uv[..., 0] >= 0)
-        & (uv[..., 0] < k.width)
-        & (uv[..., 1] >= 0)
-        & (uv[..., 1] < k.height)
-    )
-    return uv, visible
+    uv, front = pixels(k, pc)
+    u, v = uv[..., 0], uv[..., 1]
+    return uv, front & (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
 
 
 def _scene(
@@ -320,9 +318,6 @@ def _placed_scene(
             "reference point never visible after 20 camera placements; "
             "widen the placement bounds or shorten the chain"
         )
-    # rotations[pick] is a transposed view, and Pose keeps its memory order:
-    # the BLAS products that later take this pose see the layout, and their
-    # last bits with it.
     return _scene(cfg, chain, ref, log, Pose(rotations[pick], translations[pick]), points)
 
 
@@ -545,9 +540,7 @@ def run_frames_sweep(
 
     def observe(n, scene, noise_seed):
         noisy = corrupt_track(scene.clean_track, cfg.noise, noise_seed)
-        usable = noisy.frame_index[noisy.visible & noisy.sync]
-        if len(usable) < n:
-            raise TooFewPairs(len(usable), n)
+        usable, _ = select_frames(noisy, scene.joint_log, CalibrationOptions(min_pairs=n))
         return noisy.subset(usable[np.floor(np.arange(n) * len(usable) / n).astype(int)])
 
     return _sweep("frames", cfg, chain, ref, n_values, n_repeats, observe)

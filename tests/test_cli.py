@@ -101,13 +101,13 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def _calibrate_args(scene, joints=None, track=None, output=None):
+def _calibrate_args(scene, joints=None, track=None, output=None, intrinsics=None):
     return [
         "calibrate", "--mode", "eob",
         "--chain", str(scene / "chain.json"),
         "--joints", str(joints or scene / "joints.csv"),
         "--track", str(track or scene / "track.csv"),
-        "--intrinsics", str(scene / "intrinsics.json"),
+        "--intrinsics", str(intrinsics or scene / "intrinsics.json"),
         "-o", str(output or scene.parent / "result.json"),
     ]
 
@@ -293,6 +293,50 @@ def test_frame_index_beyond_int64_exits_2_without_traceback(tmp_path, name):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{bad}:2:1" in proc.stderr
+
+
+_PAST_FLOAT_RANGE = "1" * 400
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("calibrate", f'{{"fx": {_PAST_FLOAT_RANGE}, "fy": 500, "cx": 320, "cy": 240, '
+                      '"width": 640, "height": 480}'),
+        ("calibrate", '{"fov_deg_horizontal": 5e-324, "width": 640, "height": 480}'),
+        ("calibrate", '{"fov_deg_horizontal": 1e-308, "width": 640, "height": 480}'),
+        ("eval", f'{{"translation_m": [{_PAST_FLOAT_RANGE}, 0, 0], '
+                 '"quaternion_wxyz": [1, 0, 0, 0]}'),
+        ("eval", '{"translation_m": [0, 0, 0], "quaternion_wxyz": [1e200, 0, 0, 0]}'),
+        ("eval", '{"pose": {"translation_m": [0, 0, 0], "quaternion_wxyz": [1e200, 0, 0, 0]}}'),
+    ],
+    ids=["intrinsics_400_digit_fx", "fov_5e-324", "fov_1e-308", "pose_400_digit_translation",
+         "pose_quaternion_1e200", "result_quaternion_1e200"],
+)  # fmt: skip
+def test_numbers_out_of_range_exit_2_naming_the_file(tmp_path, noisy_scene, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if command == "calibrate":
+        proc = _run_cli(*_calibrate_args(noisy_scene, intrinsics=bad, output=tmp_path / "r.json"))
+    else:
+        proc = _run_cli("eval", "--est", str(bad), "--gt", str(noisy_scene / "ground_truth.json"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {bad}" in proc.stderr
+
+
+def test_chain_quaternion_of_1e200_normalizes_and_survives_export(tmp_path):
+    # [1e200, 0, 0, 0] is the identity rotation; its square overflows, which
+    # once cached a zero quaternion that the exported chain file then carried.
+    doc = json.loads(Path(_chain()).read_text())
+    doc["joints"][1]["origin"]["q"] = [1e200, 0, 0, 0]
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(doc))
+    scene = tmp_path / "scene"
+    assert main(["simulate", "--seed", "5", "--chain", str(chain), "-o", str(scene)]) == 0
+    exported = json.loads((scene / "chain.json").read_text())
+    assert exported["joints"][1]["origin"]["q"] == [1, 0, 0, 0]
+    assert main(_calibrate_args(scene)) == 0
 
 
 @pytest.mark.parametrize(

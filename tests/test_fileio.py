@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -457,9 +459,10 @@ def test_csv_frame_index_beyond_int64_is_a_parse_error(tmp_path, parse, text):
     [
         (parse_joint_log_csv, b"frame,t,j1\n0,0.0,0.5\n1,0.1,0.\xff6\n", 3),
         (parse_track_csv, b"frame,u,v,visible,sync\n0,1.0,2\xff.0,1,1\n", 2),
+        (parse_track_csv, b"frame,u,v,visible,sync\r0,1.0,2.0,1,1\r1,1.0,2\xff.0,1,1\r", 3),
         (parse_chain_file, b'{"name": "x\xff",\n "joints": []}', 1),
     ],
-    ids=["joints", "track", "chain"],
+    ids=["joints", "track", "track_bare_cr_line_ends", "chain"],
 )
 def test_input_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, parse, data, line):
     p = tmp_path / "f"
@@ -467,6 +470,19 @@ def test_input_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, parse
     with pytest.raises(ParseError, match="not UTF-8") as err:
         parse(p)
     assert (err.value.path, err.value.line) == (p, line)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [(b"1,1.0,2.0,x,1", "visible must be 0 or 1"), (b"1,1.0,2\xff.0,1,1", "not UTF-8")],
+)
+def test_csv_errors_name_the_physical_line_after_a_field_spanning_lines(tmp_path, row, message):
+    # The quoted u of frame 0 spans lines 2 and 3, so frame 1's record is on line 4.
+    p = tmp_path / "t.csv"
+    p.write_bytes(b'frame,u,v,visible,sync\n0,"1.0\n",2.0,1,1\n' + row + b"\n")
+    with pytest.raises(ParseError, match=message) as err:
+        parse_track_csv(p)
+    assert (err.value.path, err.value.line) == (p, 4)
 
 
 def test_csv_field_past_the_csv_size_limit_is_a_parse_error(tmp_path):
@@ -510,3 +526,79 @@ def test_csv_parsers_return_a_table_or_raise_a_located_parse_error(tmp_path, par
         assert exc.line is not None
     else:
         assert isinstance(result, JointLog if parse is parse_joint_log_csv else Track2D)
+
+
+# Leaves of a valid JSON document are replaced by these, one or two at a time.
+_JSON_LEAVES = st.sampled_from(
+    [1e200, -1e200, 5e-324, 10**400, -(10**400), True, False, None, "", "x", "1", "nan", "inf",
+     [], [1.0, 2.0], [[0, 0, 0]], {}, {"w": 1}]
+)  # fmt: skip
+
+
+def _leaf_paths(doc, path=()):
+    """The key path of every scalar in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+        return [leaf for k in keys for leaf in _leaf_paths(doc[k], (*path, k))]
+    return [path]
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+def _numbers(obj) -> list:
+    """Every float and array inside a parsed object."""
+    if dataclasses.is_dataclass(obj):
+        return [x for f in dataclasses.fields(obj) for x in _numbers(getattr(obj, f.name))]
+    if isinstance(obj, (tuple, list)):
+        return [x for item in obj for x in _numbers(item)]
+    return [obj] if isinstance(obj, (float, np.ndarray)) else []
+
+
+@pytest.fixture(scope="module")
+def json_documents(tmp_path_factory, panda):
+    """(parser, valid document) for each JSON input format."""
+    out = tmp_path_factory.mktemp("json")
+    write_chain_file(*panda, out / "chain.json")
+    write_pose_file(random_pose(np.random.default_rng(3)), out / "pose.json")
+    doc = ResultDocument(
+        "eye_on_base", random_pose(np.random.default_rng(4)), 0.5, 10,
+        ((3, "not_visible"), (8, "not_synced")), "well_conditioned", input_digests={"chain": "x"},
+    )  # fmt: skip
+    write_result(doc, out / "result.json")
+    read = [json.loads((out / f"{name}.json").read_text()) for name in ("chain", "pose", "result")]
+    return [
+        (parse_chain_file, read[0]),
+        (parse_intrinsics_file, {"fx": 500.0, "fy": 510.0, "cx": 320.0, "cy": 240.0, "width": 640,
+                                 "height": 480}),
+        (parse_intrinsics_file, {"fov_deg_horizontal": 60.0, "width": 1920, "height": 1080}),
+        (parse_pose_file, read[1]),
+        (parse_result_file, read[2]),
+    ]  # fmt: skip
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_json_parsers_return_or_raise_a_parse_error(tmp_path, json_documents, data):
+    # RuntimeWarnings are errors under the suite's warning filter.
+    parse, doc = data.draw(st.sampled_from(json_documents))
+    for path in data.draw(st.lists(st.sampled_from(_leaf_paths(doc)), min_size=1, max_size=2)):
+        doc = _replaced(doc, path, data.draw(_JSON_LEAVES))
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(doc))
+    try:
+        result = parse(p)
+    except ParseError as exc:
+        assert exc.path == p
+    else:
+        assert all(np.all(np.isfinite(x)) for x in _numbers(result))

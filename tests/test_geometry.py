@@ -13,6 +13,7 @@ from refcal.geometry import (
     compose,
     identity,
     invert,
+    log_so3,
     matrix_to_quaternion,
     orthonormalize,
     pose_from_matrix,
@@ -89,6 +90,28 @@ def test_orthonormalize_projects_drifted_matrix():
     fixed = orthonormalize(r)
     assert np.max(np.abs(fixed.T @ fixed - np.eye(3))) < 1e-12
     assert np.linalg.det(fixed) > 0
+
+
+@pytest.mark.parametrize("angle", [1e-12, 1e-7, 1.0, math.pi - 1e-7, math.pi])
+def test_log_so3_inverts_rotation_about_axis(angle):
+    axis = np.array([2.0, -3.0, 6.0]) / 7.0
+    r = rotation_about_axis(axis, angle)
+    v = log_so3(r)
+    assert np.linalg.norm(v) == pytest.approx(angle, rel=1e-12)
+    assert_allclose(v, angle * axis if angle < math.pi else math.copysign(angle, v @ axis) * axis,
+                    rtol=1e-9, atol=1e-15)
+    assert_allclose(rotation_about_axis(v / np.linalg.norm(v), np.linalg.norm(v)), r, atol=1e-15)
+
+
+def test_equal_poses_hold_equal_bits_whatever_the_input_memory_order():
+    rng = np.random.default_rng(23)
+    points = rng.standard_normal((50, 3))
+    for _ in range(20):
+        p = random_pose(rng)
+        f = Pose(np.asfortranarray(p.rotation), p.translation)
+        assert f.rotation.flags.c_contiguous
+        assert np.array_equal(apply(f, points), apply(p, points))
+        assert np.array_equal(apply(invert(f), points), apply(invert(p), points))
 
 
 def test_project_principal_point():

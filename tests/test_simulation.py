@@ -52,6 +52,8 @@ def test_scene_deterministic(panda):
     assert np.array_equal(a.clean_track.uv, b.clean_track.uv, equal_nan=True)
     assert np.array_equal(a.t_gt.rotation, b.t_gt.rotation)
     assert np.array_equal(a.t_gt.translation, b.t_gt.translation)
+    with pytest.raises(ValueError, match="read-only"):
+        a.points[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n_switches", [0, -2])
@@ -294,6 +296,13 @@ def test_evaluate_zero():
     p = random_pose(np.random.default_rng(5))
     err = evaluate(p, p)
     assert (err.e_x_cm, err.e_y_cm, err.e_z_cm, err.e_r_rad) == (0, 0, 0, 0)
+
+
+def test_evaluate_an_error_past_float_range_squared_is_inf():
+    # A pose file may hold a 1e200 m translation; the square of its error overflows.
+    p = random_pose(np.random.default_rng(5))
+    err = evaluate(Pose(p.rotation, (1e200, 0.0, 0.0)), p)
+    assert (err.e_x_cm, err.e_trans_cm) == (1e202, math.inf)
 
 
 def test_evaluate_reported_format():
