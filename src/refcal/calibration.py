@@ -113,7 +113,7 @@ class CalibrationRequest:
     def __post_init__(self):
         if self.points is None:
             return
-        pts = np.asarray(self.points, dtype=float)
+        pts = freeze(self, "points")
         if pts.shape != (self.joints.n_frames, 3):
             raise ValueError(
                 f"points must have shape ({self.joints.n_frames}, 3), one per joint-log "
@@ -121,7 +121,6 @@ class CalibrationRequest:
             )
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        object.__setattr__(self, "points", pts)
 
 
 @dataclass(frozen=True)
@@ -184,47 +183,39 @@ def calibrate(req: CalibrationRequest) -> CalibrationResult:
     """Solve the camera-to-base transform (eye-on-base, camera fixed in the
     workspace) or the camera-to-end-effector transform (eye-in-hand, camera
     on the arm) from the 2D-3D pairs of the usable frames."""
-    (result,) = calibrate_each([req])
+    (result,) = calibrate_each(req, [req.track])
     if isinstance(result, CalibrationError):
         raise result
     return result
 
 
-def calibrate_each(requests) -> list[CalibrationResult | CalibrationError]:
-    """Calibrate every request; one CalibrationResult or CalibrationError
-    per request, in order.  Errors that are not calibration errors (an
-    eye-in-hand request without a base reference point) are raised.
+def calibrate_each(req: CalibrationRequest, tracks) -> list[CalibrationResult | CalibrationError]:
+    """Calibrate ``req`` once per track of a sequence, in place of its own:
+    entry i is the CalibrationResult that ``calibrate(replace(req,
+    track=tracks[i]))`` returns or the CalibrationError it raises.  Other
+    errors (an eye-in-hand request without a base reference point) are raised.
 
-    Requests whose tracks select the same frames of the same JointLog
-    object, with the same points array (or none), chain and reference point
-    objects, mode, intrinsics and loss, differ only in their pixels.  They
-    share one stacked PnP solve: object points, degeneracy check and
-    control points are computed once, and each request still gets exactly
-    the pose it would get alone.
+    Tracks that select the same frames differ only in their pixels, so they
+    share one stacked PnP solve: object points, degeneracy check and control
+    points are computed once, and each track still gets exactly the pose it
+    would get alone.
     """
-    requests = list(requests)
-    results: list = [None] * len(requests)
-    groups: dict = {}  # one stacked solve each: (used frames, [(request index, dropped)])
-    for i, req in enumerate(requests):
+    results: list = [None] * len(tracks)
+    groups: dict = {}  # used frames' bytes: (used frames, [(track index, dropped)])
+    for i, track in enumerate(tracks):
         try:
-            used, dropped = select_frames(req.track, req.joints, req.options)
+            used, dropped = select_frames(track, req.joints, req.options)
         except CalibrationError as exc:
             results[i] = exc
             continue
-        key = (
-            id(req.joints), id(req.points), id(req.chain), id(req.ref),
-            req.mode, req.intrinsics, req.options.robust, used.tobytes(),
-        )  # fmt: skip
-        groups.setdefault(key, (used, []))[1].append((i, tuple(dropped)))
+        groups.setdefault(used.tobytes(), (used, []))[1].append((i, tuple(dropped)))
+    opts = RefineOptions(robust=req.options.robust)
     for used, members in groups.values():
-        req = requests[members[0][0]]
         # Both frame-index arrays are strictly increasing and contain every used frame.
-        tracks = [requests[i].track for i, _ in members]
-        uv = np.array([t.uv[np.searchsorted(t.frame_index, used)] for t in tracks])
+        group = [tracks[i] for i, _ in members]
+        uv = np.array([t.uv[np.searchsorted(t.frame_index, used)] for t in group])
         try:
-            points = _pair_points(req, used)
-            opts = RefineOptions(robust=req.options.robust)
-            solutions = solve_pnp(points, uv, req.intrinsics, opts=opts)
+            solutions = solve_pnp(_pair_points(req, used), uv, req.intrinsics, opts=opts)
         except CalibrationError as exc:
             solutions = [exc] * len(members)
         for (i, dropped), sol in zip(members, solutions):

@@ -109,7 +109,7 @@ def _load_json(path) -> dict:
         pos = next(m.start() for m in re.finditer(pattern, text) if m.group() == token)
         line = text.count("\n", 0, pos) + 1
         column = pos - text.rfind("\n", 0, pos)
-        raise ParseError(f"non-finite number {token}", path=path, line=line, column=column)
+        raise ParseError(f"non-finite number {_brief(token)}", path=path, line=line, column=column)
 
     try:
         doc = json.loads(text, parse_float=finite, parse_int=integer, parse_constant=finite)
@@ -118,6 +118,30 @@ def _load_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object", path=path)
     return doc
+
+
+def _brief(text: str) -> str:
+    """text, or its first 20 characters and its length when it is longer."""
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def _number(value, what: str, integer: bool = False):
+    """A number field of a JSON document: a JSON int or float, never a bool
+    or a string, as a float; as an int, and integral, when integer is set."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {_brief(json.dumps(value))}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(value, what: str, n: int) -> list[float]:
+    """A JSON list of n numbers, as floats."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"{what} must be a list of {n} numbers, got {_brief(json.dumps(value))}")
+    return [_number(v, what) for v in value]
 
 
 def file_digest(path) -> str:
@@ -142,10 +166,8 @@ def _pose_doc(pose: Pose) -> dict:
 
 def _pose_from_doc(doc: dict, path) -> Pose:
     try:
-        t = np.array(doc["translation_m"], dtype=float)
-        q = np.array(doc["quaternion_wxyz"], dtype=float)
-        if t.shape != (3,) or q.shape != (4,):
-            raise ValueError("pose needs a 3-vector translation and 4-vector quaternion")
+        t = _numbers(doc["translation_m"], "translation_m", 3)
+        q = _numbers(doc["quaternion_wxyz"], "quaternion_wxyz", 4)
         if abs(math.hypot(*q) - 1.0) > 1e-9:
             raise ValueError("quaternion is not unit-norm within 1e-9")
         return pose_from_quaternion(t, q)
@@ -174,22 +196,24 @@ def parse_chain_file(path) -> tuple[KinematicChain, ReferencePoint]:
     try:
         joints = []
         for j in doc["joints"]:
-            origin = j["origin"]
-            limits = j.get("limits")
-            if limits is not None and len(limits) != 2:
-                raise ValueError(f"joint {j['name']!r}: limits must be [lo, hi], got {limits!r}")
+            name, origin, limits = str(j["name"]), j["origin"], j.get("limits")
+            what = f"joint {name!r} "
             joints.append(
                 Joint(
-                    name=str(j["name"]),
+                    name=name,
                     kind=str(j["kind"]),
-                    origin=pose_from_quaternion(origin["t"], origin["q"]),
-                    axis=j.get("axis", (0.0, 0.0, 1.0)),
-                    limits=None if limits is None else (float(limits[0]), float(limits[1])),
+                    origin=pose_from_quaternion(
+                        _numbers(origin["t"], what + "origin t", 3),
+                        _numbers(origin["q"], what + "origin q", 4),
+                    ),
+                    axis=_numbers(j["axis"], what + "axis", 3) if "axis" in j else (0.0, 0.0, 1.0),
+                    limits=None if limits is None else _numbers(limits, what + "limits", 2),
                 )
             )
         chain = KinematicChain(name=str(doc["name"]), joints=tuple(joints))
         rp = doc["reference_point"]
-        ref = ReferencePoint(link_index=int(rp["link"]), offset=rp["offset"])
+        link = _number(rp["link"], "reference_point link", integer=True)
+        ref = ReferencePoint(link, _numbers(rp["offset"], "reference_point offset", 3))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad chain file: {exc}", path=path) from exc
     if not 0 <= ref.link_index < chain.n_links:
@@ -363,18 +387,12 @@ def write_track_csv(track: Track2D, path) -> None:
 def parse_intrinsics_file(path) -> CameraIntrinsics:
     doc = _load_json(path)
     try:
+        size = (_number(doc[key], key, integer=True) for key in ("width", "height"))
         if "fov_deg_horizontal" in doc:
-            return CameraIntrinsics.from_horizontal_fov(
-                float(doc["fov_deg_horizontal"]), int(doc["width"]), int(doc["height"])
-            )
-        return CameraIntrinsics(
-            fx=float(doc["fx"]),
-            fy=float(doc["fy"]),
-            cx=float(doc["cx"]),
-            cy=float(doc["cy"]),
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-        )
+            fov = _number(doc["fov_deg_horizontal"], "fov_deg_horizontal")
+            return CameraIntrinsics.from_horizontal_fov(fov, *size)
+        pinhole = (_number(doc[key], key) for key in ("fx", "fy", "cx", "cy"))
+        return CameraIntrinsics(*pinhole, *size)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad intrinsics file: {exc}", path=path) from exc
 
@@ -438,15 +456,14 @@ def write_result(doc: ResultDocument, path) -> None:
 def parse_result_file(path) -> ResultDocument:
     doc = _load_json(path)
     try:
-        rms = float(doc["rms_reprojection_px"])
-        if not math.isfinite(rms):  # the JSON text was a string such as "nan"
-            raise ValueError(f"rms_reprojection_px must be finite, got {rms}")
+        dropped = [(_number(d["frame"], "dropped frame", integer=True), str(d["reason"]))
+                   for d in doc["dropped"]]  # fmt: skip
         return ResultDocument(
             mode=str(doc["mode"]),
             pose=_pose_from_doc(doc["pose"], path),
-            rms_reprojection_px=rms,
-            n_pairs_used=int(doc["n_pairs_used"]),
-            dropped=tuple((int(d["frame"]), str(d["reason"])) for d in doc["dropped"]),
+            rms_reprojection_px=_number(doc["rms_reprojection_px"], "rms_reprojection_px"),
+            n_pairs_used=_number(doc["n_pairs_used"], "n_pairs_used", integer=True),
+            dropped=tuple(dropped),
             condition=str(doc["condition"]),
             rotation_error_metric=str(doc["rotation_error_metric"]),
             tool_version=str(doc["tool_version"]),

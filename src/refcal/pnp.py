@@ -550,17 +550,14 @@ def refine_pose(
 
 def _linear_stage(
     pts3: np.ndarray, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics, report: DegeneracyReport
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The control-point candidates of each pixel set of a stack (S, n, 2):
-    rotations (S, C, 3, 3), translations (S, C, 3) and, per set, a list of
-    its candidate indices cheapest first, or the NumericalFailure that
-    leaves it without one.
+    rotations (S, C, 3, 3), translations (S, C, 3) and costs (S, C).
 
     All candidates are scored in one projection by their plain reprojection
     cost, with the points behind the camera zeroed as ``refine_pose`` zeroes
     them at its start; a candidate with most points behind the camera (or
-    a case without a solution) scores inf and is left out.  Equal costs
-    keep case order.
+    a case without a solution) costs inf.
     """
     r, t = _linear_candidates(pts3, pix, w, k, planar=report.classification == NEAR_PLANAR)
     pc = pts3 @ np.swapaxes(r, -1, -2) + t[..., None, :]
@@ -568,33 +565,30 @@ def _linear_stage(
     front = z > MIN_DEPTH
     costs = (np.where(front, w, 0.0) * (resid**2).sum(axis=-1)).sum(axis=-1)
     costs[2 * (~front).sum(axis=-1) > len(pts3)] = math.inf
-    ranked = []
-    for cost, solved, order in zip(
-        costs, np.isfinite(t[..., 0]), np.argsort(costs, axis=-1, kind="stable")
-    ):
-        cands = [int(c) for c in order if math.isfinite(cost[c])]
-        if cands:
-            ranked.append(cands)
-        elif solved.any():
-            ranked.append(
-                NumericalFailure("every control-point candidate puts most points behind the camera")
-            )
-        else:
-            ranked.append(NumericalFailure("no usable control-point solution"))
-    return r, t, ranked
+    return r, t, costs
+
+
+def _no_candidate(t: np.ndarray) -> NumericalFailure:
+    """The failure of a pixel set whose candidates, with translations t
+    (C, 3), all cost inf."""
+    if np.isfinite(t[:, 0]).any():
+        return NumericalFailure("every control-point candidate puts most points behind the camera")
+    return NumericalFailure("no usable control-point solution")
 
 
 def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
     """Closed-form control-point pose estimate (no refinement).
 
     Among the kernel-combination cases, the pose with the smallest
-    reprojection cost wins.
+    reprojection cost wins, the earlier case on a tie.
     """
     pts3, pix, w = _validated(pts3, pix, w)
     if pix.ndim != 2:
         raise ValueError(f"expected (n, 2) pixels, got {pix.shape}")
-    r, t, (ranked,) = _linear_stage(pts3, pix[None], w, k, _checked_points(pts3))
-    best = _raised(ranked)[0]
+    r, t, costs = _linear_stage(pts3, pix[None], w, k, _checked_points(pts3))
+    best = int(np.argmin(costs[0]))
+    if not math.isfinite(costs[0, best]):
+        raise _no_candidate(t[0])
     return Pose(r[0, best], t[0, best])
 
 
@@ -605,7 +599,7 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, opts: RefineOptions | None
     Near-planar point sets refine from every linear candidate (multi-start)
     because the planar problem has a two-fold ambiguity the closed form may
     land on the wrong side of; the lowest rms wins, the better-ranked
-    candidate on a tie.
+    candidate on a tie.  Candidates rank by cost, equal costs in case order.
 
     ``pix`` may also be a stack (S, n, 2) of pixel sets that share the
     points and weights.  The stack is solved in one pass, the multi-start
@@ -617,17 +611,14 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, opts: RefineOptions | None
     pts3, pix, w = _validated(pts3, pix, w)
     report = _checked_points(pts3)
     stack = pix.reshape(-1, *pix.shape[-2:])
-    r, t, ranked = _linear_stage(pts3, stack, w, k, report)
+    r, t, costs = _linear_stage(pts3, stack, w, k, report)
     n_starts = None if report.classification == NEAR_PLANAR else 1
-    starts = [
-        (s, c)
-        for s, cands in enumerate(ranked)
-        if isinstance(cands, list)
-        for c in cands[:n_starts]
-    ]
-    outcomes = [None if isinstance(cands, list) else cands for cands in ranked]
-    if starts:
-        owner, case = np.array(starts).T
+    ranked = np.argsort(costs, axis=-1, kind="stable")[:, :n_starts]
+    usable = np.isfinite(np.take_along_axis(costs, ranked, axis=-1))
+    owner, rank = np.nonzero(usable)  # each set's starts, cheapest first
+    outcomes = [None if ok else _no_candidate(ts) for ok, ts in zip(usable.any(axis=-1), t)]
+    if len(owner):
+        case = ranked[owner, rank]
         refined = refine_pose(
             PoseStack(r[owner, case], t[owner, case]), pts3, stack[owner], k, w, opts, report=report
         )

@@ -463,8 +463,8 @@ def _sweep(
     """Calibrate each of n_repeats scenes once per parameter value, from the
     track observe(param, scene, noise_seed) returns; a CalibrationError
     counts as a failed repeat.  The scenes are shared across values, and a
-    scene's calibrations run in one calibrate_each call, so values whose
-    tracks select the same frames share one stacked solve."""
+    scene's tracks run in one calibrate_each call, so values whose tracks
+    select the same frames share one stacked solve."""
     if not params:
         raise ValueError(f"a {kind} sweep needs at least one value, got {params!r}")
     if n_repeats < 1:
@@ -477,20 +477,19 @@ def _sweep(
     errors: list[list[PoseError]] = [[] for _ in params]
     n_fail = [0] * len(params)
     for scene, noise_seed in scenes:
-        slots, requests = [], []
+        req = CalibrationRequest(
+            cfg.mode, chain, ref, cfg.camera, scene.clean_track, scene.joint_log, options,
+            scene.points,
+        )  # fmt: skip
+        slots, tracks = [], []
         for p, param in enumerate(params):
             try:
-                track = observe(param, scene, noise_seed)
+                tracks.append(observe(param, scene, noise_seed))
             except CalibrationError:
                 n_fail[p] += 1
                 continue
             slots.append(p)
-            requests.append(
-                CalibrationRequest(
-                    cfg.mode, chain, ref, cfg.camera, track, scene.joint_log, options, scene.points
-                )
-            )
-        for p, result in zip(slots, calibrate_each(requests)):
+        for p, result in zip(slots, calibrate_each(req, tracks)):
             if isinstance(result, CalibrationError):
                 n_fail[p] += 1
             else:

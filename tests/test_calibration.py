@@ -223,6 +223,18 @@ def test_request_rejects_bad_points(panda):
         replace(req, points=points)
 
 
+def test_request_points_are_a_read_only_copy(panda):
+    chain, ref = panda
+    scene = generate_scene(ScenarioConfig(seed=47), chain, ref)
+    points = np.array(scene.points, order="F")
+    req = replace(_request(scene, Mode.EYE_ON_BASE), points=points)
+    points[0, 0] += 1.0
+    assert np.array_equal(req.points, scene.points)
+    assert req.points.flags.c_contiguous and not req.points.flags.writeable
+    with pytest.raises(ValueError):
+        req.points[0, 0] = 0.0
+
+
 def test_calibration_deterministic(panda):
     chain, ref = panda
     scene = generate_scene(ScenarioConfig(seed=45), chain, ref)
@@ -319,11 +331,9 @@ def test_calibrate_each_stacks_requests_that_select_the_same_frames(panda, monke
         corrupt_track(scene.clean_track, NoiseModel(sigma=s), seed=48) for s in (0.0, 2.0, 5.0)
     ]
     usable = scene.clean_track.frame_index[scene.clean_track.visible]
-    subset = tracks[1].subset(usable[::3])
-    requests = [_request(scene, Mode.EYE_ON_BASE, track=t) for t in tracks]
-    requests.insert(1, _request(scene, Mode.EYE_ON_BASE, track=subset))
-    requests.append(_request(scene, Mode.EYE_ON_BASE, track=subset, min_pairs=len(usable)))
-    requests.append(replace(requests[2], options=CalibrationOptions(robust=True)))
+    tracks.insert(1, tracks[1].subset(usable[::3]))
+    tracks.append(tracks[2].subset(usable[:5]))  # fewer than min_pairs = 10
+    req = _request(scene, Mode.EYE_ON_BASE)
     stacks = []
     original = refcal.calibration.solve_pnp
 
@@ -332,24 +342,25 @@ def test_calibrate_each_stacks_requests_that_select_the_same_frames(panda, monke
         return original(points, pix, *args, **kwargs)
 
     monkeypatch.setattr(refcal.calibration, "solve_pnp", counted)
-    results = calibrate_each(requests)
-    # The three noise levels share a stack; the subset and the robust copy
-    # of one level solve alone; the request asking for more pairs than its
-    # subset has fails alone, before any solve.
-    assert sorted(stacks) == [1, 1, 3]
+    results = calibrate_each(req, tracks)
+    # The three noise levels share a stack and the subset solves alone; the
+    # track with too few pairs fails before any solve.
+    assert sorted(stacks) == [1, 3]
     assert isinstance(results[4], TooFewPairs)
-    for req, result in zip(requests[:4] + requests[5:], results[:4] + results[5:]):
-        alone = calibrate(req)
+    with pytest.raises(TooFewPairs):
+        calibrate(replace(req, track=tracks[4]))
+    for track, result in zip(tracks[:4], results[:4]):
+        alone = calibrate(replace(req, track=track))
         assert np.array_equal(result.pose.rotation, alone.pose.rotation)
         assert np.array_equal(result.pose.translation, alone.pose.translation)
         assert result.n_pairs_used == alone.n_pairs_used
         assert result.dropped == alone.dropped
-    assert calibrate_each([]) == []
+    assert calibrate_each(req, []) == []
 
 
 def test_calibrate_each_gives_a_stack_its_shared_error():
     # The rail of test_collinear_trajectory_rejected, seen twice: the point
-    # set is collinear whatever the pixels, so both requests fail with it.
+    # set is collinear whatever the pixels, so both tracks fail with it.
     chain = KinematicChain(
         "rail", (Joint("slide", "prismatic", Pose(np.eye(3), (0, 0, 0)), axis=(1.0, 0, 0)),)
     )
@@ -358,12 +369,8 @@ def test_calibrate_each_gives_a_stack_its_shared_error():
     joints = JointLog(np.arange(n), np.arange(n) / 30.0, np.linspace(-0.4, 0.4, n)[:, None])
     cam = invert(Pose(rotation_about_axis((1.0, 0.0, 0.0), -math.pi / 2), (0.0, -2.0, 0.0)))
     uv = project(K, apply(cam, np.column_stack([joints.positions[:, 0], np.zeros(n), np.zeros(n)])))
-    requests = [
-        CalibrationRequest(
-            Mode.EYE_ON_BASE, chain, ref, K,
-            Track2D(np.arange(n), uv + offset, np.ones(n, bool), np.ones(n, bool)), joints,
-        )  # fmt: skip
-        for offset in (0.0, 1.5)
-    ]
-    results = calibrate_each(requests)
+    flags = np.ones(n, bool)
+    tracks = [Track2D(np.arange(n), uv + offset, flags, flags) for offset in (0.0, 1.5)]
+    req = CalibrationRequest(Mode.EYE_ON_BASE, chain, ref, K, tracks[0], joints)
+    results = calibrate_each(req, tracks)
     assert [type(r) for r in results] == [DegenerateConfiguration] * 2

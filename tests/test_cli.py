@@ -101,10 +101,10 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def _calibrate_args(scene, joints=None, track=None, output=None, intrinsics=None):
+def _calibrate_args(scene, joints=None, track=None, output=None, intrinsics=None, chain=None):
     return [
         "calibrate", "--mode", "eob",
-        "--chain", str(scene / "chain.json"),
+        "--chain", str(chain or scene / "chain.json"),
         "--joints", str(joints or scene / "joints.csv"),
         "--track", str(track or scene / "track.csv"),
         "--intrinsics", str(intrinsics or scene / "intrinsics.json"),
@@ -325,6 +325,47 @@ def test_numbers_out_of_range_exit_2_naming_the_file(tmp_path, noisy_scene, comm
     assert f"error: {bad}" in proc.stderr
 
 
+def _with(doc, path, value):
+    """doc with the value at key path replaced (the whole doc for an empty path)."""
+    if not path:
+        return value
+    doc[path[0]] = _with(doc[path[0]], path[1:], value)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("intrinsics.json", ("fx",), "500"),
+        ("intrinsics.json", (), {"fov_deg_horizontal": 60, "width": True, "height": True}),
+        ("intrinsics.json", (), {"fov_deg_horizontal": 60, "width": 640.9, "height": 480}),
+        ("intrinsics.json", (), {"fov_deg_horizontal": "60", "width": 640, "height": 480}),
+        ("chain.json", ("joints", 0, "axis"), ["0", "0", "1"]),
+        ("chain.json", ("joints", 0, "origin", "q"), [True, 0, 0, 0]),
+        ("chain.json", ("joints", 0, "limits"), ["-1", "1"]),
+        ("chain.json", ("reference_point", "link"), 7.9),
+        ("chain.json", ("reference_point", "link"), True),
+        ("ground_truth.json", ("translation_m",), ["0.1", 0, 0]),
+    ],
+    ids=["fx_string", "width_true", "width_fraction", "fov_string", "axis_strings", "q_true",
+         "limits_strings", "link_fraction", "link_true", "translation_string"],
+)  # fmt: skip
+def test_strings_bools_and_fractions_for_numbers_exit_2_naming_the_file(
+    tmp_path, noisy_scene, capsys, name, path, value
+):
+    bad = tmp_path / name
+    bad.write_text(json.dumps(_with(json.loads((noisy_scene / name).read_text()), path, value)))
+    if name == "ground_truth.json":
+        argv = ["eval", "--est", str(bad), "--gt", str(noisy_scene / name)]
+    else:
+        argv = _calibrate_args(noisy_scene, output=tmp_path / "r.json", **{name[:-5]: bad})
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}" in err
+    assert "Traceback" not in err
+
+
 def test_chain_quaternion_of_1e200_normalizes_and_survives_export(tmp_path):
     # [1e200, 0, 0, 0] is the identity rotation; its square overflows, which
     # once cached a zero quaternion that the exported chain file then carried.
@@ -347,6 +388,9 @@ def test_chain_quaternion_of_1e200_normalizes_and_survives_export(tmp_path):
         ("sweep-frames", ["--counts", "4,20", "--repeats", "0"], "got 0"),
         ("sweep-noise", ["--sigmas", "0,nan", "--repeats", "1"], "sigma=nan"),
         ("sweep-frames", ["--counts", "4,20", "--sigma", "inf", "--repeats", "1"], "sigma=inf"),
+        ("sweep-noise", ["--sigmas", "a,b", "--repeats", "1"], "bad list 'a,b'"),
+        ("sweep-noise", ["--sigmas", ",", "--repeats", "1"], "empty value list ','"),
+        ("sweep-frames", ["--counts", "4.5", "--repeats", "1"], "bad list '4.5'"),
     ],
 )
 def test_bad_sweep_values_exit_2_without_traceback(tmp_path, command, values, bad):

@@ -13,6 +13,7 @@ from refcal.calibration import CalibrationOptions, CalibrationRequest, Mode, Tra
 from refcal.errors import NonMonotoneFrames, ParseError, SchemaMismatch, TooFewPairs
 from refcal.fileio import (
     ResultDocument,
+    builtin_chain_path,
     check_joint_count,
     file_digest,
     fmt_float,
@@ -299,7 +300,11 @@ def test_pose_file_rejects_non_unit_quaternion(tmp_path):
         '{"translation_m": [0, 0, 0], "quaternion_wxyz": 1}',
         '{"translation_m": ["a", 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}',
         '{"translation_m": [0, 0, NaN], "quaternion_wxyz": [1, 0, 0, 0]}',
+        '{"translation_m": ["0.1", 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}',
+        '{"translation_m": [0, 0, 0], "quaternion_wxyz": [true, 0, 0, 0]}',
+        '{"translation_m": [0, 0, 0]}',
         '{"pose": 3}',
+        '[{"translation_m": [0, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}]',
     ],
 )
 def test_pose_file_rejects_malformed_vectors(tmp_path, body):
@@ -424,6 +429,23 @@ def test_json_files_reject_non_finite_numbers(tmp_path, parse, text, line, colum
     assert (err.value.line, err.value.column) == (line, column)
 
 
+def test_number_past_float_range_is_quoted_briefly_at_its_place(tmp_path):
+    p = tmp_path / "k.json"
+    p.write_text('{"fy": 500, "cx": 320, "cy": 240, "width": 640, "height": 480,\n "fx": '
+                 + "7" * 400 + "}")
+    with pytest.raises(ParseError, match="non-finite number 77777") as err:
+        parse_intrinsics_file(p)
+    assert (err.value.line, err.value.column) == (2, 8)
+    assert "400 characters" in str(err.value)
+    assert len(str(err.value)) < len(str(p)) + 80
+
+
+def test_builtin_chain_path_names_the_available_chains():
+    assert builtin_chain_path("panda").is_file()
+    with pytest.raises(FileNotFoundError, match="panda_base_ref"):
+        builtin_chain_path("nope")
+
+
 def test_result_file_rejects_non_finite_numbers(panda, tmp_path):
     p = tmp_path / "r.json"
     write_result(_result_doc(panda), p)
@@ -543,6 +565,16 @@ def _leaf_paths(doc, path=()):
     return [path]
 
 
+def _read(path) -> bool:
+    """Whether the parsers read the leaf at path: only the pose matrix is
+    written for readers and never parsed."""
+    return "matrix_row_major" not in path
+
+
+def _at(doc, path):
+    return _at(doc[path[0]], path[1:]) if path else doc
+
+
 def _replaced(doc, path, value):
     if not path:
         return value
@@ -591,9 +623,17 @@ def json_documents(tmp_path_factory, panda):
 @given(data=st.data())
 def test_json_parsers_return_or_raise_a_parse_error(tmp_path, json_documents, data):
     # RuntimeWarnings are errors under the suite's warning filter.
+    # A string or bool read where a number belongs must raise.
     parse, doc = data.draw(st.sampled_from(json_documents))
+    leaves = {}
     for path in data.draw(st.lists(st.sampled_from(_leaf_paths(doc)), min_size=1, max_size=2)):
-        doc = _replaced(doc, path, data.draw(_JSON_LEAVES))
+        leaves[path] = data.draw(_JSON_LEAVES)
+    wrong_type = any(
+        _read(path) and isinstance(value, (str, bool)) and type(_at(doc, path)) in (int, float)
+        for path, value in leaves.items()
+    )
+    for path, value in leaves.items():
+        doc = _replaced(doc, path, value)
     p = tmp_path / "f.json"
     p.write_text(json.dumps(doc))
     try:
@@ -601,4 +641,5 @@ def test_json_parsers_return_or_raise_a_parse_error(tmp_path, json_documents, da
     except ParseError as exc:
         assert exc.path == p
     else:
+        assert not wrong_type
         assert all(np.all(np.isfinite(x)) for x in _numbers(result))

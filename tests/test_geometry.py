@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from helpers import random_pose, random_rotation
 from refcal.errors import NonPositiveDepth
 from refcal.geometry import (
+    MIN_DEPTH,
     CameraIntrinsics,
     Pose,
     apply,
@@ -138,6 +139,9 @@ def test_project_rejects_nonpositive_depth():
         project(K, (0.0, 0.0, -1.0))
     with pytest.raises(NonPositiveDepth):
         project(K, [[0.0, 0.0, 1.0], [0.0, 0.0, 1e-12]])
+    for depth in (MIN_DEPTH, 0.0, -1.0):
+        with pytest.raises(NonPositiveDepth):
+            unproject(K, (960.0, 540.0), depth)
 
 
 def test_project_unproject_roundtrip():

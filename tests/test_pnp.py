@@ -501,6 +501,8 @@ def test_solve_pnp_zero_weight_points_ignored():
     w[:10] = 0.0
     sol = solve_pnp(pts, sabotaged, K, w)
     assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-6
+    with pytest.raises(NumericalFailure, match="weights are zero"):
+        solve_pnp(pts, pix, K, np.zeros(30))
 
 
 def test_solve_pnp_robust_downweights_outliers():
@@ -563,13 +565,38 @@ def test_stacked_solve_reports_a_failed_set_alone():
     behind = pts[:, :2] / pts[:, 2:] * (K.fx, K.fy) + (K.cx, K.cy)
     t_gt = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.2), (0.1, -0.1, 3.0))
     front = project(K, apply(t_gt, pts))
-    with pytest.raises(NumericalFailure) as alone:
+    with pytest.raises(NumericalFailure, match="behind the camera") as alone:
         solve_pnp(pts, behind, K)
+    with pytest.raises(NumericalFailure, match="behind the camera"):
+        solve_pnp_linear(pts, behind, K)
     solved = solve_pnp(pts, np.stack([front, behind, front + 0.5]), K)
     assert type(solved[1]) is NumericalFailure
     assert str(solved[1]) == str(alone.value)
     _assert_same_solution(solved[0], solve_pnp(pts, front, K))
     _assert_same_solution(solved[2], solve_pnp(pts, front + 0.5, K))
+
+
+def test_stacked_solve_reports_a_set_without_a_linear_solution_alone(monkeypatch):
+    # Every kernel case of the marked pixel set is left unsolved (NaN), as
+    # when its distance constraints are degenerate.
+    rng = np.random.default_rng(223)
+    _, pts, pix = synth_scene(rng, 12, K)
+    marked = pix + 0.5
+    original = pnp._linear_candidates
+
+    def unsolved_marked(pts3, px, *args, **kwargs):
+        r, t = original(pts3, px, *args, **kwargs)
+        hit = np.all(px == marked, axis=(-2, -1))
+        r[hit], t[hit] = np.nan, np.nan
+        return r, t
+
+    monkeypatch.setattr(pnp, "_linear_candidates", unsolved_marked)
+    for solve in (solve_pnp, solve_pnp_linear):
+        with pytest.raises(NumericalFailure, match="no usable control-point solution"):
+            solve(pts, marked, K)
+    solved = solve_pnp(pts, np.stack([pix, marked]), K)
+    assert str(solved[1]) == "no usable control-point solution"
+    _assert_same_solution(solved[0], solve_pnp(pts, pix, K))
 
 
 def test_stacked_refinement_reports_a_diverged_member_alone():

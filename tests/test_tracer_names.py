@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from helpers import synth_scene
-from refcal import pnp
+from refcal import calibration, pnp
+from refcal.calibration import Mode
 from refcal.geometry import CameraIntrinsics
+from refcal.simulation import ScenarioConfig, run_noise_sweep
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -51,3 +53,23 @@ def test_solve_pnp_reaches_the_traced_pnp_names(monkeypatch):
     pnp.solve_pnp(pts, pix, k)
     assert sorted(calls) == ["check_degeneracy", "linearize_reprojection", "refine_pose"]
     assert min(calls.values()) >= 1
+
+
+def test_noise_sweep_stays_stacked_and_traced(panda_base, monkeypatch):
+    # The traced calibration.select_ms and pnp.solve_ms see the sweep only
+    # through these module attributes, and a scene's noise levels select the
+    # same frames, so they solve as one stack.
+    calls = {"select_frames": [], "solve_pnp": []}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(calibration, name), **kwargs):
+            calls[_name].append(args[1].shape[0] if _name == "solve_pnp" else None)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, name, counted)
+    chain, ref = panda_base
+    cfg = ScenarioConfig(seed=1, mode=Mode.EYE_IN_HAND)
+    sweep = run_noise_sweep(cfg, chain, ref, [0.0, 2.0, 4.0], n_repeats=2)
+    assert [cell.n_fail for cell in sweep.cells] == [0, 0, 0]
+    assert len(calls["select_frames"]) == 2 * 3
+    assert calls["solve_pnp"] == [3, 3]
