@@ -46,7 +46,6 @@ from .pnp import (
     DegeneracyReport,
     PnPSolution,
     PoseStack,
-    RefineOptions,
     check_degeneracy,
     refine_pose,
     solve_pnp,
@@ -82,7 +81,6 @@ __all__ = [
     "Pose",
     "PoseError",
     "PoseStack",
-    "RefineOptions",
     "ReferencePoint",
     "ScenarioConfig",
     "Track2D",

@@ -31,7 +31,7 @@ from .kinematics import (
     base_point_in_ee_frame,
     reference_point_in_base,
 )
-from .pnp import PnPSolution, RefineOptions, solve_pnp
+from .pnp import PnPSolution, solve_pnp
 
 
 class Mode(enum.Enum):
@@ -209,13 +209,13 @@ def calibrate_each(req: CalibrationRequest, tracks) -> list[CalibrationResult | 
             results[i] = exc
             continue
         groups.setdefault(used.tobytes(), (used, []))[1].append((i, tuple(dropped)))
-    opts = RefineOptions(robust=req.options.robust)
     for used, members in groups.values():
         # Both frame-index arrays are strictly increasing and contain every used frame.
         group = [tracks[i] for i, _ in members]
         uv = np.array([t.uv[np.searchsorted(t.frame_index, used)] for t in group])
         try:
-            solutions = solve_pnp(_pair_points(req, used), uv, req.intrinsics, opts=opts)
+            points = _pair_points(req, used)
+            solutions = solve_pnp(points, uv, req.intrinsics, robust=req.options.robust)
         except CalibrationError as exc:
             solutions = [exc] * len(members)
         for (i, dropped), sol in zip(members, solutions):

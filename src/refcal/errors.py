@@ -15,18 +15,6 @@ class DimensionMismatch(CalibrationError):
     """A joint vector length does not match the chain's actuated joints."""
 
 
-class JointLimitViolation(CalibrationError):
-    """A joint value falls outside its declared limits (strict mode only)."""
-
-    def __init__(self, joint: str, value: float, lo: float, hi: float):
-        self.joint = joint
-        self.value = value
-        self.limits = (lo, hi)
-        super().__init__(
-            f"joint {joint!r} value {value:.6g} outside limits [{lo:.6g}, {hi:.6g}]"
-        )
-
-
 class JointLimitWarning(UserWarning):
     """Advisory warning for out-of-limit joint readings in logged data."""
 

@@ -137,6 +137,14 @@ def _number(value, what: str, integer: bool = False):
     return int(value)
 
 
+def _text(value, what: str) -> str:
+    """A string field of a JSON document: a JSON string, never a number,
+    bool, null, list or object."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {_brief(json.dumps(value))}")
+    return value
+
+
 def _numbers(value, what: str, n: int) -> list[float]:
     """A JSON list of n numbers, as floats."""
     if not isinstance(value, list) or len(value) != n:
@@ -196,12 +204,12 @@ def parse_chain_file(path) -> tuple[KinematicChain, ReferencePoint]:
     try:
         joints = []
         for j in doc["joints"]:
-            name, origin, limits = str(j["name"]), j["origin"], j.get("limits")
+            name, origin, limits = _text(j["name"], "joint name"), j["origin"], j.get("limits")
             what = f"joint {name!r} "
             joints.append(
                 Joint(
                     name=name,
-                    kind=str(j["kind"]),
+                    kind=_text(j["kind"], what + "kind"),
                     origin=pose_from_quaternion(
                         _numbers(origin["t"], what + "origin t", 3),
                         _numbers(origin["q"], what + "origin q", 4),
@@ -210,7 +218,7 @@ def parse_chain_file(path) -> tuple[KinematicChain, ReferencePoint]:
                     limits=None if limits is None else _numbers(limits, what + "limits", 2),
                 )
             )
-        chain = KinematicChain(name=str(doc["name"]), joints=tuple(joints))
+        chain = KinematicChain(name=_text(doc["name"], "chain name"), joints=tuple(joints))
         rp = doc["reference_point"]
         link = _number(rp["link"], "reference_point link", integer=True)
         ref = ReferencePoint(link, _numbers(rp["offset"], "reference_point offset", 3))
@@ -456,18 +464,21 @@ def write_result(doc: ResultDocument, path) -> None:
 def parse_result_file(path) -> ResultDocument:
     doc = _load_json(path)
     try:
-        dropped = [(_number(d["frame"], "dropped frame", integer=True), str(d["reason"]))
-                   for d in doc["dropped"]]  # fmt: skip
+        dropped = [(_number(d["frame"], "dropped frame", integer=True),
+                    _text(d["reason"], "dropped reason")) for d in doc["dropped"]]  # fmt: skip
+        inputs = doc["inputs"]
+        if not isinstance(inputs, dict):
+            raise ValueError(f"inputs must be an object, got {_brief(json.dumps(inputs))}")
         return ResultDocument(
-            mode=str(doc["mode"]),
+            mode=_text(doc["mode"], "mode"),
             pose=_pose_from_doc(doc["pose"], path),
             rms_reprojection_px=_number(doc["rms_reprojection_px"], "rms_reprojection_px"),
             n_pairs_used=_number(doc["n_pairs_used"], "n_pairs_used", integer=True),
             dropped=tuple(dropped),
-            condition=str(doc["condition"]),
-            rotation_error_metric=str(doc["rotation_error_metric"]),
-            tool_version=str(doc["tool_version"]),
-            input_digests=dict(doc["inputs"]),
+            condition=_text(doc["condition"], "condition"),
+            rotation_error_metric=_text(doc["rotation_error_metric"], "rotation_error_metric"),
+            tool_version=_text(doc["tool_version"], "tool_version"),
+            input_digests={key: _text(v, f"inputs {key!r}") for key, v in inputs.items()},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad result file: {exc}", path=path) from exc

@@ -76,12 +76,6 @@ class CameraIntrinsics:
                 f"{self.width}x{self.height}"
             )
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     @classmethod
     def from_horizontal_fov(cls, fov_deg: float, width: int, height: int) -> "CameraIntrinsics":
         """Square-pixel intrinsics from a horizontal field of view in degrees."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, JointLimitViolation, JointLimitWarning
+from .errors import DimensionMismatch, JointLimitWarning
 from .geometry import Pose, apply_stack, compose_stack, freeze, invert_stack, skew
 
 REVOLUTE = "revolute"
@@ -120,16 +120,13 @@ class JointLog:
         return self.positions.shape[1] if self.n_frames else 0
 
 
-def _check_limits(chain: KinematicChain, q: np.ndarray, strict: bool) -> None:
-    """One warning per out-of-limit reading of q (N, J), frame by frame in
-    joint order; under strict, raise on the first instead."""
+def _check_limits(chain: KinematicChain, q: np.ndarray) -> None:
+    """One warning per out-of-limit reading of q (N, J), frame by frame in joint order."""
     actuated = [j for j in chain.joints if j.actuated]
     lo, hi = chain.limits
     limited = np.array([j.limits is not None for j in actuated], dtype=bool)
     for row, c in zip(*np.nonzero(limited & ~((q >= lo) & (q <= hi)))):
         joint, value = actuated[c], float(q[row, c])
-        if strict:
-            raise JointLimitViolation(joint.name, value, *joint.limits)
         warnings.warn(
             f"joint {joint.name!r} reading {value:.6g} outside [{lo[c]:.6g}, {hi[c]:.6g}]",
             JointLimitWarning,
@@ -138,14 +135,14 @@ def _check_limits(chain: KinematicChain, q: np.ndarray, strict: bool) -> None:
 
 
 def forward_kinematics(
-    chain: KinematicChain, q: np.ndarray, strict_limits: bool = False
+    chain: KinematicChain, q: np.ndarray
 ) -> list[Pose] | tuple[np.ndarray, np.ndarray]:
     """Base-to-link transforms of every link frame, index 0 being the base.
 
     q of shape (N, J) gives stacked rotations (N, L, 3, 3) and translations
     (N, L, 3); one reading q of shape (J,) gives that frame as a list of L
-    Poses.  Out-of-limit values warn by default (logged data may carry
-    sensor noise) and raise JointLimitViolation when strict_limits is set.
+    Poses.  Out-of-limit values warn with a JointLimitWarning and are used
+    as they are: logged data may carry sensor noise.
     """
     q = np.asarray(q, dtype=float)
     rows = np.atleast_2d(q)
@@ -154,7 +151,7 @@ def forward_kinematics(
             f"chain {chain.name!r} has {chain.n_actuated} actuated joints, "
             f"got joint values of shape {q.shape}"
         )
-    _check_limits(chain, rows, strict_limits)
+    _check_limits(chain, rows)
     n = len(rows)
     kinds = [j.kind for j in chain.joints if j.actuated]
     revolute = [j for j in chain.joints if j.kind == REVOLUTE]
@@ -184,9 +181,9 @@ def forward_kinematics(
     return rotations, translations
 
 
-def end_effector_pose(chain: KinematicChain, q: np.ndarray, strict_limits: bool = False) -> Pose:
+def end_effector_pose(chain: KinematicChain, q: np.ndarray) -> Pose:
     """Pose of the last link in the base frame (the FK T mapping EE to base)."""
-    return forward_kinematics(chain, np.reshape(q, -1), strict_limits)[-1]
+    return forward_kinematics(chain, np.reshape(q, -1))[-1]
 
 
 def reference_point_in_base(

@@ -52,8 +52,9 @@ SPREAD_RATIO_TOL = 0.02
 # metres from the truth.
 MIN_SPREAD_M = 0.01
 
-# LM stop (relative cost drop), initial damping, and Huber scale (px) of the robust loss.
+# LM stop (relative cost drop), step cap, initial damping, Huber scale (px) of the robust loss.
 FN_TOL = 1e-10
+MAX_ITERS = 100
 DAMPING_INIT = 1e-3
 HUBER_SCALE_PX = 3.0
 
@@ -83,12 +84,6 @@ class PoseStack(NamedTuple):
 
     rotation: np.ndarray
     translation: np.ndarray
-
-
-@dataclass(frozen=True)
-class RefineOptions:
-    max_iters: int = 100
-    robust: bool = False
 
 
 def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
@@ -410,11 +405,11 @@ def linearize_reprojection(
     return resid, jac, z
 
 
-def _cost(norms: np.ndarray, z: np.ndarray, w_eff: np.ndarray, opts: RefineOptions) -> np.ndarray:
+def _cost(norms: np.ndarray, z: np.ndarray, w_eff: np.ndarray, robust: bool) -> np.ndarray:
     """Weighted (optionally Huber) cost (M,) of each member's residual norms
     (M, n) at depths (M, n); inf where an active point is behind the camera
     or most of the cloud is."""
-    if opts.robust:
+    if robust:
         s = HUBER_SCALE_PX
         rho = np.where(norms <= s, norms**2, s * (2.0 * norms - s))
     else:
@@ -428,12 +423,12 @@ def _cost(norms: np.ndarray, z: np.ndarray, w_eff: np.ndarray, opts: RefineOptio
 
 
 def _normal_equations(
-    resid: np.ndarray, jac: np.ndarray, norms: np.ndarray, w_eff: np.ndarray, opts: RefineOptions
+    resid: np.ndarray, jac: np.ndarray, norms: np.ndarray, w_eff: np.ndarray, robust: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Newton matrices (M, 6, 6), gradients (M, 6) and damping
     diagonals (M, 6) of each member's (optionally Huber-)weighted residuals
     (M, n, 2) with Jacobians (M, n, 2, 6)."""
-    if opts.robust:
+    if robust:
         s = HUBER_SCALE_PX
         w_eff = w_eff * np.where(norms <= s, 1.0, s / np.maximum(norms, 1e-30))
     sw = np.sqrt(w_eff)
@@ -454,21 +449,22 @@ def refine_pose(
     pix,
     k: CameraIntrinsics,
     w=None,
-    opts: RefineOptions | None = None,
     *,
+    robust: bool = False,
     report: DegeneracyReport | None = None,
 ):
     """Damped least-squares (Levenberg-Marquardt) reprojection refinement.
 
     Takes an initial Pose, (n, 3) object points, (n, 2) pixels and optional
-    (n,) weights.  Points behind the camera at the initial pose are
+    (n,) weights; ``robust`` swaps the squared loss for a Huber loss of
+    scale HUBER_SCALE_PX.  Points behind the camera at the initial pose are
     down-weighted to zero and re-checked after each accepted step; accepted
     steps never increase the cost.  Each trial pose is linearized once: an
     accepted trial's normal equations, residual norms and depths serve the
     next step and the result.  A member stops when an accepted step lowers
     its cost by less than FN_TOL relative, when its cost is at or below
     an absolute floor of 1e-16 per unit weight (1e-8 px rms: a noiseless
-    fit at rounding level, checked at the start too), after ``max_iters``
+    fit at rounding level, checked at the start too), after MAX_ITERS
     accepted steps, or when its damping reaches 1e12.  Raises
     DivergedBehindCamera when the majority of points sit at non-positive
     depth.
@@ -483,7 +479,6 @@ def refine_pose(
     DegeneracyReport as ``report``, which skips both the validation and the
     check.
     """
-    opts = opts or RefineOptions()
     if report is None:
         pts3, pix, w = _validated(pts3, pix, w)
         report = check_degeneracy(pts3)
@@ -499,33 +494,33 @@ def refine_pose(
     norms = np.hypot(resid[..., 0], resid[..., 1])
     w_eff = np.where(z <= MIN_DEPTH, 0.0, w)
     held_out = (w_eff == 0.0) & (w > 0.0)  # points behind the camera, until they come back
-    cost = _cost(norms, z, w_eff, opts)
+    cost = _cost(norms, z, w_eff, robust)
     diverged = ~np.isfinite(cost)
     cost[diverged] = 0.0  # a diverged member never runs; zero keeps its masked arithmetic finite
     # Each member's state: pose, normal equations, residual norms, depths and
     # cost.  An accepted trial replaces a member's whole state at once.
-    state = (rot, trans, *_normal_equations(resid, jac, norms, w_eff, opts), norms, z, cost)
+    state = (rot, trans, *_normal_equations(resid, jac, norms, w_eff, robust), norms, z, cost)
     lam = np.full(m, DAMPING_INIT)
     n_steps = np.zeros(m, dtype=int)  # accepted steps
-    running = ~diverged & (cost > floor) & (opts.max_iters >= 1)
+    running = ~diverged & (cost > floor)
     while running.any():
         rot, trans, h, g, damp, norms, z, cost = state
         step = _solve_each(h + _EYE6 * (lam[:, None] * damp)[:, None, :], -g)
         trial = retract(PoseStack(rot, trans), step)
         t_resid, t_jac, t_z = linearize_reprojection(trial, pts3, px, k)
         t_norms = np.hypot(t_resid[..., 0], t_resid[..., 1])
-        new_cost = _cost(t_norms, t_z, w_eff, opts)
+        new_cost = _cost(t_norms, t_z, w_eff, robust)
         better = running & (new_cost < cost)
         rel_drop = (cost - new_cost) / np.maximum(cost, 1e-300)
         if held_out.any():  # re-admit points that have come back in front of the camera
             revived = held_out & better[:, None] & (t_z > MIN_DEPTH)
             w_eff = np.where(revived, w, w_eff)
             held_out &= ~revived
-            new_cost = np.where(revived.any(axis=-1), _cost(t_norms, t_z, w_eff, opts), new_cost)
+            new_cost = np.where(revived.any(axis=-1), _cost(t_norms, t_z, w_eff, robust), new_cost)
         n_steps += better
-        done = (rel_drop < FN_TOL) | (new_cost <= floor) | (n_steps >= opts.max_iters)
+        done = (rel_drop < FN_TOL) | (new_cost <= floor) | (n_steps >= MAX_ITERS)
         if better.any():
-            system = _normal_equations(t_resid, t_jac, t_norms, w_eff, opts)
+            system = _normal_equations(t_resid, t_jac, t_norms, w_eff, robust)
             trial_state = (*trial, *system, t_norms, t_z, new_cost)
             if not better.all():  # a member that did not improve keeps its state
                 for new, kept in zip(trial_state, state):
@@ -576,6 +571,17 @@ def _no_candidate(t: np.ndarray) -> NumericalFailure:
     return NumericalFailure("no usable control-point solution")
 
 
+@contextlib.contextmanager
+def _in_float_range():
+    """Turn a float overflow or invalid operation (points or focal lengths
+    whose squares pass the float range) into a NumericalFailure."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"the solve left the float range: {exc}") from exc
+
+
 def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
     """Closed-form control-point pose estimate (no refinement).
 
@@ -585,14 +591,15 @@ def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
     pts3, pix, w = _validated(pts3, pix, w)
     if pix.ndim != 2:
         raise ValueError(f"expected (n, 2) pixels, got {pix.shape}")
-    r, t, costs = _linear_stage(pts3, pix[None], w, k, _checked_points(pts3))
+    with _in_float_range():
+        r, t, costs = _linear_stage(pts3, pix[None], w, k, _checked_points(pts3))
     best = int(np.argmin(costs[0]))
     if not math.isfinite(costs[0, best]):
         raise _no_candidate(t[0])
     return Pose(r[0, best], t[0, best])
 
 
-def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, opts: RefineOptions | None = None):
+def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
     """Full pipeline: degeneracy check, linear solve, refinement.
 
     Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
@@ -605,29 +612,29 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, opts: RefineOptions | None
     points and weights.  The stack is solved in one pass, the multi-start
     candidates of every set refined as members of one ``refine_pose``
     stack, and the result is a list with one PnPSolution or
-    CalibrationError per set.  Invalid input and a degenerate point set
-    still raise: they fail every set alike.
+    CalibrationError per set.  Invalid input, a degenerate point set and
+    a step that leaves float range still raise: they fail every set alike.
     """
     pts3, pix, w = _validated(pts3, pix, w)
-    report = _checked_points(pts3)
-    stack = pix.reshape(-1, *pix.shape[-2:])
-    r, t, costs = _linear_stage(pts3, stack, w, k, report)
-    n_starts = None if report.classification == NEAR_PLANAR else 1
-    ranked = np.argsort(costs, axis=-1, kind="stable")[:, :n_starts]
-    usable = np.isfinite(np.take_along_axis(costs, ranked, axis=-1))
-    owner, rank = np.nonzero(usable)  # each set's starts, cheapest first
-    outcomes = [None if ok else _no_candidate(ts) for ok, ts in zip(usable.any(axis=-1), t)]
-    if len(owner):
-        case = ranked[owner, rank]
-        refined = refine_pose(
-            PoseStack(r[owner, case], t[owner, case]), pts3, stack[owner], k, w, opts, report=report
-        )
-        for s, sol in zip(owner.tolist(), refined):
-            best = outcomes[s]
-            if isinstance(sol, PnPSolution) and (
-                best is None or sol.rms_reprojection_error < best.rms_reprojection_error
-            ):
-                outcomes[s] = sol
+    with _in_float_range():
+        report = _checked_points(pts3)
+        stack = pix.reshape(-1, *pix.shape[-2:])
+        r, t, costs = _linear_stage(pts3, stack, w, k, report)
+        n_starts = None if report.classification == NEAR_PLANAR else 1
+        ranked = np.argsort(costs, axis=-1, kind="stable")[:, :n_starts]
+        usable = np.isfinite(np.take_along_axis(costs, ranked, axis=-1))
+        owner, rank = np.nonzero(usable)  # each set's starts, cheapest first
+        outcomes = [None if ok else _no_candidate(ts) for ok, ts in zip(usable.any(axis=-1), t)]
+        if len(owner):
+            case = ranked[owner, rank]
+            starts = PoseStack(r[owner, case], t[owner, case])
+            refined = refine_pose(starts, pts3, stack[owner], k, w, robust=robust, report=report)
+            for s, sol in zip(owner.tolist(), refined):
+                best = outcomes[s]
+                if isinstance(sol, PnPSolution) and (
+                    best is None or sol.rms_reprojection_error < best.rms_reprojection_error
+                ):
+                    outcomes[s] = sol
     outcomes = [
         NumericalFailure("refinement failed from every linear candidate") if o is None else o
         for o in outcomes

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +35,16 @@ from .calibration import (
     select_frames,
 )
 from .errors import CalibrationError, UnreachableView
+from .fileio import (
+    _chain_doc,
+    _emit,
+    write_chain_file,
+    write_intrinsics_file,
+    write_joint_log_csv,
+    write_pose_file,
+    write_sweep_csv,
+    write_track_csv,
+)
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -70,16 +81,13 @@ def _child_seed(*keys: int) -> int:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gaussian pixel noise with mean mu and standard deviation sigma."""
+    """Zero-mean Gaussian pixel noise with standard deviation sigma."""
 
     sigma: float = 0.0
-    mu: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and math.isfinite(self.mu)):
-            raise ValueError(f"sigma and mu must be finite, got sigma={self.sigma}, mu={self.mu}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got sigma={self.sigma}")
 
 
 def _default_camera() -> CameraIntrinsics:
@@ -383,7 +391,7 @@ def corrupt_track(track: Track2D, noise: NoiseModel, seed: int) -> Track2D:
     rng = _substream(seed, _NOISE)
     uv = np.array(track.uv)
     vis = track.visible
-    offsets = noise.mu + noise.sigma * rng.standard_normal((int(vis.sum()), 2))
+    offsets = noise.sigma * rng.standard_normal((int(vis.sum()), 2))
     uv[vis] = uv[vis] + offsets
     return Track2D(track.frame_index, uv, vis, track.sync)
 
@@ -421,18 +429,15 @@ class SweepResult:
     metadata: dict
 
     def to_csv(self, path) -> None:
-        from .fileio import write_sweep_csv
-
         write_sweep_csv(self, path)
 
 
 def _config_digest(cfg: ScenarioConfig, chain: KinematicChain, ref: ReferencePoint) -> str:
     """Digest of everything that shapes a sweep: the whole scenario config
     and the chain file's content, both in their canonical serialized form."""
-    from .fileio import _chain_doc, _emit
-
     config = asdict(cfg)
     config["mode"] = cfg.mode.value
+    config["noise"]["mu"] = 0.0  # the noise mean, now always zero: equal configs keep their digest
     blob = _emit({"config": config, "chain": _chain_doc(chain, ref)})
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -555,16 +560,6 @@ def export_scene(
     scenes feed the regular calibrate pipeline unchanged.  Pass a corrupted
     track to export noisy observations instead of the clean ones.
     """
-    from pathlib import Path
-
-    from .fileio import (
-        write_chain_file,
-        write_intrinsics_file,
-        write_joint_log_csv,
-        write_pose_file,
-        write_track_csv,
-    )
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {

@@ -1,8 +1,10 @@
-"""Shared test utilities: random poses and synthetic PnP scenes."""
+"""Shared test utilities: random poses, synthetic PnP scenes and JSON leaf
+replacement for fuzzing the file parsers."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from refcal.geometry import CameraIntrinsics, Pose, apply, invert, project, rotation_about_axis
 
@@ -47,3 +49,27 @@ def synth_scene(
 def reprojection_rms(pose: Pose, pts3, pix, k: CameraIntrinsics) -> float:
     errs = [np.linalg.norm(project(k, apply(pose, p3)) - px) for p3, px in zip(pts3, pix)]
     return float(np.sqrt(np.mean(np.square(errs))))
+
+
+# Leaves of a valid JSON document are replaced by these in the JSON fuzz tests.
+JSON_LEAVES = st.sampled_from(
+    [1e200, -1e200, 5e-324, 10**400, -(10**400), True, False, None, "", "x", "1", "nan", "inf",
+     [], [1.0, 2.0], [[0, 0, 0]], {}, {"w": 1}]
+)  # fmt: skip
+
+
+def leaf_paths(doc, path=()) -> list[tuple]:
+    """The key path of every scalar in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+        return [leaf for k in keys for leaf in leaf_paths(doc[k], (*path, k))]
+    return [path]
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the value at key path replaced; doc is unchanged."""
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return copy

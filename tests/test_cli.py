@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import refcal
+from helpers import JSON_LEAVES, leaf_paths, replaced
 from refcal.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
 from refcal.fileio import builtin_chain_path, parse_pose_file, parse_result_file
 from refcal.geometry import rotation_error
@@ -366,6 +367,25 @@ def test_strings_bools_and_fractions_for_numbers_exit_2_naming_the_file(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [(("name",), None), (("joints", 0, "name"), 7), (("joints", 0, "kind"), None)],
+    ids=["chain_name_null", "joint_name_7", "joint_kind_null"],
+)
+def test_non_strings_for_chain_strings_exit_2_naming_the_file(
+    tmp_path, noisy_scene, capsys, path, value
+):
+    bad = tmp_path / "chain.json"
+    doc = json.loads((noisy_scene / "chain.json").read_text())
+    bad.write_text(json.dumps(_with(doc, path, value)))
+    capsys.readouterr()
+    assert main(_calibrate_args(noisy_scene, chain=bad, output=tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: bad chain file: " in err
+    assert "must be a string" in err
+    assert "Traceback" not in err
+
+
 def test_chain_quaternion_of_1e200_normalizes_and_survives_export(tmp_path):
     # [1e200, 0, 0, 0] is the identity rotation; its square overflows, which
     # once cached a zero quaternion that the exported chain file then carried.
@@ -465,3 +485,27 @@ def test_calibrate_on_arbitrary_bytes_keeps_the_exit_code_contract(tmp_path, noi
         ))
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE)
     assert "Traceback" not in stderr.getvalue()
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_calibrate_and_eval_on_fuzzed_json_keep_the_exit_code_contract(tmp_path, noisy_scene, data):
+    # One leaf of the chain, intrinsics or estimated pose file is replaced;
+    # calibrate or eval exits 0, 2 or 3 and raises nothing.
+    name = data.draw(st.sampled_from(["chain.json", "intrinsics.json", "ground_truth.json"]))
+    doc = json.loads((noisy_scene / name).read_text())
+    path = data.draw(st.sampled_from(leaf_paths(doc)))
+    bad = tmp_path / name
+    bad.write_text(json.dumps(replaced(doc, path, data.draw(JSON_LEAVES))))
+    if name == "ground_truth.json":
+        argv = ["eval", "--est", str(bad), "--gt", str(noisy_scene / name)]
+    else:
+        argv = _calibrate_args(noisy_scene, output=tmp_path / "r.json", **{name[:-5]: bad})
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_pose
+from helpers import JSON_LEAVES, leaf_paths, random_pose, replaced
 from refcal.calibration import CalibrationOptions, CalibrationRequest, Mode, Track2D, calibrate
 from refcal.errors import NonMonotoneFrames, ParseError, SchemaMismatch, TooFewPairs
 from refcal.fileio import (
@@ -550,21 +550,6 @@ def test_csv_parsers_return_a_table_or_raise_a_located_parse_error(tmp_path, par
         assert isinstance(result, JointLog if parse is parse_joint_log_csv else Track2D)
 
 
-# Leaves of a valid JSON document are replaced by these, one or two at a time.
-_JSON_LEAVES = st.sampled_from(
-    [1e200, -1e200, 5e-324, 10**400, -(10**400), True, False, None, "", "x", "1", "nan", "inf",
-     [], [1.0, 2.0], [[0, 0, 0]], {}, {"w": 1}]
-)  # fmt: skip
-
-
-def _leaf_paths(doc, path=()):
-    """The key path of every scalar in a JSON document."""
-    if isinstance(doc, (dict, list)):
-        keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
-        return [leaf for k in keys for leaf in _leaf_paths(doc[k], (*path, k))]
-    return [path]
-
-
 def _read(path) -> bool:
     """Whether the parsers read the leaf at path: only the pose matrix is
     written for readers and never parsed."""
@@ -573,14 +558,6 @@ def _read(path) -> bool:
 
 def _at(doc, path):
     return _at(doc[path[0]], path[1:]) if path else doc
-
-
-def _replaced(doc, path, value):
-    if not path:
-        return value
-    copy = dict(doc) if isinstance(doc, dict) else list(doc)
-    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
-    return copy
 
 
 def _numbers(obj) -> list:
@@ -623,17 +600,22 @@ def json_documents(tmp_path_factory, panda):
 @given(data=st.data())
 def test_json_parsers_return_or_raise_a_parse_error(tmp_path, json_documents, data):
     # RuntimeWarnings are errors under the suite's warning filter.
-    # A string or bool read where a number belongs must raise.
+    # A string or bool read where a number belongs must raise, and so must
+    # anything but a string read where a string belongs.
     parse, doc = data.draw(st.sampled_from(json_documents))
     leaves = {}
-    for path in data.draw(st.lists(st.sampled_from(_leaf_paths(doc)), min_size=1, max_size=2)):
-        leaves[path] = data.draw(_JSON_LEAVES)
+    for path in data.draw(st.lists(st.sampled_from(leaf_paths(doc)), min_size=1, max_size=2)):
+        leaves[path] = data.draw(JSON_LEAVES)
     wrong_type = any(
-        _read(path) and isinstance(value, (str, bool)) and type(_at(doc, path)) in (int, float)
+        _read(path)
+        and (
+            isinstance(value, (str, bool)) and type(_at(doc, path)) in (int, float)
+            or isinstance(_at(doc, path), str) and not isinstance(value, str)
+        )
         for path, value in leaves.items()
     )
     for path, value in leaves.items():
-        doc = _replaced(doc, path, value)
+        doc = replaced(doc, path, value)
     p = tmp_path / "f.json"
     p.write_text(json.dumps(doc))
     try:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from refcal.calibration import Mode, object_points
-from refcal.errors import DimensionMismatch, JointLimitViolation, JointLimitWarning
+from refcal.errors import DimensionMismatch, JointLimitWarning
 from refcal.fileio import builtin_chain_path, parse_chain_file
 from refcal.geometry import Pose, apply, compose, identity, invert, rot_z, skew
 from refcal.kinematics import (
@@ -215,12 +215,10 @@ def test_limits_warn_but_do_not_fail():
     assert len(poses) == 2
 
 
-def test_limits_strict_raises():
+def test_limit_warning_names_the_joint_its_reading_and_limits():
     chain = KinematicChain(name="lim", joints=(_revolute("j1", limits=(-1.0, 1.0)),))
-    with pytest.raises(JointLimitViolation) as err:
-        forward_kinematics(chain, [2.0], strict_limits=True)
-    assert err.value.joint == "j1"
-    assert err.value.limits == (-1.0, 1.0)
+    with pytest.warns(JointLimitWarning, match=r"^joint 'j1' reading 2 outside \[-1, 1\]$"):
+        forward_kinematics(chain, [2.0])
 
 
 def test_chain_limits_arrays_and_unlimited_joints():
@@ -236,12 +234,11 @@ def test_chain_limits_arrays_and_unlimited_joints():
     lo, hi = chain.limits
     assert lo.shape == hi.shape == (2,)
     assert np.array_equal(lo, [-1.0, -np.inf]) and np.array_equal(hi, [1.0, np.inf])
-    # A NaN reading on the joint without limits is neither warned about nor,
-    # under strict_limits, raised as a violation.
+    # A NaN reading on the joint without limits is not warned about.
     with warnings.catch_warnings():
         warnings.simplefilter("error", JointLimitWarning)
         forward_kinematics(chain, [0.5, math.nan])
-        forward_kinematics(chain, [[0.5, math.nan]], strict_limits=True)
+        forward_kinematics(chain, [[0.5, math.nan]])
 
 
 def test_joint_validation():
@@ -354,10 +351,6 @@ def test_batched_fk_limit_checks_per_reading(panda):
     assert len(messages) == 3
     assert [m.split("'")[1] for m in messages] == ["joint3", "joint1", "joint7"]
     assert points.shape == (4, 3)
-    with pytest.raises(JointLimitViolation) as err:
-        forward_kinematics(chain, q, strict_limits=True)
-    assert err.value.joint == "joint3"
-    assert err.value.value == 5.0
 
 
 def test_batched_fk_dimension_mismatch(panda):

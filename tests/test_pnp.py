@@ -31,7 +31,6 @@ from refcal.pnp import (
     NEAR_PLANAR,
     WELL_CONDITIONED,
     PoseStack,
-    RefineOptions,
     _barycentric,
     _control_points,
     _kernel_basis,
@@ -303,7 +302,7 @@ def test_stacked_candidates_match_a_per_case_loop(planar):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
-def test_refine_readmits_points_that_come_back_in_front(sigma):
+def test_refine_readmits_points_that_come_back_in_front(sigma, monkeypatch):
     # Six of thirty points sit 0.3-0.5 m from the camera; the start pose is
     # 0.6 m too far forward, so those six begin behind it with zero weight.
     rng = np.random.default_rng(181)
@@ -326,13 +325,16 @@ def test_refine_readmits_points_that_come_back_in_front(sigma):
         return ((uv - pix) ** 2).sum(axis=1)
 
     assert (~front(start)).sum() == 6
-    # max_iters = k stops the same run after its k-th step.  Each step lowers
+    # MAX_ITERS = k stops the same run after its k-th step.  Each step lowers
     # the cost over the points admitted before it: those in front of the
     # previous pose (an admitted point may not go behind again), up to
     # rounding once the noiseless solve has converged.
-    poses = [start] + [
-        refine_pose(start, pts, pix, K, opts=RefineOptions(max_iters=k)).pose for k in range(1, 12)
-    ]
+    poses = [start]
+    for k in range(1, 12):
+        monkeypatch.setattr(pnp, "MAX_ITERS", k)
+        poses.append(refine_pose(start, pts, pix, K).pose)
+    monkeypatch.undo()
+    assert np.linalg.norm(poses[1].translation - poses[-1].translation) > 1e-3  # the cap binds
     for before, after in zip(poses, poses[1:]):
         admitted = front(before)
         cost_before = squared_residuals(before)[admitted].sum()
@@ -505,13 +507,29 @@ def test_solve_pnp_zero_weight_points_ignored():
         solve_pnp(pts, pix, K, np.zeros(30))
 
 
+def test_a_solve_that_leaves_the_float_range_raises_numerical_failure():
+    # Finite inputs whose squares pass the float range: a focal length of
+    # 1e200 px, or points 1e160 m out.  Alone or stacked, the solve fails
+    # with a NumericalFailure instead of overflowing with a RuntimeWarning.
+    _, pts, pix = synth_scene(np.random.default_rng(5), 30, K)
+    huge_f = CameraIntrinsics(1e200, K.fy, K.cx, K.cy, K.width, K.height)
+    for solve in (solve_pnp, solve_pnp_linear):
+        for args in ((pts, pix, huge_f), (pts * 1e160, pix, K)):
+            with pytest.raises(NumericalFailure, match="float range"):
+                solve(*args)
+    with pytest.raises(NumericalFailure, match="float range"):
+        solve_pnp(pts, np.stack([pix, pix]), huge_f)
+
+
 def test_solve_pnp_robust_downweights_outliers():
     rng = np.random.default_rng(173)
     t_gt, pts, pix = synth_scene(rng, 60, K)
     bad = pix.copy()
     bad[:6] += np.array([80.0, -60.0])
     plain = solve_pnp(pts, bad, K)
-    robust = solve_pnp(pts, bad, K, opts=RefineOptions(robust=True))
+    robust = solve_pnp(pts, bad, K, robust=True)
+    with pytest.raises(TypeError):  # robust is keyword-only: no positional flag turns it on
+        solve_pnp(pts, bad, K, None, True)
     err_plain = np.linalg.norm(plain.pose.translation - t_gt.translation)
     err_robust = np.linalg.norm(robust.pose.translation - t_gt.translation)
     assert err_robust < err_plain
@@ -536,7 +554,6 @@ def test_stacked_solve_matches_each_set_alone(planar, weighted, robust):
     # One point set seen at sigma = 0, 1, 3 and 8 px (common random numbers,
     # as in the noise sweep), plus a set with three gross outliers.
     rng = np.random.default_rng(197)
-    opts = RefineOptions(robust=robust)
     for _ in range(3):
         _, pts, pix = synth_scene(rng, 24, K, planar=planar)
         if planar:
@@ -545,10 +562,10 @@ def test_stacked_solve_matches_each_set_alone(planar, weighted, robust):
         unit = rng.standard_normal(pix.shape)
         stack = np.stack([pix + sigma * unit for sigma in (0.0, 1.0, 3.0, 8.0)] + [pix + unit])
         stack[4, :3] += 90.0
-        solved = solve_pnp(pts, stack, K, w, opts)
+        solved = solve_pnp(pts, stack, K, w, robust=robust)
         assert len(solved) == len(stack)
         for sol, pix_s in zip(solved, stack):
-            _assert_same_solution(sol, solve_pnp(pts, pix_s, K, w, opts))
+            _assert_same_solution(sol, solve_pnp(pts, pix_s, K, w, robust=robust))
         if not planar:  # the planar points were moved off the plane after projecting
             assert solved[0].rms_reprojection_error < 1e-6
 

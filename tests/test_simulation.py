@@ -444,10 +444,15 @@ def test_sweeps_accept_a_generator_of_values(panda, run_sweep, values):
         assert got.n_fail == expected.n_fail
 
 
-@pytest.mark.parametrize("sigma, mu", [(math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf)])
-def test_noise_model_rejects_non_finite_values(sigma, mu):
-    with pytest.raises(ValueError, match=f"sigma={sigma}, mu={mu}"):
-        NoiseModel(sigma=sigma, mu=mu)
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_noise_model_rejects_non_finite_values(sigma):
+    with pytest.raises(ValueError, match=f"sigma={sigma}"):
+        NoiseModel(sigma=sigma)
+
+
+def test_noise_model_rejects_a_negative_sigma():
+    with pytest.raises(ValueError, match="nonnegative, got sigma=-0.5"):
+        NoiseModel(sigma=-0.5)
 
 
 def test_noise_sweep_rejects_bad_sigma_before_making_scenes(panda, monkeypatch):
