@@ -36,7 +36,7 @@ class NumericalFailure(CalibrationError):
 
 
 class DivergedBehindCamera(CalibrationError):
-    """Refinement reached a pose placing most points behind the camera."""
+    """Refinement started from, or reached, a pose placing points behind the camera."""
 
 
 class TooFewPairs(CalibrationError):

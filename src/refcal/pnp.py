@@ -406,16 +406,16 @@ def linearize_reprojection(
 
 
 def _cost(norms: np.ndarray, z: np.ndarray, w_eff: np.ndarray, robust: bool) -> np.ndarray:
-    """Weighted (optionally Huber) cost (M,) of each member's residual norms
-    (M, n) at depths (M, n); inf where an active point is behind the camera
-    or most of the cloud is."""
+    """Weighted (optionally Huber) cost (...,) of each member's residual
+    norms (..., n) at depths (..., n); inf where an active point is behind
+    the camera or most of the cloud is.  A NaN depth counts as behind."""
     if robust:
         s = HUBER_SCALE_PX
         rho = np.where(norms <= s, norms**2, s * (2.0 * norms - s))
     else:
         rho = norms**2
     cost = (w_eff * rho).sum(axis=-1)
-    behind = z <= MIN_DEPTH
+    behind = ~(z > MIN_DEPTH)
     if behind.any():
         blocked = (2 * behind.sum(axis=-1) > z.shape[-1]) | np.any(behind & (w_eff > 0), axis=-1)
         cost = np.where(blocked, math.inf, cost)
@@ -549,18 +549,16 @@ def _linear_stage(
     """The control-point candidates of each pixel set of a stack (S, n, 2):
     rotations (S, C, 3, 3), translations (S, C, 3) and costs (S, C).
 
-    All candidates are scored in one projection by their plain reprojection
-    cost, with the points behind the camera zeroed as ``refine_pose`` zeroes
-    them at its start; a candidate with most points behind the camera (or
-    a case without a solution) costs inf.
+    All candidates are scored in one projection by the plain cost
+    ``refine_pose`` starts from: the points behind the camera weigh zero,
+    and a candidate with most points behind the camera (or a case without
+    a solution) costs inf.
     """
     r, t = _linear_candidates(pts3, pix, w, k, planar=report.classification == NEAR_PLANAR)
     pc = pts3 @ np.swapaxes(r, -1, -2) + t[..., None, :]
     resid, z, _ = _pixel_residuals(pc, pix[:, None], k)
-    front = z > MIN_DEPTH
-    costs = (np.where(front, w, 0.0) * (resid**2).sum(axis=-1)).sum(axis=-1)
-    costs[2 * (~front).sum(axis=-1) > len(pts3)] = math.inf
-    return r, t, costs
+    norms = np.hypot(resid[..., 0], resid[..., 1])
+    return r, t, _cost(norms, z, np.where(z <= MIN_DEPTH, 0.0, w), robust=False)
 
 
 def _no_candidate(t: np.ndarray) -> NumericalFailure:
@@ -605,8 +603,10 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
     Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
     Near-planar point sets refine from every linear candidate (multi-start)
     because the planar problem has a two-fold ambiguity the closed form may
-    land on the wrong side of; the lowest rms wins, the better-ranked
-    candidate on a tie.  Candidates rank by cost, equal costs in case order.
+    land on the wrong side of.  Candidates rank by cost, equal costs in
+    case order; the best-ranked start's outcome stands unless a later start
+    refines to a lower rms.  A refined pose that leaves any point behind
+    the camera is a DivergedBehindCamera, never a solution.
 
     ``pix`` may also be a stack (S, n, 2) of pixel sets that share the
     points and weights.  The stack is solved in one pass, the multi-start
@@ -622,21 +622,19 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
         r, t, costs = _linear_stage(pts3, stack, w, k, report)
         n_starts = None if report.classification == NEAR_PLANAR else 1
         ranked = np.argsort(costs, axis=-1, kind="stable")[:, :n_starts]
-        usable = np.isfinite(np.take_along_axis(costs, ranked, axis=-1))
-        owner, rank = np.nonzero(usable)  # each set's starts, cheapest first
-        outcomes = [None if ok else _no_candidate(ts) for ok, ts in zip(usable.any(axis=-1), t)]
-        if len(owner):
-            case = ranked[owner, rank]
-            starts = PoseStack(r[owner, case], t[owner, case])
-            refined = refine_pose(starts, pts3, stack[owner], k, w, robust=robust, report=report)
-            for s, sol in zip(owner.tolist(), refined):
-                best = outcomes[s]
-                if isinstance(sol, PnPSolution) and (
-                    best is None or sol.rms_reprojection_error < best.rms_reprojection_error
-                ):
-                    outcomes[s] = sol
-    outcomes = [
-        NumericalFailure("refinement failed from every linear candidate") if o is None else o
-        for o in outcomes
-    ]
+        # Each set's usable starts, cheapest first: inf costs sort last.
+        owner, rank = np.nonzero(np.isfinite(np.take_along_axis(costs, ranked, axis=-1)))
+        case = ranked[owner, rank]
+        starts = PoseStack(r[owner, case], t[owner, case])
+        refined = refine_pose(starts, pts3, stack[owner], k, w, robust=robust, report=report)
+    outcomes = [_no_candidate(ts) for ts in t]
+    for s, first, sol in zip(owner.tolist(), (rank == 0).tolist(), refined):
+        if isinstance(sol, PnPSolution) and not math.isfinite(sol.rms_reprojection_error):
+            n_behind = int(np.isinf(sol.per_point_residuals).sum())
+            sol = DivergedBehindCamera(
+                f"the refined pose leaves {n_behind} of {len(pts3)} points behind it"
+            )
+        best = getattr(outcomes[s], "rms_reprojection_error", math.inf)
+        if first or (isinstance(sol, PnPSolution) and sol.rms_reprojection_error < best):
+            outcomes[s] = sol
     return outcomes if pix.ndim == 3 else _raised(outcomes[0])

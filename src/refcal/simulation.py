@@ -113,8 +113,9 @@ class ScenarioConfig:
     eih_tilt_max: float = math.radians(30.0)
 
     def __post_init__(self):
-        if self.fps <= 0 or self.duration <= 0:
-            raise ValueError("fps and duration must be positive")
+        for name, value in (("fps", self.fps), ("duration", self.duration)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {name}={value}")
         if not 0 < self.radius_range[0] <= self.radius_range[1]:
             raise ValueError("radius range must be positive and ordered")
         if self.n_direction_switches < 1:
@@ -398,28 +399,25 @@ def corrupt_track(track: Track2D, noise: NoiseModel, seed: int) -> Track2D:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """Aggregated errors for one sweep parameter value."""
+    """The errors of the solved repeats for one sweep parameter value, and
+    how many repeats failed."""
 
     param: float
-    e_x_cm: np.ndarray
-    e_y_cm: np.ndarray
-    e_z_cm: np.ndarray
-    e_trans_cm: np.ndarray
-    e_r_rad: np.ndarray
+    errors: tuple[PoseError, ...]
     n_fail: int
 
     def mean(self, name: str) -> float:
-        """Mean of one error field (e.g. 'e_trans_cm') over the solved
+        """Mean of one PoseError field (e.g. 'e_trans_cm') over the solved
         repeats; NaN when every repeat failed."""
-        values = getattr(self, name)
-        return float(np.mean(values)) if len(values) else math.nan
+        values = [getattr(e, name) for e in self.errors]
+        return float(np.mean(values)) if values else math.nan
 
     @property
     def stderr_e_trans_cm(self) -> float:
-        n = len(self.e_trans_cm)
+        n = len(self.errors)
         if n < 2:
             return math.nan
-        return float(np.std(self.e_trans_cm, ddof=1) / math.sqrt(n))
+        return float(np.std([e.e_trans_cm for e in self.errors], ddof=1) / math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -499,7 +497,7 @@ def _sweep(
                 n_fail[p] += 1
             else:
                 errors[p].append(evaluate(result.pose, scene.t_gt))
-    cells = tuple(_cell(float(v), e, f) for v, e, f in zip(params, errors, n_fail))
+    cells = tuple(SweepCell(float(v), tuple(e), f) for v, e, f in zip(params, errors, n_fail))
     return SweepResult(kind, cells, _sweep_metadata(cfg, chain, ref, n_repeats))
 
 
@@ -576,14 +574,3 @@ def export_scene(
     write_pose_file(scene.t_gt, paths["ground_truth"])
     return paths
 
-
-def _cell(param: float, errors: list[PoseError], n_fail: int) -> SweepCell:
-    return SweepCell(
-        param=param,
-        e_x_cm=np.array([e.e_x_cm for e in errors]),
-        e_y_cm=np.array([e.e_y_cm for e in errors]),
-        e_z_cm=np.array([e.e_z_cm for e in errors]),
-        e_trans_cm=np.array([e.e_trans_cm for e in errors]),
-        e_r_rad=np.array([e.e_r_rad for e in errors]),
-        n_fail=n_fail,
-    )

@@ -48,6 +48,25 @@ def _log(n, n_joints=1):
     return JointLog(np.arange(n), np.arange(n) / 30.0, np.zeros((n, n_joints)))
 
 
+@pytest.mark.parametrize(
+    "frames, uv, match",
+    [
+        ([0, 1, 2], np.zeros((2, 2)), "equal length"),
+        ([0, 2, 2], np.zeros((3, 2)), "strictly increasing"),
+        ([0, 2, 1], np.zeros((3, 2)), "strictly increasing"),
+        ([0, 1, 2], [[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]], "finite pixel"),
+        ([0, 1, 2], [[0.0, 0.0], [0.0, np.inf], [0.0, 0.0]], "finite pixel"),
+    ],
+    ids=["unequal_lengths", "repeated_frame", "decreasing_frame", "nan_pixel", "inf_pixel"],
+)
+def test_track_rejects_broken_invariants(frames, uv, match):
+    frames, uv = np.array(frames), np.array(uv, dtype=float)
+    with pytest.raises(ValueError, match=match):
+        Track2D(frames, uv, [True] * 3, [True] * 3)
+    if match == "finite pixel":  # a non-finite pixel is fine on a row flagged invisible
+        assert Track2D(frames, uv, [True, False, True], [True] * 3).n_frames == 3
+
+
 # ----------------------------------------------------------- select_frames ---
 
 

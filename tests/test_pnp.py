@@ -616,6 +616,48 @@ def test_stacked_solve_reports_a_set_without_a_linear_solution_alone(monkeypatch
     _assert_same_solution(solved[0], solve_pnp(pts, pix, K))
 
 
+def test_a_refined_pose_with_points_behind_the_camera_is_a_diverged_solve():
+    # Two gross outliers drag the refined pose until a tracked point sits
+    # behind the camera: the solve fails, alone and in a stack, instead of
+    # returning a solution with rms = inf.
+    rng = np.random.default_rng(20)
+    _, pts, pix = synth_scene(rng, 8, K, depth=(0.3, 3.0))
+    dragged = pix.copy()
+    dragged[:2] += rng.normal(0.0, 800.0, (2, 2))
+    with pytest.raises(DivergedBehindCamera, match="leaves 1 of 8 points behind it"):
+        solve_pnp(pts, dragged, K)
+    solved = solve_pnp(pts, np.stack([pix, dragged]), K)
+    assert isinstance(solved[1], DivergedBehindCamera)
+    _assert_same_solution(solved[0], solve_pnp(pts, pix, K))
+
+
+def test_a_later_start_replaces_a_diverged_best_ranked_start(monkeypatch):
+    # Near-planar multi-start: the cheapest candidate refines to a pose with
+    # a point behind the camera, the second to a finite rms, which wins.
+    rng = np.random.default_rng(162)
+    _, pts, pix = synth_scene(rng, 8, K, depth=(0.3, 3.0), planar=True)
+    dragged = pix.copy()
+    dragged[:2] += rng.normal(0.0, 800.0, (2, 2))
+    refined = []
+    original = pnp.refine_pose
+
+    def recorded(*args, **kwargs):
+        refined.extend(original(*args, **kwargs))
+        return refined
+
+    monkeypatch.setattr(pnp, "refine_pose", recorded)
+    sol = solve_pnp(pts, dragged, K)
+    assert [math.isfinite(r.rms_reprojection_error) for r in refined] == [False, True]
+    assert sol is refined[1]
+
+
+def test_cost_counts_a_nan_depth_as_behind():
+    # A kernel case without a solution has NaN depths; with them weighted
+    # zero, the cost is still inf, not 0.
+    zeros = np.zeros((1, 4))
+    assert pnp._cost(zeros, np.full((1, 4), np.nan), zeros, robust=False)[0] == math.inf
+
+
 def test_stacked_refinement_reports_a_diverged_member_alone():
     rng = np.random.default_rng(199)
     t_gt, pts, pix = synth_scene(rng, 20, K)
