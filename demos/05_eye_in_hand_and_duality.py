@@ -44,9 +44,7 @@ print(f"pairs used {result.n_pairs_used}; camera-to-EE error "
 
 print("\n== duality: camera-to-EE = camera-to-base . FK ==")
 cfg = ScenarioConfig(seed=22, mode=Mode.EYE_ON_BASE)
-eob_scene, eih_scenes = generate_dual_view_scenes(
-    cfg, chain, flange_ref, base_ref, anchor_fractions=(0.2, 0.8)
-)
+eob_scene, eih_scenes = generate_dual_view_scenes(cfg, chain, flange_ref, base_ref)
 opts = CalibrationOptions(min_pairs=4)
 t_cb = calibrate(
     CalibrationRequest(Mode.EYE_ON_BASE, chain, flange_ref, cfg.camera,

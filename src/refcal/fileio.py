@@ -3,8 +3,7 @@
 All floats are written with 17 significant digits and dictionaries keep a
 fixed key order, so every format round-trips bit-exactly and golden-file
 comparisons are stable.  Poses serialize as translation plus (w, x, y, z)
-quaternion and, redundantly, a 4x4 row-major matrix; the quaternion is
-authoritative on ingestion.
+quaternion; any other field of a pose object is ignored on ingestion.
 """
 
 from __future__ import annotations
@@ -24,13 +23,7 @@ import numpy as np
 from ._version import __version__
 from .calibration import CalibrationResult, Mode, Track2D
 from .errors import NonMonotoneFrames, ParseError, SchemaMismatch
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    pose_from_quaternion,
-    pose_quaternion,
-    quaternion_to_matrix,
-)
+from .geometry import CameraIntrinsics, Pose, pose_from_quaternion, pose_quaternion
 from .kinematics import Joint, JointLog, KinematicChain, ReferencePoint
 
 ROTATION_ERROR_METRIC = "geodesic_angle_rad"
@@ -160,15 +153,9 @@ def file_digest(path) -> str:
 
 
 def _pose_doc(pose: Pose) -> dict:
-    # The matrix is derived from the emitted quaternion, not the in-memory
-    # rotation, so a written pose is a pure function of (quaternion,
-    # translation) and write . parse is the identity on files.
-    q = pose_quaternion(pose)
-    m = Pose(quaternion_to_matrix(q), pose.translation).matrix()
     return {
         "translation_m": [float(v) for v in pose.translation],
-        "quaternion_wxyz": [float(v) for v in q],
-        "matrix_row_major": [[float(v) for v in row] for row in m],
+        "quaternion_wxyz": [float(v) for v in pose_quaternion(pose)],
     }
 
 

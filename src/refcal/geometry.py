@@ -256,13 +256,6 @@ def pose_quaternion(p: Pose) -> np.ndarray:
     return matrix_to_quaternion(p.rotation)
 
 
-def pose_from_matrix(m: np.ndarray) -> Pose:
-    m = np.asarray(m, dtype=float).reshape(4, 4)
-    if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-9:
-        raise ValueError("last row of a homogeneous transform must be (0, 0, 0, 1)")
-    return Pose(m[:3, :3], m[:3, 3])
-
-
 def pixels(k: CameraIntrinsics, p_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pinhole pixels (..., 2) of camera-frame points (..., 3), NaN at or behind
     the camera plane (z <= MIN_DEPTH), and whether each point is in front."""

@@ -115,9 +115,10 @@ def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
 
 def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n, 3) points, (n, 2) pixels or a stack (S, n, 2) of them, and (n,)
-    weights (all ones when None) as float arrays; rejects mismatched shapes,
-    non-finite coordinates and negative weights, and raises EmptyInput when
-    n is zero."""
+    weights (all ones when None) as float arrays, less the pairs of zero
+    weight; rejects mismatched shapes, non-finite coordinates and negative
+    weights, and raises EmptyInput when n is zero and NumericalFailure when
+    every weight is zero."""
     pts3 = np.asarray(pts3, dtype=float)
     pix = np.asarray(pix, dtype=float)
     n = len(pts3) if pts3.ndim else 0
@@ -133,6 +134,11 @@ def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("correspondence coordinates must be finite")
     if not np.all(w >= 0):
         raise ValueError("correspondence weights must be nonnegative")
+    if not w.all():  # a zero weight removes its pair
+        if not w.any():
+            raise NumericalFailure("all correspondence weights are zero")
+        keep = w > 0
+        pts3, pix, w = pts3[keep], pix[..., keep, :], w[keep]
     return pts3, pix, w
 
 
@@ -159,8 +165,6 @@ def _checked_points(pts3: np.ndarray) -> DegeneracyReport:
 def _control_points(pts3: np.ndarray, w: np.ndarray, planar: bool) -> np.ndarray:
     """Centroid plus principal-direction points scaled by the spread."""
     wsum = float(w.sum())
-    if wsum <= 0:
-        raise NumericalFailure("all correspondence weights are zero")
     c0 = (w[:, None] * pts3).sum(axis=0) / wsum
     centered = pts3 - c0
     cov = (centered * w[:, None]).T @ centered / wsum
@@ -456,18 +460,18 @@ def refine_pose(
     """Damped least-squares (Levenberg-Marquardt) reprojection refinement.
 
     Takes an initial Pose, (n, 3) object points, (n, 2) pixels and optional
-    (n,) weights; ``robust`` swaps the squared loss for a Huber loss of
-    scale HUBER_SCALE_PX.  Points behind the camera at the initial pose are
-    down-weighted to zero and re-checked after each accepted step; accepted
-    steps never increase the cost.  Each trial pose is linearized once: an
-    accepted trial's normal equations, residual norms and depths serve the
-    next step and the result.  A member stops when an accepted step lowers
-    its cost by less than FN_TOL relative, when its cost is at or below
-    an absolute floor of 1e-16 per unit weight (1e-8 px rms: a noiseless
-    fit at rounding level, checked at the start too), after MAX_ITERS
-    accepted steps, or when its damping reaches 1e12.  Raises
-    DivergedBehindCamera when the majority of points sit at non-positive
-    depth.
+    (n,) weights, a zero weight removing its pair; ``robust`` swaps the
+    squared loss for a Huber loss of scale HUBER_SCALE_PX.  Points behind
+    the camera at the initial pose are down-weighted to zero and re-checked
+    after each accepted step; accepted steps never increase the cost.  Each
+    trial pose is linearized once: an accepted trial's normal equations,
+    residual norms and depths serve the next step and the result.  A member
+    stops when an accepted step lowers its cost by less than FN_TOL
+    relative, when its cost is at or below an absolute floor of 1e-16 per
+    unit weight (1e-8 px rms: a noiseless fit at rounding level, checked at
+    the start too), after MAX_ITERS accepted steps, or when its damping
+    reaches 1e12.  Raises DivergedBehindCamera when the majority of points
+    sit at non-positive depth.
 
     ``initial`` may also be a PoseStack of M poses, with pixels (M, n, 2).
     Every round takes one batched trial step for all members, each with its
@@ -493,7 +497,7 @@ def refine_pose(
     resid, jac, z = linearize_reprojection(PoseStack(rot, trans), pts3, px, k)
     norms = np.hypot(resid[..., 0], resid[..., 1])
     w_eff = np.where(z <= MIN_DEPTH, 0.0, w)
-    held_out = (w_eff == 0.0) & (w > 0.0)  # points behind the camera, until they come back
+    held_out = w_eff == 0.0  # points behind the camera, until they come back
     cost = _cost(norms, z, w_eff, robust)
     diverged = ~np.isfinite(cost)
     cost[diverged] = 0.0  # a diverged member never runs; zero keeps its masked arithmetic finite
@@ -601,12 +605,15 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
     """Full pipeline: degeneracy check, linear solve, refinement.
 
     Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
-    Near-planar point sets refine from every linear candidate (multi-start)
-    because the planar problem has a two-fold ambiguity the closed form may
-    land on the wrong side of.  Candidates rank by cost, equal costs in
-    case order; the best-ranked start's outcome stands unless a later start
-    refines to a lower rms.  A refined pose that leaves any point behind
-    the camera is a DivergedBehindCamera, never a solution.
+    A zero weight removes its pair before anything else sees it, so the
+    solution's per_point_residuals and its report's n_points count only the
+    pairs of positive weight.  Near-planar point sets refine from every
+    linear candidate (multi-start) because the planar problem has a
+    two-fold ambiguity the closed form may land on the wrong side of.
+    Candidates rank by cost, equal costs in case order; the best-ranked
+    start's outcome stands unless a later start refines to a lower rms.  A
+    refined pose that leaves any point behind the camera is a
+    DivergedBehindCamera, never a solution.
 
     ``pix`` may also be a stack (S, n, 2) of pixel sets that share the
     points and weights.  The stack is solved in one pass, the multi-start

@@ -94,33 +94,35 @@ def _default_camera() -> CameraIntrinsics:
     return CameraIntrinsics.from_horizontal_fov(60.0, 1920, 1080)
 
 
+# Joint-velocity norm. The wider the reference point sweeps the workspace,
+# the better conditioned the solve; 1.2 rad/s spreads a 7-joint arm's tip
+# over most of its reach within a 10 s capture.
+JOINT_SPEED = 1.2
+N_DIRECTION_SWITCHES = 10  # constant-velocity segments per trajectory
+RADIUS_RANGE = (1.0, 2.5)  # eye-on-base shell (m)
+ELEVATION_RANGE = (math.radians(10.0), math.radians(60.0))
+EIH_OFFSET_MAX = 0.15  # eye-in-hand mount offset (m)
+EIH_TILT_MAX = math.radians(30.0)
+DUAL_VIEW_ANCHORS = (0.1, 0.3, 0.5, 0.7, 0.9)  # trajectory fractions
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
     mode: Mode = Mode.EYE_ON_BASE
     fps: float = 30.0
     duration: float = 10.0
-    n_direction_switches: int = 10
     camera: CameraIntrinsics = field(default_factory=_default_camera)
-    radius_range: tuple[float, float] = (1.0, 2.5)
-    elevation_range: tuple[float, float] = (math.radians(10.0), math.radians(60.0))
     noise: NoiseModel = field(default_factory=NoiseModel)
-    # Joint-velocity norm. The wider the reference point sweeps the
-    # workspace, the better conditioned the solve; 1.2 rad/s spreads a
-    # 7-joint arm's tip over most of its reach within a 10 s capture.
-    joint_speed: float = 1.2
-    eih_offset_max: float = 0.15
-    eih_tilt_max: float = math.radians(30.0)
 
     def __post_init__(self):
         for name, value in (("fps", self.fps), ("duration", self.duration)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {name}={value}")
-        if not 0 < self.radius_range[0] <= self.radius_range[1]:
-            raise ValueError("radius range must be positive and ordered")
-        if self.n_direction_switches < 1:
+        if not 0.5 < self.fps * self.duration <= 10**6 + 0.5:
             raise ValueError(
-                f"n_direction_switches must be at least 1, got {self.n_direction_switches}"
+                f"fps * duration must give from 1 to 10**6 frames, "
+                f"got fps={self.fps} and duration={self.duration}"
             )
 
     @property
@@ -181,18 +183,18 @@ def _trajectory(chain: KinematicChain, cfg: ScenarioConfig, rng: np.random.Gener
     n_joints = chain.n_actuated
     n = cfg.n_frames
     dt = 1.0 / cfg.fps
-    seg_len = cfg.duration / cfg.n_direction_switches
+    seg_len = cfg.duration / N_DIRECTION_SWITCHES
     lo, hi = chain.limits
     limited = np.isfinite(hi - lo)
     margin = np.where(limited, 0.3 * (hi - lo), 0.0)
     q = rng.uniform(
         np.where(limited, lo, -math.pi / 2) + margin, np.where(limited, hi, math.pi / 2) - margin
     )
-    segment = np.minimum((np.arange(n) * dt / seg_len).astype(np.int64), cfg.n_direction_switches - 1)
+    segment = np.minimum((np.arange(n) * dt / seg_len).astype(np.int64), N_DIRECTION_SWITCHES - 1)
     starts = np.flatnonzero(np.diff(segment, prepend=-1))  # one direction drawn per segment
     directions = rng.standard_normal((len(starts), n_joints))
     directions /= np.maximum(_norms(directions), 1e-12)[:, None]
-    steps = cfg.joint_speed * directions * dt
+    steps = JOINT_SPEED * directions * dt
     positions = np.empty((n, n_joints))
     positions[:1] = q
     for start, stop, step in zip(starts, [*starts[1:], n], steps):
@@ -240,14 +242,14 @@ def _look_at(positions: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _shell_cameras(
-    cfg: ScenarioConfig, target: np.ndarray, rng: np.random.Generator, n: int
+    target: np.ndarray, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """n cameras on the spherical shell around the base, aimed at target:
     camera-to-base rotations (n, 3, 3) and positions (n, 3).  Each draws
     its radius, elevation and azimuth in turn."""
     radius, elevation, azimuth = rng.uniform(
-        (cfg.radius_range[0], cfg.elevation_range[0], 0.0),
-        (cfg.radius_range[1], cfg.elevation_range[1], 2.0 * math.pi),
+        (RADIUS_RANGE[0], ELEVATION_RANGE[0], 0.0),
+        (RADIUS_RANGE[1], ELEVATION_RANGE[1], 2.0 * math.pi),
         (n, 3),
     ).T
     horizontal = np.cos(elevation)
@@ -259,19 +261,19 @@ def _shell_cameras(
 
 
 def _hand_cameras(
-    cfg: ScenarioConfig, target: np.ndarray, rng: np.random.Generator, n: int
+    target: np.ndarray, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """n cameras mounted near the end-effector origin, aimed at target (in
-    the end-effector frame) and then tilted by up to eih_tilt_max:
+    the end-effector frame) and then tilted by up to EIH_TILT_MAX:
     camera-to-end-effector rotations (n, 3, 3) and positions (n, 3).  Each
     draws its offset direction, offset length, tilt axis and tilt angle in
     turn."""
     draws = np.empty((n, 8))
     for row in draws:
         row[:3] = rng.standard_normal(3)
-        row[3] = rng.uniform(0.0, cfg.eih_offset_max)
+        row[3] = rng.uniform(0.0, EIH_OFFSET_MAX)
         row[4:7] = rng.standard_normal(3)
-        row[7] = rng.uniform(0.0, cfg.eih_tilt_max)
+        row[7] = rng.uniform(0.0, EIH_TILT_MAX)
     offset, axis = draws[:, :3], draws[:, 4:7]
     offset *= (draws[:, 3] / np.maximum(_norms(offset), 1e-12))[:, None]
     axis /= np.maximum(_norms(axis), 1e-12)[:, None]
@@ -312,11 +314,11 @@ def _placed_scene(
     target: np.ndarray,
 ) -> GroundTruthScene:
     """The scene from the camera placement, of 20 drawn by
-    camera(cfg, target, rng, 20), that sees the object points in the most
+    camera(target, rng, 20), that sees the object points in the most
     frames; a real capture frames the point deliberately.  The first
     placement that sees at least half the frames wins outright; otherwise
     the first with the most visible frames does."""
-    placements = camera(cfg, target, _substream(cfg.seed, _PLACEMENT), 20)
+    placements = camera(target, _substream(cfg.seed, _PLACEMENT), 20)
     rotations, translations = invert_stack(*placements)
     pc = points @ rotations.transpose(0, 2, 1) + translations[:, None, :]  # (20, N, 3)
     n_vis = _project_visible(cfg.camera, pc)[1].sum(axis=1)
@@ -325,7 +327,7 @@ def _placed_scene(
     if n_vis[pick] == 0:
         raise UnreachableView(
             "reference point never visible after 20 camera placements; "
-            "widen the placement bounds or shorten the chain"
+            "try a wider-angle camera or another seed"
         )
     return _scene(cfg, chain, ref, log, Pose(rotations[pick], translations[pick]), points)
 
@@ -352,10 +354,10 @@ def generate_dual_view_scenes(
     chain: KinematicChain,
     arm_ref: ReferencePoint,
     base_ref: ReferencePoint,
-    anchor_fractions=(0.1, 0.3, 0.5, 0.7, 0.9),
 ) -> tuple[GroundTruthScene, list[tuple[int, GroundTruthScene]]]:
     """One world seen both ways: a fixed camera watching the arm, plus, for
-    each anchor frame, the same camera bolted to the end-effector at that
+    each anchor frame (at the DUAL_VIEW_ANCHORS fractions of the
+    trajectory), the same camera bolted to the end-effector at that
     instant and re-simulated as an arm-mounted camera tracking a base point.
 
     The bolted camera's mount equals (camera-to-base) . (EE-to-base FK at
@@ -364,16 +366,13 @@ def generate_dual_view_scenes(
     is placed as in generate_scene, aimed between the arm trajectory and
     the base point so both stay in view.
     """
-    for frac in anchor_fractions:
-        if not 0.0 <= frac <= 1.0:
-            raise ValueError(f"anchor fractions must lie in [0, 1], got {frac}")
     log = _trajectory(chain, cfg, _substream(cfg.seed, _TRAJECTORY))
     p_arm = object_points(Mode.EYE_ON_BASE, chain, arm_ref, log.positions)
     base_in_ee = object_points(Mode.EYE_IN_HAND, chain, base_ref, log.positions)
     target = 0.5 * (p_arm.mean(axis=0) + base_ref.offset)
     eob_scene = _placed_scene(cfg, chain, arm_ref, log, p_arm, _shell_cameras, target)
 
-    anchors = [min(int(frac * log.n_frames), log.n_frames - 1) for frac in anchor_fractions]
+    anchors = [min(int(frac * log.n_frames), log.n_frames - 1) for frac in DUAL_VIEW_ANCHORS]
     rotations, translations = forward_kinematics(chain, log.positions[anchors])
     eih_scenes = []
     for anchor, r, t in zip(anchors, rotations[:, -1], translations[:, -1]):
@@ -435,7 +434,6 @@ def _config_digest(cfg: ScenarioConfig, chain: KinematicChain, ref: ReferencePoi
     and the chain file's content, both in their canonical serialized form."""
     config = asdict(cfg)
     config["mode"] = cfg.mode.value
-    config["noise"]["mu"] = 0.0  # the noise mean, now always zero: equal configs keep their digest
     blob = _emit({"config": config, "chain": _chain_doc(chain, ref)})
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -448,7 +446,7 @@ def _sweep_metadata(
         "mode": cfg.mode.value,
         "config_sha256_16": _config_digest(cfg, chain, ref),
         "n_repeats": str(n_repeats),
-        "joint_speed_rad_s": f"{cfg.joint_speed:g}",
+        "joint_speed_rad_s": f"{JOINT_SPEED:g}",
         "trajectory": "joint-space piecewise-constant velocity",
         "tool_version": __version__,
     }

@@ -283,6 +283,23 @@ def test_pose_file_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(again.translation, pose.translation)
 
 
+def test_pose_file_holds_the_translation_and_quaternion_and_ignores_an_old_matrix(tmp_path):
+    # Files written before the matrix was dropped carry it; no reader ever
+    # parsed it, so they parse as before, whatever it holds.
+    pose = random_pose(np.random.default_rng(3))
+    p = tmp_path / "p.json"
+    write_pose_file(pose, p)
+    doc = json.loads(p.read_text())
+    assert list(doc) == ["translation_m", "quaternion_wxyz"]
+    doc["matrix_row_major"] = [[0.0] * 4] * 4
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    new_pose, old_pose = parse_pose_file(p), parse_pose_file(old)
+    assert np.array_equal(new_pose.translation, pose.translation)
+    assert np.array_equal(old_pose.translation, new_pose.translation)
+    assert np.array_equal(old_pose.rotation, new_pose.rotation)
+
+
 def test_pose_file_rejects_non_unit_quaternion(tmp_path):
     p = tmp_path / "p.json"
     p.write_text(
@@ -375,6 +392,17 @@ def test_result_document_fields(panda, tmp_path):
     back = parse_result_file(p)
     assert back.condition == "well_conditioned"
     assert back.n_pairs_used == doc.n_pairs_used
+
+
+def test_result_file_rejects_inputs_that_are_not_an_object(panda, tmp_path):
+    p = tmp_path / "r.json"
+    write_result(_result_doc(panda), p)
+    doc = json.loads(p.read_text())
+    doc["inputs"] = []
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=r"inputs must be an object, got \[\]") as err:
+        parse_result_file(p)
+    assert err.value.path == p
 
 
 def test_eval_accepts_result_documents(panda, tmp_path):
@@ -550,12 +578,6 @@ def test_csv_parsers_return_a_table_or_raise_a_located_parse_error(tmp_path, par
         assert isinstance(result, JointLog if parse is parse_joint_log_csv else Track2D)
 
 
-def _read(path) -> bool:
-    """Whether the parsers read the leaf at path: only the pose matrix is
-    written for readers and never parsed."""
-    return "matrix_row_major" not in path
-
-
 def _at(doc, path):
     return _at(doc[path[0]], path[1:]) if path else doc
 
@@ -607,11 +629,8 @@ def test_json_parsers_return_or_raise_a_parse_error(tmp_path, json_documents, da
     for path in data.draw(st.lists(st.sampled_from(leaf_paths(doc)), min_size=1, max_size=2)):
         leaves[path] = data.draw(JSON_LEAVES)
     wrong_type = any(
-        _read(path)
-        and (
-            isinstance(value, (str, bool)) and type(_at(doc, path)) in (int, float)
-            or isinstance(_at(doc, path), str) and not isinstance(value, str)
-        )
+        isinstance(value, (str, bool)) and type(_at(doc, path)) in (int, float)
+        or isinstance(_at(doc, path), str) and not isinstance(value, str)
         for path, value in leaves.items()
     )
     for path, value in leaves.items():

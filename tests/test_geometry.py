@@ -17,7 +17,6 @@ from refcal.geometry import (
     log_so3,
     matrix_to_quaternion,
     orthonormalize,
-    pose_from_matrix,
     pose_from_quaternion,
     pose_quaternion,
     project,
@@ -214,14 +213,22 @@ def test_pose_from_quaternion_caches_exact_value():
     assert np.array_equal(pose_quaternion(p), q)
 
 
+@pytest.mark.parametrize("t", [(0.0, math.nan, 0.0), (math.inf, 0.0, 0.0)])
+def test_pose_from_quaternion_rejects_a_non_finite_translation(t):
+    with pytest.raises(ValueError, match="translation must be finite"):
+        pose_from_quaternion(t, (1.0, 0.0, 0.0, 0.0))
+
+
 def test_pose_matrix_roundtrip():
     rng = np.random.default_rng(41)
     p = random_pose(rng)
-    q = pose_from_matrix(p.matrix())
+    m = p.matrix()
+    q = Pose(m[:3, :3], m[:3, 3])
     assert_allclose(q.rotation, p.rotation, atol=0)
     assert_allclose(q.translation, p.translation, atol=0)
-    with pytest.raises(ValueError):
-        pose_from_matrix(np.ones((4, 4)))
+    assert np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0])
+    x = rng.standard_normal(3)
+    assert_allclose((m @ np.append(x, 1.0))[:3], apply(p, x), rtol=0, atol=1e-15)
 
 
 def test_intrinsics_validation():

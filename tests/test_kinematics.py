@@ -148,6 +148,12 @@ def test_reference_point_bad_link_index():
         reference_point_in_base(chain, ReferencePoint(link_index=5, offset=(0, 0, 0)), [0.0])
 
 
+@pytest.mark.parametrize("offset", [(0.0, math.nan, 0.0), (math.inf, 0.0, 0.0)])
+def test_reference_point_rejects_a_non_finite_offset(offset):
+    with pytest.raises(ValueError, match="reference point offset must be finite"):
+        ReferencePoint(link_index=1, offset=offset)
+
+
 def test_base_point_in_ee_frame_pure_translation():
     chain = KinematicChain(name="slide", joints=(_fixed("off", (1.0, 0.0, 0.0)),))
     out = base_point_in_ee_frame(chain, [], (0.155, 0.0, 0.0))

@@ -506,6 +506,22 @@ def test_solve_pnp_zero_weight_points_ignored():
     with pytest.raises(NumericalFailure, match="weights are zero"):
         solve_pnp(pts, pix, K, np.zeros(30))
 
+    # A zero weight removes its pair: three points mirrored behind the camera
+    # leave the fit, the in-front test and the rms alone (they raised
+    # DivergedBehindCamera when the in-front test counted them).
+    p_cam = apply(t_gt, pts[:3])
+    p_cam[:, 2] *= -1.0
+    pts[:3] = apply(invert(t_gt), p_cam)
+    w[3:10] = 1.0
+    sol = solve_pnp(pts, pix, K, w)
+    kept = solve_pnp(pts[3:], pix[3:], K)
+    assert np.array_equal(sol.pose.rotation, kept.pose.rotation)
+    assert np.array_equal(sol.pose.translation, kept.pose.translation)
+    assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-9
+    assert sol.per_point_residuals.shape == (27,)
+    assert sol.condition_report.n_points == 27
+    assert refine_pose(t_gt, pts, pix, K, w).per_point_residuals.shape == (27,)
+
 
 def test_a_solve_that_leaves_the_float_range_raises_numerical_failure():
     # Finite inputs whose squares pass the float range: a focal length of
