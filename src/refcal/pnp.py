@@ -52,7 +52,7 @@ SPREAD_RATIO_TOL = 0.02
 # metres from the truth.
 MIN_SPREAD_M = 0.01
 
-# LM stop (relative cost drop), step cap, initial damping, Huber scale (px) of the robust loss.
+# LM stop (relative cost change), step cap, initial damping, Huber scale (px) of the robust loss.
 FN_TOL = 1e-10
 MAX_ITERS = 100
 DAMPING_INIT = 1e-3
@@ -217,10 +217,10 @@ def _initial_betas(gram: np.ndarray, rho: np.ndarray, n_cases: int) -> np.ndarra
     """Linearized distance-constraint betas (..., C, 3) of kernel cases
     1..n_cases, zero-padded; a case with a degenerate kernel vector gets NaN.
 
-    ``gram`` (..., P, 3, 3) holds the Gram matrix of each control-point
-    pair's kernel differences.  Case 1 fits one scale to the distances;
-    cases 2 and 3 fit the first three or all six columns of one system in
-    the products b11, b12, b22, b13, b23, b33, through its normal equations.
+    ``gram`` (..., P, 3, 3), read nowhere else, holds the Gram matrix of
+    each control-point pair's kernel differences.  Case 1 fits one scale to
+    the distances; cases 2 and 3 fit the first three or all six columns of
+    one system in b11, b12, b22, b13, b23, b33, through its normal equations.
     """
     betas = np.zeros((*gram.shape[:-3], n_cases, 3))
     norms2 = gram[..., 0, 0]
@@ -258,37 +258,6 @@ def _solve_each(h: np.ndarray, g: np.ndarray) -> np.ndarray:
         return x.reshape(g.shape)
 
 
-def _refine_betas(gram: np.ndarray, rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on the squared control-point distance constraints, run on
-    all kernel cases of every stack member at once.
-
-    ``gram`` (..., P, 3, 3) is as in ``_initial_betas``; row c of ``betas``
-    (..., C, 3) holds case c + 1's betas, zero-padded.  A case stops once
-    its step falls below 1e-12; a case whose normal equations are singular
-    takes no step and keeps its current betas.
-    """
-    n_cases, n_pairs = betas.shape[-2], gram.shape[-3]
-    used = np.tri(n_cases, 3, dtype=bool)  # case c + 1 moves its first c + 1 betas
-    # Each case's Gram matrices, stacked as rows: (..., C, P * 3, 3).
-    gram = (gram[..., None, :, :, :] * (used[:, :, None] & used[:, None, :])[:, None]).reshape(
-        *betas.shape[:-1], n_pairs * 3, 3
-    )
-    pad = np.eye(3) * ~used[:, None, :]  # unit rows for the unused betas: zero steps
-    betas = betas.copy()
-    active = np.ones(betas.shape[:-1], dtype=bool)
-    for _ in range(8):
-        jac = 2.0 * (gram @ betas[..., None]).reshape(*betas.shape[:-1], n_pairs, 3)
-        resid = 0.5 * (jac * betas[..., None, :]).sum(axis=-1) - rho  # squared distances - rho
-        jt = np.swapaxes(jac, -1, -2)
-        step = _solve_each(jt @ jac + pad, -(jt @ resid[..., None])[..., 0])
-        step = np.where(active[..., None], step, 0.0)
-        betas += step
-        active &= (np.abs(step) >= 1e-12).any(axis=-1)
-        if not active.any():
-            break
-    return betas
-
-
 def _linear_candidates(
     pts3: np.ndarray,
     pix: np.ndarray,
@@ -307,7 +276,7 @@ def _linear_candidates(
     rho = ((ctrl[i] - ctrl[j]) ** 2).sum(axis=1)
     dv = kernel[..., i, :] - kernel[..., j, :]  # (..., 3, P, 3)
     gram = np.einsum("...apd,...bpd->...pab", dv, dv)
-    betas = _refine_betas(gram, rho, _initial_betas(gram, rho, 2 if planar else 3))
+    betas = _initial_betas(gram, rho, 2 if planar else 3)
     solved = np.all(np.isfinite(betas), axis=-1)
     betas = np.where(solved[..., None], betas, 0.0)
     lead = pix.shape[:-2]
@@ -466,12 +435,13 @@ def refine_pose(
     after each accepted step; accepted steps never increase the cost.  Each
     trial pose is linearized once: an accepted trial's normal equations,
     residual norms and depths serve the next step and the result.  A member
-    stops when an accepted step lowers its cost by less than FN_TOL
-    relative, when its cost is at or below an absolute floor of 1e-16 per
-    unit weight (1e-8 px rms: a noiseless fit at rounding level, checked at
-    the start too), after MAX_ITERS accepted steps, or when its damping
-    reaches 1e12.  Raises DivergedBehindCamera when the majority of points
-    sit at non-positive depth.
+    stops when a trial, accepted or rejected (which leaves its state as it
+    was), moves its cost by less than FN_TOL relative, when its cost is at
+    or below an absolute floor of 1e-16 per unit weight (1e-8 px rms: a
+    noiseless fit at rounding level, checked at the start too), after
+    MAX_ITERS accepted steps, or when its damping reaches 1e12.  Raises
+    DivergedBehindCamera when the majority of points sit at non-positive
+    depth.
 
     ``initial`` may also be a PoseStack of M poses, with pixels (M, n, 2).
     Every round takes one batched trial step for all members, each with its
@@ -533,7 +503,7 @@ def refine_pose(
         # The cap changes no running member's stop test; it keeps a stopped
         # member's damping from overflowing however long the rest run.
         lam = np.where(better, np.maximum(lam / 3.0, 1e-12), np.minimum(lam * 10.0, 1e12))
-        running &= ~np.where(better, done, lam >= 1e12)
+        running &= ~np.where(better, done, (lam >= 1e12) | (np.abs(rel_drop) < FN_TOL))
 
     rot, trans, _, _, _, norms, z, _ = state
     norms = np.where(z > MIN_DEPTH, norms, math.inf)
@@ -587,8 +557,8 @@ def _in_float_range():
 def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
     """Closed-form control-point pose estimate (no refinement).
 
-    Among the kernel-combination cases, the pose with the smallest
-    reprojection cost wins, the earlier case on a tie.
+    Each kernel case gives the pose of its linearized betas, unpolished;
+    the one with the smallest reprojection cost wins, the earlier on a tie.
     """
     pts3, pix, w = _validated(pts3, pix, w)
     if pix.ndim != 2:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from helpers import random_pose, reprojection_rms, synth_scene
 from refcal import pnp
+from refcal.calibration import Mode
 from refcal.errors import (
     DegenerateConfiguration,
     DivergedBehindCamera,
@@ -33,9 +34,9 @@ from refcal.pnp import (
     PoseStack,
     _barycentric,
     _control_points,
+    _initial_betas,
     _kernel_basis,
     _linear_candidates,
-    _refine_betas,
     check_degeneracy,
     linearize_reprojection,
     refine_pose,
@@ -227,26 +228,25 @@ def test_refine_rms_matches_per_point_residuals():
     )
 
 
-def test_refine_betas_keeps_the_betas_of_a_singular_system():
-    # All-zero kernel differences give a zero Jacobian: no step can be taken.
+def test_initial_betas_of_a_singular_system_are_zero():
+    # An all-zero Gram matrix has no scale to fit: case 1 is NaN, and the
+    # singular normal equations of cases 2 and 3 are solved one by one and
+    # give zero betas.
     rho = np.ones(6)
-    betas = np.array([[0.5, 0.0, 0.0], [0.5, -0.2, 0.0], [0.5, -0.2, 0.1]])
-    for n_cases in (1, 2, 3):
-        stack = betas[:n_cases]
-        assert np.array_equal(_refine_betas(np.zeros((6, 3, 3)), rho, stack), stack)
-    # Only the first kernel vector has differences: case 1 is regular and
-    # converges, cases 2 and 3 are singular in the same stack.
+    betas = _initial_betas(np.zeros((6, 3, 3)), rho, 3)
+    assert_allclose(betas, [[np.nan, 0, 0], [0, 0, 0], [0, 0, 0]], rtol=0, atol=0)
+    # Only the first kernel vector has differences: case 1 is regular, cases
+    # 2 and 3 are singular in the same stack.
     gram = np.zeros((6, 3, 3))
-    gram[:, 0, 0] = np.linspace(0.5, 1.5, 6)
-    refined = _refine_betas(gram, rho, betas)
-    assert np.array_equal(refined[1:], betas[1:])
-    b11 = (gram[:, 0, 0] @ rho) / (gram[:, 0, 0] @ gram[:, 0, 0])
-    assert_allclose(refined[0], [math.sqrt(b11), 0.0, 0.0], rtol=1e-12, atol=0)
+    gram[:, 0, 0] = g00 = np.linspace(0.5, 1.5, 6)
+    betas = _initial_betas(gram, rho, 3)
+    assert_allclose(betas[0], [np.sqrt(rho * g00).sum() / g00.sum(), 0, 0], rtol=1e-15, atol=0)
+    assert np.array_equal(betas[1:], np.zeros((2, 3)))
 
 
 def _per_case_candidates(pts3, pix, w, planar):
     """The kernel cases one at a time, each with its own least-squares beta
-    initialisation, Gauss-Newton loop and Kabsch alignment."""
+    initialisation and Kabsch alignment."""
     ctrl = _control_points(pts3, w, planar)
     alphas = _barycentric(pts3, ctrl)
     kernel = _kernel_basis(alphas, pix, w, K, n_vecs=3)
@@ -267,13 +267,6 @@ def _per_case_candidates(pts3, pix, w, planar):
             if case == 3:
                 betas.append(math.copysign(math.sqrt(abs(s[5])), s[3]))
             betas = np.array(betas)
-        for _ in range(8):
-            dcc = np.tensordot(betas, dv[:case], axes=1)
-            jac = 2.0 * np.einsum("kpd,pd->pk", dv[:case], dcc)
-            step = np.linalg.solve(jac.T @ jac, -jac.T @ ((dcc**2).sum(axis=1) - rho))
-            betas = betas + step
-            if np.max(np.abs(step)) < 1e-12:
-                break
         xc = alphas @ np.tensordot(betas, kernel[:case], axes=1)
         xc = -xc if w @ xc[:, 2] < 0 else xc
         c_src, c_dst = np.average(pts3, axis=0, weights=w), np.average(xc, axis=0, weights=w)
@@ -376,6 +369,50 @@ def test_noiseless_refinement_stops_at_the_cost_floor(monkeypatch, n):
     assert len(calls) <= 8
     assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-8
     assert rotation_error(sol.pose, t_gt) < 1e-8
+
+
+def test_a_rejected_trial_that_ties_the_cost_stops_refinement(monkeypatch):
+    # From the truth, three accepted steps reach the optimum; the fourth
+    # trial's cost differs from it at rounding level (1e-14 relative) and is
+    # rejected.  That tie ends the run instead of ~16 more rejected trials
+    # until the damping passes 1e12.
+    calls = []
+
+    def counted(*args, _original=pnp.linearize_reprojection):
+        calls.append(1)
+        return _original(*args)
+
+    monkeypatch.setattr(pnp, "linearize_reprojection", counted)
+    rng = np.random.default_rng(16)
+    t_gt, pts, pix = synth_scene(rng, 12, K)
+    pix = pix + rng.normal(0.0, 2.0, pix.shape)
+    sol = refine_pose(t_gt, pts, pix, K)
+    assert len(calls) == 5
+    # A rejected trial leaves the state as it was: the pose is the one after
+    # the third accepted step.
+    monkeypatch.setattr(pnp, "MAX_ITERS", 3)
+    capped = refine_pose(t_gt, pts, pix, K)
+    assert np.array_equal(sol.pose.rotation, capped.pose.rotation)
+    assert np.array_equal(sol.pose.translation, capped.pose.translation)
+
+
+@pytest.mark.parametrize("mode", [Mode.EYE_ON_BASE, Mode.EYE_IN_HAND])
+def test_solve_reaches_the_optimum_refined_from_the_truth(panda, panda_base, mode):
+    # The linear stage only picks the start: from its unpolished betas,
+    # Levenberg-Marquardt lands on the optimum it reaches from the truth.
+    chain, ref = panda if mode is Mode.EYE_ON_BASE else panda_base
+    for seed in range(7):
+        cfg = ScenarioConfig(seed=seed, mode=mode)
+        scene = generate_scene(cfg, chain, ref)
+        track = corrupt_track(scene.clean_track, NoiseModel(sigma=2.0), seed=seed)
+        visible = np.flatnonzero(track.visible)
+        for n in (8, 12, len(visible)):
+            rows = visible[np.linspace(0, len(visible) - 1, n).round().astype(int)]
+            pts, pix = scene.points[rows], track.uv[rows]
+            sol = solve_pnp(pts, pix, cfg.camera)
+            from_truth = refine_pose(scene.t_gt, pts, pix, cfg.camera)
+            assert_allclose(sol.pose.translation, from_truth.pose.translation, rtol=0, atol=1e-6)
+            assert rotation_error(sol.pose, from_truth.pose) < 1e-6
 
 
 def test_jacobian_matches_central_differences():
