@@ -140,7 +140,10 @@ def select_frames(
     its reason.  Each track frame lands in exactly one of the two lists."""
     options = options or CalibrationOptions()
     frames = track.frame_index
-    missing = ~np.isin(frames, joints.frame_index)
+    # Both frame-index arrays are strictly increasing, so a frame is logged
+    # exactly when the two sides of its insertion point differ.
+    logged = joints.frame_index
+    missing = np.searchsorted(logged, frames, "right") == np.searchsorted(logged, frames)
     hidden = ~track.visible
     unsynced = ~track.sync & options.use_only_sync
     ok = ~(missing | hidden | unsynced)
@@ -195,19 +198,26 @@ def calibrate_each(req: CalibrationRequest, tracks) -> list[CalibrationResult | 
     track=tracks[i]))`` returns or the CalibrationError it raises.  Other
     errors (an eye-in-hand request without a base reference point) are raised.
 
-    Tracks that select the same frames differ only in their pixels, so they
-    share one stacked PnP solve: object points, degeneracy check and control
-    points are computed once, and each track still gets exactly the pose it
-    would get alone.
+    Tracks with the same frame numbers and flags differ only in their
+    pixels, so frames are selected once per such pattern.  Tracks that
+    select the same frames share one stacked PnP solve: object points,
+    degeneracy check and control points are computed once, and each track
+    still gets exactly the pose it would get alone.
     """
     results: list = [None] * len(tracks)
+    selected: dict = {}  # frame numbers' and flags' bytes: select_frames' result or error
     groups: dict = {}  # used frames' bytes: (used frames, [(track index, dropped)])
     for i, track in enumerate(tracks):
-        try:
-            used, dropped = select_frames(track, req.joints, req.options)
-        except CalibrationError as exc:
-            results[i] = exc
+        key = (track.frame_index.tobytes(), track.visible.tobytes(), track.sync.tobytes())
+        if key not in selected:
+            try:
+                selected[key] = select_frames(track, req.joints, req.options)
+            except CalibrationError as exc:
+                selected[key] = exc
+        if isinstance(selected[key], CalibrationError):
+            results[i] = selected[key]
             continue
+        used, dropped = selected[key]
         groups.setdefault(used.tobytes(), (used, []))[1].append((i, tuple(dropped)))
     for used, members in groups.values():
         # Both frame-index arrays are strictly increasing and contain every used frame.

@@ -103,7 +103,14 @@ def compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
     """compose() over stacks of rotations (N, 3, 3) and translations (N, 3),
     either side possibly one transform for all N; each product rotation is
     re-projected onto SO(3) on its own if it drifts past ORTHONORMAL_TOL."""
-    r = np.matmul(ra, rb)
+    r = reproject_drifted(np.matmul(ra, rb))
+    return r, np.matmul(ra, np.asarray(tb)[..., None])[..., 0] + ta
+
+
+def reproject_drifted(r: np.ndarray) -> np.ndarray:
+    """Re-project onto SO(3), in place, each rotation of a stack (..., 3, 3)
+    whose Gram matrix r.T r is off the identity by more than ORTHONORMAL_TOL
+    in some entry; returns r."""
     # The Gram product of a contiguous transpose takes BLAS's fast path; one
     # global max (0 for an empty stack) clears a stack in which no rotation
     # has drifted.
@@ -113,21 +120,13 @@ def compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
     if drift.max(initial=0.0) > ORTHONORMAL_TOL:
         bad = drift.max(axis=(-2, -1)) > ORTHONORMAL_TOL
         r[bad] = orthonormalize(r[bad])
-    return r, np.matmul(ra, np.asarray(tb)[..., None])[..., 0] + ta
+    return r
 
 
 def invert_stack(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """invert() over stacks: rotations (N, 3, 3) and translations (N, 3)."""
     rt = np.swapaxes(r, -1, -2)
     return rt, -(rt @ np.asarray(t)[..., None])[..., 0]
-
-
-def apply_stack(r: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Transform one point (3,) or one point per frame (N, 3) by each of a
-    stack of transforms, rotations (N, 3, 3) and translations (N, 3).  Not
-    the stacked ``apply``: the two round differently in the last bit for
-    about half of all poses, and both feed scene digests."""
-    return (r @ np.asarray(points, dtype=float)[..., None])[..., 0] + t
 
 
 def compose(a: Pose, b: Pose) -> Pose:

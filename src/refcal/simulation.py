@@ -388,10 +388,19 @@ def corrupt_track(track: Track2D, noise: NoiseModel, seed: int) -> Track2D:
     deterministic under the seed, and for a fixed seed the injected offsets
     scale linearly with sigma (common random numbers across noise levels).
     """
-    rng = _substream(seed, _NOISE)
+    return _offset(track, noise.sigma * _unit_noise(track, seed))
+
+
+def _unit_noise(track: Track2D, seed: int) -> np.ndarray:
+    """The standard normal draws (visible frames, 2) that corrupt_track
+    scales by sigma."""
+    return _substream(seed, _NOISE).standard_normal((int(track.visible.sum()), 2))
+
+
+def _offset(track: Track2D, offsets: np.ndarray) -> Track2D:
+    """The track with offsets (visible frames, 2) added to its visible pixels."""
     uv = np.array(track.uv)
     vis = track.visible
-    offsets = noise.sigma * rng.standard_normal((int(vis.sum()), 2))
     uv[vis] = uv[vis] + offsets
     return Track2D(track.frame_index, uv, vis, track.sync)
 
@@ -462,10 +471,11 @@ def _sweep(
     observe,
 ) -> SweepResult:
     """Calibrate each of n_repeats scenes once per parameter value, from the
-    track observe(param, scene, noise_seed) returns; a CalibrationError
-    counts as a failed repeat.  The scenes are shared across values, and a
-    scene's tracks run in one calibrate_each call, so values whose tracks
-    select the same frames share one stacked solve."""
+    track observe(scene, noise_seed)(param) returns; a CalibrationError
+    counts as a failed repeat.  The scenes are shared across values, and
+    observe runs once per scene, so per-scene work (a noise draw) is done
+    once.  A scene's tracks run in one calibrate_each call, so values whose
+    tracks select the same frames share one stacked solve."""
     if not params:
         raise ValueError(f"a {kind} sweep needs at least one value, got {params!r}")
     if n_repeats < 1:
@@ -483,9 +493,10 @@ def _sweep(
             scene.points,
         )  # fmt: skip
         slots, tracks = [], []
+        track_at = observe(scene, noise_seed)
         for p, param in enumerate(params):
             try:
-                tracks.append(observe(param, scene, noise_seed))
+                tracks.append(track_at(param))
             except CalibrationError:
                 n_fail[p] += 1
                 continue
@@ -509,14 +520,17 @@ def run_noise_sweep(
     """Calibration error as a function of injected pixel-noise sigma.
 
     Scenes are shared across sigma values (only the noise substream
-    scales), so the sweep isolates the solver's noise response.
+    scales), so the sweep isolates the solver's noise response.  Each
+    scene's noise is drawn once and scaled by each sigma: the tracks equal
+    corrupt_track's bit for bit.
     """
     sigma_values = list(sigma_values)
     for sigma in sigma_values:
         NoiseModel(sigma=sigma)  # rejects a bad sigma before any scene is made
 
-    def observe(sigma, scene, noise_seed):
-        return corrupt_track(scene.clean_track, NoiseModel(sigma=sigma), noise_seed)
+    def observe(scene, noise_seed):
+        unit = _unit_noise(scene.clean_track, noise_seed)
+        return lambda sigma: _offset(scene.clean_track, sigma * unit)
 
     return _sweep("noise", cfg, chain, ref, sigma_values, n_repeats, observe)
 
@@ -538,10 +552,14 @@ def run_frames_sweep(
     if any(n < 4 for n in n_values):
         raise ValueError("frame counts below 4 cannot be solved")
 
-    def observe(n, scene, noise_seed):
+    def observe(scene, noise_seed):
         noisy = corrupt_track(scene.clean_track, cfg.noise, noise_seed)
-        usable, _ = select_frames(noisy, scene.joint_log, CalibrationOptions(min_pairs=n))
-        return noisy.subset(usable[np.floor(np.arange(n) * len(usable) / n).astype(int)])
+
+        def track_at(n):
+            usable, _ = select_frames(noisy, scene.joint_log, CalibrationOptions(min_pairs=n))
+            return noisy.subset(usable[np.floor(np.arange(n) * len(usable) / n).astype(int)])
+
+        return track_at
 
     return _sweep("frames", cfg, chain, ref, n_values, n_repeats, observe)
 

@@ -377,6 +377,35 @@ def test_calibrate_each_stacks_requests_that_select_the_same_frames(panda, monke
     assert calibrate_each(req, []) == []
 
 
+def test_calibrate_each_selects_frames_once_per_flag_pattern(panda, monkeypatch):
+    import refcal.calibration
+
+    chain, ref = panda
+    scene = generate_scene(ScenarioConfig(seed=48), chain, ref)
+    clean = scene.clean_track
+    sync = clean.sync & (clean.frame_index % 7 != 0)  # some frames dropped as not synced
+    base = Track2D(clean.frame_index, clean.uv, clean.visible, sync)
+    sigmas = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
+    tracks = [corrupt_track(base, NoiseModel(sigma=s), seed=48) for s in sigmas]
+    calls = []
+    original = refcal.calibration.select_frames
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(refcal.calibration, "select_frames", counted)
+    req = _request(scene, Mode.EYE_ON_BASE)
+    results = calibrate_each(req, tracks)
+    # The six tracks share their frame numbers and flags, so one selection
+    # serves them all; each still gets its own dropped tuple.
+    assert len(calls) == 1
+    for track, result in zip(tracks, results):
+        assert result.dropped == tuple(original(track, req.joints, req.options)[1])
+        assert NOT_SYNCED in dict(result.dropped).values()
+    assert len({id(result.dropped) for result in results}) == len(sigmas)
+
+
 def test_calibrate_each_gives_a_stack_its_shared_error():
     # The rail of test_collinear_trajectory_rejected, seen twice: the point
     # set is collinear whatever the pixels, so both tracks fail with it.

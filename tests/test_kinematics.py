@@ -367,20 +367,36 @@ def test_batched_fk_dimension_mismatch(panda):
         reference_point_in_base(chain, ref, np.zeros((5, 8)))
 
 
+# An origin rotation off SO(3) by 1e-6 makes every product drift past
+# ORTHONORMAL_TOL; each frame and link must be re-projected as compose does.
+_BUMP = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_DRIFTED = Pose(rot_z(0.3) + 1e-6 * _BUMP, (0.1, 0.0, 0.2))
+DRIFT = KinematicChain(
+    name="drift",
+    joints=(
+        _revolute("j1", origin=_DRIFTED, axis=(1.0, 0.0, 0.0)),
+        _revolute("j2", origin=_DRIFTED),
+        _fixed("tool", (0.0, 0.0, 0.1)),
+    ),
+)
+DRIFT_Q = np.array([[0.0, 0.0], [0.4, -1.1], [2.0, 0.7]])
+
+# An origin stretched along x by 8e-10 has R^T R - I = diag(1.6e-9, 0, 0).
+# After a z rotation by theta the largest entry is 1.6e-9 max(c^2, s^2,
+# |c s|): past ORTHONORMAL_TOL at theta = 0, 0.8e-9 at odd multiples of
+# pi/4.  So only the frame at 0 is re-projected; the others keep their drift.
+DRIFT_ONE = KinematicChain(
+    name="drift-one",
+    joints=(
+        _revolute("j1", origin=Pose(np.diag([1.0 + 8e-10, 1.0, 1.0]), (0.1, 0.0, 0.2))),
+        _fixed("tool", (0.0, 0.0, 0.1)),
+    ),
+)
+DRIFT_ONE_Q = np.array([[math.pi / 4], [-math.pi / 4], [0.0], [3 * math.pi / 4]])
+
+
 def test_batched_fk_reprojects_drifted_rotations():
-    # An origin rotation off SO(3) by 1e-6 makes every product drift past
-    # ORTHONORMAL_TOL; each frame and link must be re-projected as compose does.
-    bump = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    drifted = Pose(rot_z(0.3) + 1e-6 * bump, (0.1, 0.0, 0.2))
-    chain = KinematicChain(
-        name="drift",
-        joints=(
-            _revolute("j1", origin=drifted, axis=(1.0, 0.0, 0.0)),
-            _revolute("j2", origin=drifted),
-            _fixed("tool", (0.0, 0.0, 0.1)),
-        ),
-    )
-    q = np.array([[0.0, 0.0], [0.4, -1.1], [2.0, 0.7]])
+    chain, q = DRIFT, DRIFT_Q
     rotations, translations = forward_kinematics(chain, q)
     drift = np.abs(np.swapaxes(rotations, -1, -2) @ rotations - np.eye(3)).max(axis=(-2, -1))
     assert drift.max() < 1e-12
@@ -391,16 +407,7 @@ def test_batched_fk_reprojects_drifted_rotations():
 
 
 def test_batched_fk_reprojects_only_the_drifted_frame():
-    # An origin stretched along x by 8e-10 has R^T R - I = diag(1.6e-9, 0, 0).
-    # After a z rotation by theta the largest entry is 1.6e-9 max(c^2, s^2,
-    # |c s|): past ORTHONORMAL_TOL at theta = 0, 0.8e-9 at odd multiples of
-    # pi/4.  So only the frame at 0 is re-projected; the others keep their drift.
-    stretched = Pose(np.diag([1.0 + 8e-10, 1.0, 1.0]), (0.1, 0.0, 0.2))
-    chain = KinematicChain(
-        name="drift-one",
-        joints=(_revolute("j1", origin=stretched), _fixed("tool", (0.0, 0.0, 0.1))),
-    )
-    q = np.array([[math.pi / 4], [-math.pi / 4], [0.0], [3 * math.pi / 4]])
+    chain, q = DRIFT_ONE, DRIFT_ONE_Q
     rotations, translations = forward_kinematics(chain, q)
     drift = np.abs(np.swapaxes(rotations, -1, -2) @ rotations - np.eye(3)).max(axis=(-2, -1))
     assert drift[2, 1:].max() < 1e-12
@@ -410,6 +417,63 @@ def test_batched_fk_reprojects_only_the_drifted_frame():
         for k, pose in enumerate(_per_frame_fk(chain, qi)):
             assert_allclose(rotations[i, k], pose.rotation, rtol=0, atol=1e-12)
             assert_allclose(translations[i, k], pose.translation, rtol=0, atol=1e-12)
+
+
+# A revolute joint about y, a prismatic joint along a tilted axis under a
+# rotated origin, a rotated fixed bracket and a revolute joint about an x
+# axis 9e-10 longer than unit: its rotation drifts past ORTHONORMAL_TOL near
+# a half turn, by (1 - cos theta)^2 (|axis|^2 - 1).
+SLIDE = KinematicChain(
+    name="slide",
+    joints=(
+        _revolute("j1", origin=Pose(rot_z(0.4), (0.0, 0.0, 0.3)), axis=(0.0, 1.0, 0.0)),
+        Joint("slide", "prismatic", Pose(rot_z(-0.9), (0.2, 0.0, 0.0)), axis=(0.6, 0.0, 0.8)),
+        Joint("bracket", "fixed", Pose(rot_z(1.1), (0.0, 0.1, 0.05))),
+        _revolute("j2", origin=Pose(np.eye(3), (0.0, 0.0, 0.1)), axis=(1.0 + 9e-10, 0.0, 0.0)),
+    ),
+)
+SLIDE_Q = np.array([[0.0, 0.0, 0.0], [0.7, -0.3, 1.2], [-2.1, 0.45, 3.0]])
+
+
+def _fresh(points):
+    return points.dtype == np.float64 and points.flags.writeable and points.flags.owndata
+
+
+@pytest.mark.parametrize(
+    "chain, q", [(DRIFT, DRIFT_Q), (DRIFT_ONE, DRIFT_ONE_Q), (SLIDE, SLIDE_Q)],
+    ids=["drift", "drift-one", "slide"],
+)  # fmt: skip
+def test_carried_points_match_the_fk_poses(chain, q):
+    # The point functions carry the point through each joint's transform
+    # instead of forming the link poses; they must agree with applying the
+    # forward_kinematics poses, on every link (link 0 too) and for readings
+    # of shape (J,), (N, J) and (0, J), each in a fresh writable array.
+    offset = np.array([0.05, -0.02, 0.07])
+    rotations, translations = forward_kinematics(chain, q)
+    poses = [[Pose(r, t) for r, t in zip(rs, ts)] for rs, ts in zip(rotations, translations)]
+    empty = np.zeros((0, chain.n_actuated))
+    for link in range(chain.n_links):
+        ref = ReferencePoint(link, offset)
+        expected = np.array([apply(frame[link], offset) for frame in poses])
+        points = reference_point_in_base(chain, ref, q)
+        assert _fresh(points)
+        assert_allclose(points, expected, rtol=0, atol=1e-12)
+        for qi, point in zip(q, expected):
+            one = reference_point_in_base(chain, ref, qi)
+            assert one.shape == (3,) and _fresh(one)
+            assert_allclose(one, point, rtol=0, atol=1e-12)
+        none = reference_point_in_base(chain, ref, empty)
+        assert none.shape == (0, 3) and _fresh(none)
+    expected = np.array([apply(invert(frame[-1]), offset) for frame in poses])
+    in_ee = base_point_in_ee_frame(chain, q, offset)
+    assert _fresh(in_ee)
+    assert_allclose(in_ee, expected, rtol=0, atol=1e-12)
+    for qi, point in zip(q, expected):
+        one = base_point_in_ee_frame(chain, qi, offset)
+        assert one.shape == (3,) and _fresh(one)
+        assert_allclose(one, point, rtol=0, atol=1e-12)
+    none = base_point_in_ee_frame(chain, empty, offset)
+    assert none.shape == (0, 3) and _fresh(none)
 
 
 def test_batched_fk_on_zero_readings(panda, panda_base):

@@ -394,6 +394,33 @@ def test_noise_sweep_matches_a_calibrate_per_request(panda, panda_base):
     assert n_failed == 4
 
 
+def test_noise_sweep_tracks_equal_corrupt_track(panda_base, monkeypatch):
+    # The sweep draws each scene's noise once and scales it by each sigma;
+    # the tracks it calibrates must be corrupt_track's, bit for bit.
+    import refcal.simulation
+
+    chain, ref = panda_base
+    cfg = ScenarioConfig(seed=3, mode=Mode.EYE_IN_HAND, duration=2.0)
+    sigmas = [0.0, 0.5, 2.0, 2.0, 7.5]
+    seen = []
+    original = refcal.simulation.calibrate_each
+
+    def recorded(req, tracks):
+        seen.append((req.track, list(tracks)))
+        return original(req, tracks)
+
+    monkeypatch.setattr(refcal.simulation, "calibrate_each", recorded)
+    run_noise_sweep(cfg, chain, ref, sigmas, n_repeats=3)
+    assert len(seen) == 3
+    for r, (clean, tracks) in enumerate(seen):
+        noise_seed = _child_seed(cfg.seed, _NOISE, r)
+        assert len(tracks) == len(sigmas)
+        for sigma, track in zip(sigmas, tracks):
+            expected = corrupt_track(clean, NoiseModel(sigma=sigma), noise_seed)
+            for name in ("frame_index", "uv", "visible", "sync"):
+                assert getattr(track, name).tobytes() == getattr(expected, name).tobytes()
+
+
 def test_noise_sweep_deterministic(panda):
     chain, ref = panda
     cfg = ScenarioConfig(seed=21)

@@ -57,8 +57,8 @@ def test_solve_pnp_reaches_the_traced_pnp_names(monkeypatch):
 
 def test_noise_sweep_stays_stacked_and_traced(panda_base, monkeypatch):
     # The traced calibration.select_ms and pnp.solve_ms see the sweep only
-    # through these module attributes, and a scene's noise levels select the
-    # same frames, so they solve as one stack.
+    # through these module attributes, and a scene's noise levels keep its
+    # frame flags, so they select frames once and solve as one stack.
     calls = {"select_frames": [], "solve_pnp": []}
     for name in calls:
 
@@ -71,5 +71,5 @@ def test_noise_sweep_stays_stacked_and_traced(panda_base, monkeypatch):
     cfg = ScenarioConfig(seed=1, mode=Mode.EYE_IN_HAND)
     sweep = run_noise_sweep(cfg, chain, ref, [0.0, 2.0, 4.0], n_repeats=2)
     assert [cell.n_fail for cell in sweep.cells] == [0, 0, 0]
-    assert len(calls["select_frames"]) == 2 * 3
+    assert len(calls["select_frames"]) == 2
     assert calls["solve_pnp"] == [3, 3]
