@@ -17,6 +17,7 @@ reintroduce exactly the asynchrony the sync mechanism removes.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 
@@ -72,6 +73,20 @@ class Track2D:
     @property
     def n_frames(self) -> int:
         return len(self.frame_index)
+
+    def with_pixels(self, uv) -> "Track2D":
+        """This track with other pixels (n_frames, 2).  The frame numbers
+        and flags are this track's own read-only arrays, shared rather than
+        copied and checked again; the pixels must still be finite wherever
+        the point is flagged visible."""
+        track = copy.copy(self)
+        object.__setattr__(track, "uv", uv)
+        uv = freeze(track, "uv")
+        if uv.shape != self.uv.shape:
+            raise ValueError(f"expected pixels of shape {self.uv.shape}, got {uv.shape}")
+        if not np.isfinite(uv[self.visible]).all():
+            raise ValueError("visible frames must carry finite pixel coordinates")
+        return track
 
     def subset(self, frame_numbers) -> "Track2D":
         """Restrict to the given frame numbers (order preserved)."""
@@ -186,53 +201,54 @@ def calibrate(req: CalibrationRequest) -> CalibrationResult:
     """Solve the camera-to-base transform (eye-on-base, camera fixed in the
     workspace) or the camera-to-end-effector transform (eye-in-hand, camera
     on the arm) from the 2D-3D pairs of the usable frames."""
-    (result,) = calibrate_each(req, [req.track])
+    (result,) = calibrate_each([(req, req.track)])
     if isinstance(result, CalibrationError):
         raise result
     return result
 
 
-def calibrate_each(req: CalibrationRequest, tracks) -> list[CalibrationResult | CalibrationError]:
-    """Calibrate ``req`` once per track of a sequence, in place of its own:
-    entry i is the CalibrationResult that ``calibrate(replace(req,
-    track=tracks[i]))`` returns or the CalibrationError it raises.  Other
-    errors (an eye-in-hand request without a base reference point) are raised.
+def calibrate_each(members) -> list[CalibrationResult | CalibrationError]:
+    """Calibrate each (request, track) pair of a sequence, the track in
+    place of the request's own: entry i is the CalibrationResult that
+    ``calibrate(replace(req, track=track))`` returns or the CalibrationError
+    it raises.  Other errors (an eye-in-hand request without a base
+    reference point) are raised.
 
-    Tracks with the same frame numbers and flags differ only in their
-    pixels, so frames are selected once per such pattern.  Tracks that
-    select the same frames share one stacked PnP solve: object points,
-    degeneracy check and control points are computed once, and each track
-    still gets exactly the pose it would get alone.
+    Frames are selected, and their object points looked up, once per
+    request and pattern of frame numbers and flags.  Every member with
+    usable frames then joins one ragged PnP stack per camera and loss (in
+    practice one stack): each member keeps its own pairs, every per-member
+    sum reads only that member's segment of the stack, and each member gets
+    exactly the pose it would get alone.
     """
-    results: list = [None] * len(tracks)
-    selected: dict = {}  # frame numbers' and flags' bytes: select_frames' result or error
-    groups: dict = {}  # used frames' bytes: (used frames, [(track index, dropped)])
-    for i, track in enumerate(tracks):
-        key = (track.frame_index.tobytes(), track.visible.tobytes(), track.sync.tobytes())
+    members = list(members)
+    results: list = [None] * len(members)
+    selected: dict = {}  # request and frame pattern: (used frames, dropped, points) or error
+    stacks: dict = {}  # (intrinsics, robust): [(member index, pairs, dropped, points, pixels)]
+    for i, (req, track) in enumerate(members):
+        key = (id(req), track.frame_index.tobytes(), track.visible.tobytes(), track.sync.tobytes())
         if key not in selected:
             try:
-                selected[key] = select_frames(track, req.joints, req.options)
+                used, dropped = select_frames(track, req.joints, req.options)
+                selected[key] = (used, dropped, _pair_points(req, used))
             except CalibrationError as exc:
                 selected[key] = exc
         if isinstance(selected[key], CalibrationError):
             results[i] = selected[key]
             continue
-        used, dropped = selected[key]
-        groups.setdefault(used.tobytes(), (used, []))[1].append((i, tuple(dropped)))
-    for used, members in groups.values():
+        used, dropped, points = selected[key]
         # Both frame-index arrays are strictly increasing and contain every used frame.
-        group = [tracks[i] for i, _ in members]
-        uv = np.array([t.uv[np.searchsorted(t.frame_index, used)] for t in group])
-        try:
-            points = _pair_points(req, used)
-            solutions = solve_pnp(points, uv, req.intrinsics, robust=req.options.robust)
-        except CalibrationError as exc:
-            solutions = [exc] * len(members)
-        for (i, dropped), sol in zip(members, solutions):
+        uv = track.uv[np.searchsorted(track.frame_index, used)]
+        stack = stacks.setdefault((req.intrinsics, req.options.robust), [])
+        stack.append((i, len(used), tuple(dropped), points, uv))
+    for (intrinsics, robust), stack in stacks.items():
+        index, n_used, dropped, points, uv = zip(*stack)
+        solutions = solve_pnp(list(points), list(uv), intrinsics, robust=robust)
+        for i, n, drop, sol in zip(index, n_used, dropped, solutions):
             if isinstance(sol, CalibrationError):
                 results[i] = sol
             else:
-                results[i] = CalibrationResult(sol.pose, sol, len(used), dropped)
+                results[i] = CalibrationResult(sol.pose, sol, n, drop)
     return results
 
 

@@ -6,9 +6,17 @@ reprojection error refines it.  Degeneracy of the 3D point arrangement is
 diagnosed before solving; collinear or too-small point sets are rejected
 because they admit no well-conditioned unique pose.
 
-Every stage runs on a stack: S pixel sets (S, n, 2) that share one point
-set (n, 3) and its weights are solved in one pass, each exactly as it
-would be alone.  A single solve is a stack of one.
+Every stage runs on a ragged stack: M members, each with its own points,
+pixels, weights and pair count, laid end to end in structure-of-arrays
+form (``RaggedPoints``: x, y, z rows (3, N), pixels as u, v rows (2, N),
+weights (N,)).  Member j owns the columns starts[j]:starts[j] + counts[j],
+and every reduction over a member's pairs reads that segment alone: sums
+run through ``np.add.reduceat`` over it, and Gram matrices and rotations
+through one BLAS product of the member's own columns (batched over runs of
+adjacent members with equal pair counts, on C-ordered operands).  So a
+member's result is bit for bit the one it gets in a stack of one, whatever
+else the stack holds.  A single solve is a stack of one, and S pixel sets
+of one point set are a stack of S copies of it.
 
 Pose convention: the returned pose maps object-frame points into the
 camera frame, so ``project(k, apply(pose, p3))`` reproduces the pixel.
@@ -17,6 +25,8 @@ camera frame, so ``project(k, apply(pose, p3))`` reproduces the pixel.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -31,7 +41,7 @@ from .errors import (
     EmptyInput,
     NumericalFailure,
 )
-from .geometry import MIN_DEPTH, CameraIntrinsics, Pose, freeze, orthonormalize, skew
+from .geometry import MIN_DEPTH, CameraIntrinsics, Pose, freeze, orthonormalize
 
 WELL_CONDITIONED = "well_conditioned"
 NEAR_COLLINEAR = "near_collinear"
@@ -86,6 +96,109 @@ class PoseStack(NamedTuple):
     translation: np.ndarray
 
 
+class RaggedPoints(NamedTuple):
+    """The object points of a ragged stack of M validated members, end to
+    end: x, y, z rows (3, N), each member's first column and pair count
+    (M,), each member's DegeneracyReport, and the maximal runs (first
+    member, members, first column, pair count) of adjacent members with
+    equal pair counts.  ``refine_pose`` and ``linearize_reprojection`` take
+    it in place of (n, 3) points, with the pixels as u, v rows (2, N) and
+    the weights as (N,); ``ragged_points`` builds it."""
+
+    xyz: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    reports: tuple
+    runs: tuple
+
+
+def ragged_points(xyz: np.ndarray, counts, reports) -> RaggedPoints:
+    """The RaggedPoints of M members with points as x, y, z rows (3, N),
+    end to end, with pair counts (M,) and DegeneracyReports."""
+    counts = [int(n) for n in counts]
+    starts = list(itertools.accumulate(counts, initial=0))[:-1]
+    runs = tuple(_runs_of(range(len(counts)), starts, counts))
+    return RaggedPoints(
+        xyz, np.array(starts, dtype=np.intp), np.array(counts, dtype=np.intp), tuple(reports), runs
+    )
+
+
+def _runs_of(members, starts: list, counts: list) -> list:
+    """The maximal runs (first member, members, first column, pair count)
+    of the members (ascending) that are adjacent and have equal counts."""
+    runs: list = []
+    for j in members:
+        if runs and j == runs[-1][0] + runs[-1][1] and counts[j] == runs[-1][3]:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, 1, starts[j], counts[j]])
+    return runs
+
+
+def _segment_sums(a: np.ndarray, pts: RaggedPoints) -> np.ndarray:
+    """Each member's sum (..., M) of a per-pair array (..., N), over its own
+    segment only."""
+    return np.add.reduceat(a, pts.starts, axis=-1)
+
+
+def _per_pair(a: np.ndarray, pts: RaggedPoints) -> np.ndarray:
+    """Per-member values (..., M) repeated over each member's pairs (..., N);
+    a stack of one keeps them (..., 1), to broadcast."""
+    return a if len(pts.counts) == 1 else np.repeat(a, pts.counts, axis=-1)
+
+
+def _runs(pts: RaggedPoints, idx=None):
+    """The runs of the members idx (ascending; all when None)."""
+    if idx is None or len(idx) == len(pts.counts):
+        return pts.runs
+    return _runs_of(idx, pts.starts.tolist(), pts.counts.tolist())
+
+
+def _segment_products(a: np.ndarray, pts: RaggedPoints, idx=None) -> np.ndarray:
+    """Each member's a_j @ a_j.T (M, p, p), a_j being its own columns of the
+    per-pair rows a (p, N); members idx only, when given.  One BLAS product
+    of the member's block, batched over runs of adjacent members with equal
+    pair counts: a member's matrix depends on its own pairs alone."""
+    products = []
+    for _, size, lo, n in _runs(pts, idx):
+        block = a[:, lo : lo + size * n].reshape(len(a), size, n).swapaxes(0, 1)
+        products.append(block @ block.swapaxes(1, 2))
+    return products[0] if len(products) == 1 else np.concatenate(products)
+
+
+def _apply_each(mats: np.ndarray, cols: np.ndarray, pts: RaggedPoints) -> np.ndarray:
+    """Each member's matrix (..., M, r, 3) times its own columns of cols
+    (3, N), as (..., r, N): one BLAS product per member, batched over runs
+    of adjacent members with equal pair counts."""
+    products = []
+    for j0, size, lo, n in pts.runs:
+        block = cols[:, lo : lo + size * n].reshape(3, size, n).swapaxes(0, 1)
+        prod = mats[..., j0 : j0 + size, :, :] @ block  # (..., size, r, n)
+        products.append(prod.swapaxes(-3, -2).reshape(*prod.shape[:-3], prod.shape[-2], -1))
+    return products[0] if len(products) == 1 else np.concatenate(products, axis=-1)
+
+
+def _shared(pts3: np.ndarray, report, s: int) -> RaggedPoints:
+    """The stack of s members that all hold the points (n, 3)."""
+    xyz = np.repeat(pts3.T[:, None], s, axis=1).reshape(3, -1)
+    return ragged_points(xyz, [len(pts3)] * s, (report,) * s)
+
+
+def _rows(pix: np.ndarray) -> np.ndarray:
+    """Pixel sets (S, n, 2) as the u, v rows (2, S n) of a stack of S members."""
+    return pix.transpose(2, 0, 1).reshape(2, -1)
+
+
+def _take(pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, idx) -> tuple:
+    """The stack of members idx (in that order, repeats allowed), with their
+    pixel rows and weights."""
+    counts = pts.counts[idx]
+    offsets = pts.starts[idx] - (np.cumsum(counts) - counts)
+    cols = np.repeat(offsets, counts) + np.arange(counts.sum())
+    sub = ragged_points(pts.xyz[:, cols], counts, [pts.reports[i] for i in idx])
+    return sub, pix[:, cols], w[cols]
+
+
 def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
     """Classify the spatial spread of a 3D point set.
 
@@ -122,7 +235,8 @@ def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pts3 = np.asarray(pts3, dtype=float)
     pix = np.asarray(pix, dtype=float)
     n = len(pts3) if pts3.ndim else 0
-    w = np.ones(n) if w is None else np.asarray(w, dtype=float)
+    ones = w is None
+    w = np.ones(n) if ones else np.asarray(w, dtype=float)
     if pts3.shape != (n, 3) or pix.shape[-2:] != (n, 2) or pix.ndim > 3 or w.shape != (n,):
         raise ValueError(
             f"expected (n, 3) points, (n, 2) or (S, n, 2) pixels and (n,) weights, got "
@@ -130,9 +244,11 @@ def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         )
     if n == 0:
         raise EmptyInput("no correspondences given")
-    if not (np.all(np.isfinite(pts3)) and np.all(np.isfinite(pix))):
+    if not (np.isfinite(pts3).all() and np.isfinite(pix).all()):
         raise ValueError("correspondence coordinates must be finite")
-    if not np.all(w >= 0):
+    if ones:
+        return pts3, pix, w
+    if not (w >= 0).all():
         raise ValueError("correspondence weights must be nonnegative")
     if not w.all():  # a zero weight removes its pair
         if not w.any():
@@ -162,65 +278,15 @@ def _checked_points(pts3: np.ndarray) -> DegeneracyReport:
     return report
 
 
-def _control_points(pts3: np.ndarray, w: np.ndarray, planar: bool) -> np.ndarray:
-    """Centroid plus principal-direction points scaled by the spread."""
-    wsum = float(w.sum())
-    c0 = (w[:, None] * pts3).sum(axis=0) / wsum
-    centered = pts3 - c0
-    cov = (centered * w[:, None]).T @ centered / wsum
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    n_dirs = 2 if planar else 3
-    dirs = np.sqrt(np.maximum(evals[:n_dirs], 1e-16)) * evecs[:, :n_dirs]
-    return np.vstack([c0, c0 + dirs.T])
-
-
-def _barycentric(pts3: np.ndarray, ctrl: np.ndarray) -> np.ndarray:
-    """Affine coordinates w.r.t. the control points, rows summing to one.
-
-    Expansion in the orthogonal principal basis is exact for the full basis
-    and projects out the (tiny) off-plane component in the planar case.
-    """
-    c0 = ctrl[0]
-    dirs = ctrl[1:] - c0
-    norms2 = (dirs**2).sum(axis=1)
-    coords = (pts3 - c0) @ dirs.T / norms2
-    alphas = np.empty((pts3.shape[0], ctrl.shape[0]))
-    alphas[:, 0] = 1.0 - coords.sum(axis=1)
-    alphas[:, 1:] = coords
-    return alphas
-
-
-def _kernel_basis(
-    alphas: np.ndarray, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics, n_vecs: int
-) -> np.ndarray:
-    """Smallest right-singular vectors (..., n_vecs, m, 3) of the 2n x 3m
-    projection system of each pixel set (..., n, 2)."""
-    n, m = alphas.shape
-    lead = pix.shape[:-2]
-    rows = np.zeros((*lead, n, 2, m, 3))  # point, pixel axis, control point, coordinate
-    sw = np.sqrt(w)[:, None]
-    rows[..., 0, :, 0] = alphas * k.fx * sw
-    rows[..., 0, :, 2] = alphas * (k.cx - pix[..., :1]) * sw
-    rows[..., 1, :, 1] = alphas * k.fy * sw
-    rows[..., 1, :, 2] = alphas * (k.cy - pix[..., 1:]) * sw
-    rows = rows.reshape(*lead, 2 * n, 3 * m)
-    try:
-        _, evecs = np.linalg.eigh(np.swapaxes(rows, -1, -2) @ rows)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("null-space extraction failed") from exc
-    return np.swapaxes(evecs[..., :n_vecs], -1, -2).reshape(*lead, n_vecs, m, 3)
-
-
 def _initial_betas(gram: np.ndarray, rho: np.ndarray, n_cases: int) -> np.ndarray:
     """Linearized distance-constraint betas (..., C, 3) of kernel cases
     1..n_cases, zero-padded; a case with a degenerate kernel vector gets NaN.
 
     ``gram`` (..., P, 3, 3), read nowhere else, holds the Gram matrix of
-    each control-point pair's kernel differences.  Case 1 fits one scale to
-    the distances; cases 2 and 3 fit the first three or all six columns of
-    one system in b11, b12, b22, b13, b23, b33, through its normal equations.
+    each control-point pair's kernel differences, and ``rho`` (..., P) the
+    squared control-point distances.  Case 1 fits one scale to the
+    distances; cases 2 and 3 fit the first three or all six columns of one
+    system in b11, b12, b22, b13, b23, b33, through its normal equations.
     """
     betas = np.zeros((*gram.shape[:-3], n_cases, 3))
     norms2 = gram[..., 0, 0]
@@ -235,7 +301,8 @@ def _initial_betas(gram: np.ndarray, rho: np.ndarray, n_cases: int) -> np.ndarra
     cols_t = np.swapaxes(cols, -1, -2)
     used = np.repeat(np.tri(n_cases - 1, 2, dtype=bool), 3, axis=1)  # (C - 1, 6)
     lhs = np.where(used[:, :, None] & used[:, None, :], (cols_t @ cols)[..., None, :, :], np.eye(6))
-    sol = _solve_each(lhs, np.where(used, (cols_t @ rho)[..., None, :], 0.0))
+    rhs = (cols_t @ rho[..., None])[..., 0]
+    sol = _solve_each(lhs, np.where(used, rhs[..., None, :], 0.0))
     signs = sol[..., [0, 1, 3]]
     signs[..., 0] = 1.0
     # Case 2 keeps b1, b2 and case 3 all three; b1 comes out positive.
@@ -258,41 +325,94 @@ def _solve_each(h: np.ndarray, g: np.ndarray) -> np.ndarray:
         return x.reshape(g.shape)
 
 
+# Index pairs (i <= j) and control-point pairs (i < j) of 3 and 4 points.
+_UPPER = {m: np.triu_indices(m) for m in (3, 4)}
+_PAIRS = {m: np.array(list(combinations(range(m), 2))).T for m in (3, 4)}
+
+
 def _linear_candidates(
-    pts3: np.ndarray,
-    pix: np.ndarray,
-    w: np.ndarray,
-    k: CameraIntrinsics,
-    planar: bool,
+    pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics, planar: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (..., C, 3, 3) and translations (..., C, 3) of the kernel
-    cases of each pixel set (..., n, 2), in case order, NaN for a case
-    without a solution: the shared control points, then one weighted Kabsch
-    alignment (R @ pts3 + t ~= camera-frame points) per case."""
-    ctrl = _control_points(pts3, w, planar)
-    alphas = _barycentric(pts3, ctrl)
-    kernel = _kernel_basis(alphas, pix, w, k, n_vecs=3)  # (..., 3, m, 3)
-    i, j = np.array(list(combinations(range(len(ctrl)), 2))).T
-    rho = ((ctrl[i] - ctrl[j]) ** 2).sum(axis=1)
-    dv = kernel[..., i, :] - kernel[..., j, :]  # (..., 3, P, 3)
-    gram = np.einsum("...apd,...bpd->...pab", dv, dv)
-    betas = _initial_betas(gram, rho, 2 if planar else 3)
+    """Rotations (M, C, 3, 3) and translations (M, C, 3) of the kernel cases
+    of each member, in case order, NaN for a case without a solution: the
+    member's control points (centroid plus 2 or 3 principal directions
+    scaled by the spread), then one weighted Kabsch alignment
+    (R @ p + t ~= camera-frame point) per case.
+
+    The 2n x 3m projection system of a member enters only through its
+    normal matrix, and the camera-frame points only through the Kabsch
+    cross-covariance; both are formed from weighted barycentric moments of
+    the member's pairs, so no per-pair row and no camera point is built.
+    """
+    m = 3 if planar else 4  # control points
+    n_members = len(pts.counts)
+    wsum = _segment_sums(w, pts)
+    c0 = _segment_sums(w * pts.xyz, pts) / wsum  # (3, M)
+    d = pts.xyz - _per_pair(c0, pts)  # centred points (3, N)
+    sw = np.sqrt(w)
+    wd = sw * d
+    evals, evecs = np.linalg.eigh(_segment_products(wd, pts) / wsum[:, None, None])
+    spread = np.sqrt(np.maximum(evals[:, ::-1][:, : m - 1], 1e-16))  # largest first
+    dirs = spread[..., None] * evecs[..., ::-1][..., : m - 1].swapaxes(1, 2)  # (M, m - 1, 3)
+    ctrl = np.concatenate([c0.T[:, None], c0.T[:, None] + dirs], axis=1)  # (M, m, 3)
+    # Barycentric coordinates: expansion in the orthogonal principal basis,
+    # exact for the full basis; the planar case projects out the (tiny)
+    # off-plane component.
+    alphas = np.empty((m, len(w)))
+    alphas[1:] = _apply_each(dirs / (dirs**2).sum(axis=-1)[..., None], d, pts)
+    alphas[0] = 1.0 - alphas[1:].sum(axis=0)
+
+    # One Gram matrix of the rows [A; A du; A dv; sqrt(w); sqrt(w) (p - c0)],
+    # A = alphas sqrt(w), du = cx - u, dv = cy - v, holds every moment the
+    # candidates need: those of the normal matrix of the projection rows
+    # [a fx, 0, a du] and [0, a fy, a dv] over the control points'
+    # coefficients a, and the Kabsch sums below.
+    a = alphas * sw
+    moments = _segment_products(
+        np.concatenate([a, a * (k.cx - pix[0]), a * (k.cy - pix[1]), sw[None], wd]), pts
+    )
+    s0, su, sv = moments[:, :m, :m], moments[:, :m, m : 2 * m], moments[:, :m, 2 * m : 3 * m]
+    normal = np.empty((n_members, m, 3, m, 3))
+    normal[:, :, 0, :, 0] = s0 * k.fx * k.fx
+    normal[:, :, 1, :, 1] = s0 * k.fy * k.fy
+    normal[:, :, 0, :, 1] = normal[:, :, 1, :, 0] = 0.0
+    normal[:, :, 0, :, 2] = su * k.fx
+    normal[:, :, 2, :, 0] = su.swapaxes(1, 2) * k.fx
+    normal[:, :, 1, :, 2] = sv * k.fy
+    normal[:, :, 2, :, 1] = sv.swapaxes(1, 2) * k.fy
+    duv = moments[:, m : 3 * m, m : 3 * m]
+    normal[:, :, 2, :, 2] = duv[:, :m, :m] + duv[:, m:, m:]
+    try:
+        _, evecs = np.linalg.eigh(normal.reshape(n_members, 3 * m, 3 * m))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("null-space extraction failed") from exc
+    kernel = evecs[..., :3].swapaxes(1, 2)  # smallest three, (M, 3, 3 m)
+
+    i, j = _PAIRS[m]
+    # C order whatever the stack size: BLAS products of strided operands round
+    # differently from those of contiguous ones.
+    rho = np.ascontiguousarray(((ctrl[:, i] - ctrl[:, j]) ** 2).sum(axis=-1))  # (M, P)
+    dk = kernel.reshape(n_members, 3, m, 3)
+    dk = dk[..., i, :] - dk[..., j, :]  # (M, 3, P, 3)
+    gram = np.einsum("mapd,mbpd->mpab", dk, dk, order="C")  # (M, P, 3, 3)
+    betas = _initial_betas(gram, rho, m - 1)
     solved = np.all(np.isfinite(betas), axis=-1)
     betas = np.where(solved[..., None], betas, 0.0)
-    lead = pix.shape[:-2]
-    m = len(ctrl)
-    ctrl_cam = (betas @ kernel.reshape(*lead, 3, 3 * m)).reshape(*betas.shape[:-1], m, 3)
-    xc = alphas @ ctrl_cam  # (..., C, n, 3)
-    wsum = float(w.sum())
-    xc = np.where((xc[..., 2] @ w < 0)[..., None, None], -xc, xc)
-    c_src = w @ pts3 / wsum
-    c_dst = w @ xc / wsum  # (..., C, 3)
-    cross = np.swapaxes((xc - c_dst[..., None, :]) * w[:, None], -1, -2) @ (pts3 - c_src)
+    ctrl_cam = (betas @ kernel).reshape(n_members, m - 1, m, 3)
+
+    # The camera-frame point of pair i is sum_j a_ij C_j, so its weighted
+    # sums need only the moments sum_i w a_ij and sum_i w a_ij (p_i - c0).
+    a0, moment = moments[:, :m, 3 * m], moments[:, :m, 3 * m + 1 :]  # (M, m), (M, m, 3)
+    depth = (a0[:, None] * ctrl_cam[..., 2]).sum(axis=-1)  # weighted z sum, (M, C)
+    ctrl_cam = np.where((depth < 0)[..., None, None], -ctrl_cam, ctrl_cam)
+    c_dst = (a0[:, None, :, None] * ctrl_cam).sum(axis=2) / wsum[:, None, None]  # (M, C, 3)
+    offset = moments[:, 3 * m, 3 * m + 1 :]  # sum_i w (p_i - c0), zero up to rounding
+    cross = ctrl_cam.swapaxes(-1, -2) @ moment[:, None] - c_dst[..., None] * offset[:, None, None]
     try:
         r = orthonormalize(cross)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("pose alignment SVD failed") from exc
-    t = c_dst - r @ c_src
+    t = c_dst - (r @ np.ascontiguousarray(c0.T)[:, None, :, None])[..., 0]
     r[~solved] = np.nan
     t[~solved] = np.nan
     return r, t
@@ -328,30 +448,61 @@ def retract(pose, delta):
     return PoseStack(rotation, translation)
 
 
-def _pixel_residuals(
-    pc: np.ndarray, pix: np.ndarray, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals (..., n, 2) of camera-frame points (..., n, 3) against the
-    pixels, zero for points at or behind the camera plane, with the depths
-    (..., n) and the normalized image coordinates (..., n, 2) (x, y as if
-    at depth 1 where behind).  Not ``geometry.pixels``: the Jacobian reuses
-    these x / z, and this (x / z) * f rounds differently from its f * x / z,
-    which would move nearly every refined pose in its last digits."""
-    z = pc[..., 2]
-    good = z > MIN_DEPTH
-    xy = pc[..., :2] / np.where(good, z, 1.0)[..., None]
-    resid = xy * (k.fx, k.fy) + (k.cx, k.cy) - pix
-    resid[~good] = 0.0
-    return resid, z, xy
+def _project(
+    rot: np.ndarray, trans: np.ndarray, pts: RaggedPoints, pix: np.ndarray, k: CameraIntrinsics
+) -> tuple[np.ndarray, ...]:
+    """Residual rows (..., 2, N) of the poses (..., M, 3, 3), (..., M, 3) of
+    the members over their pairs, zero for points at or behind the camera
+    plane, with the depths (..., N), whether each point is in front, the
+    normalized image coordinates (..., 2, N) (x, y as if at depth 1 where
+    behind) and the rotated points (..., 3, N).  Not ``geometry.pixels``:
+    the Jacobian reuses these x / z, and this (x / z) * f rounds differently
+    from its f * x / z, which would move nearly every refined pose in its
+    last digits."""
+    rotated = _apply_each(rot, pts.xyz, pts)
+    pc = rotated + _per_pair(trans.swapaxes(-1, -2), pts)
+    depth = pc[..., 2, :]
+    front = depth > MIN_DEPTH
+    xy = pc[..., :2, :] / np.where(front, depth, 1.0)[..., None, :]
+    focal, centre = _camera(k)
+    resid = xy * focal + centre - pix
+    np.copyto(resid, 0.0, where=~front[..., None, :])
+    return resid, depth, front, xy, rotated
 
 
-# -[v]x = v @ _NEG_SKEW, reshaped to 3 x 3: the cross-product matrices of
-# many vectors in one product.
-_NEG_SKEW = -np.array([skew(e) for e in np.eye(3)]).reshape(3, 9)
+_EYE2 = np.eye(2)[:, :, None]
+
+
+@functools.lru_cache(maxsize=16)
+def _camera(k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """The focal lengths and the principal point of k as read-only columns
+    (2, 1)."""
+    focal, centre = np.array([[k.fx], [k.fy]]), np.array([[k.cx], [k.cy]])
+    focal.setflags(write=False)
+    centre.setflags(write=False)
+    return focal, centre
+
+
+def _linearize(pose, pts: RaggedPoints, pix: np.ndarray, k: CameraIntrinsics) -> tuple:
+    """``linearize_reprojection`` of a PoseStack over a ragged stack."""
+    resid, z, front, xy, (qx, qy, qz) = _project(pose.rotation, pose.translation, pts, pix, k)
+    # d(pixel)/d(increment) = diag(f / z) [[1, 0, -x], [0, 1, -y]] [-[q]x | I] with
+    # q the rotated point, in closed form; zero (f / inf) at or behind the camera.
+    jac = np.empty((2, 6, len(z)))  # pixel axis, increment component, pair
+    np.multiply(xy, -qy, out=jac[:, 0])  # -qy x, -qy y - qz
+    jac[1, 0] -= qz
+    np.multiply(xy, qx, out=jac[:, 1])  # qz + qx x, qx y
+    jac[0, 1] += qz
+    np.negative(qy, out=jac[0, 2])
+    jac[1, 2] = qx
+    jac[:, 3:5] = _EYE2
+    np.negative(xy, out=jac[:, 5])
+    jac *= (_camera(k)[0] / np.where(front, z, math.inf))[:, None]
+    return resid, jac, z
 
 
 def linearize_reprojection(
-    pose, pts3: np.ndarray, pix: np.ndarray, k: CameraIntrinsics
+    pose, pts3, pix, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals and Jacobian of the pixel error w.r.t. a local increment.
 
@@ -359,73 +510,92 @@ def linearize_reprojection(
     increment convention matches ``retract``.  Rows for points at or behind
     the camera plane are zeroed and must be masked by the caller.  A
     PoseStack of S poses with pixels (S, n, 2) gives every output a leading
-    S axis.
+    S axis.  A PoseStack of M poses over a RaggedPoints stack, with pixel
+    rows (2, N), gives the structure-of-arrays outputs over the stack's N
+    pairs: residual rows (2, N), the Jacobian's u and v rows (2, 6, N) and
+    depths (N,).
     """
-    rotated = pts3 @ np.swapaxes(pose.rotation, -1, -2)
-    pc = rotated + pose.translation[..., None, :]
-    resid, z, xy = _pixel_residuals(pc, pix, k)
-    # d(pixel)/d(camera point) = diag(fx, fy) / z @ [[1, 0, -x], [0, 1, -y]],
-    # zero (1 / inf) for points at or behind the camera plane
-    a = np.zeros((*z.shape, 2, 3))
-    a[..., 0, 0] = 1.0
-    a[..., 1, 1] = 1.0
-    a[..., 2] = -xy
-    a *= ((k.fx, k.fy) / np.where(z > MIN_DEPTH, z, math.inf)[..., None])[..., None]
-    jac = np.empty((*z.shape, 2, 6))
-    # d(camera point)/d(rotation increment) = -[R p]x
-    jac[..., :3] = a @ (rotated @ _NEG_SKEW).reshape(*z.shape, 3, 3)
-    jac[..., 3:] = a
-    return resid, jac, z
+    if isinstance(pts3, RaggedPoints):
+        return _linearize(pose, pts3, pix, k)
+    pts3, pix = np.asarray(pts3, dtype=float), np.asarray(pix, dtype=float)
+    lead, n = pix.shape[:-2], len(pts3)
+    stack = pix.reshape(-1, n, 2)
+    poses = PoseStack(np.reshape(pose.rotation, (-1, 3, 3)), np.reshape(pose.translation, (-1, 3)))
+    resid, jac, z = _linearize(poses, _shared(pts3, None, len(stack)), _rows(stack), k)
+    resid, jac = resid.T.reshape(*lead, n, 2), jac.transpose(2, 0, 1).reshape(*lead, n, 2, 6)
+    return resid, jac, z.reshape(*lead, n)
 
 
-def _cost(norms: np.ndarray, z: np.ndarray, w_eff: np.ndarray, robust: bool) -> np.ndarray:
-    """Weighted (optionally Huber) cost (...,) of each member's residual
-    norms (..., n) at depths (..., n); inf where an active point is behind
-    the camera or most of the cloud is.  A NaN depth counts as behind."""
+def _squared(resid: np.ndarray) -> np.ndarray:
+    """Squared norms (..., N) of residual rows (..., 2, N)."""
+    u, v = resid[..., 0, :], resid[..., 1, :]
+    return u * u + v * v
+
+
+def _cost(
+    sq: np.ndarray, z: np.ndarray, w_eff: np.ndarray, robust: bool, pts: RaggedPoints
+) -> np.ndarray:
+    """Weighted (optionally Huber) cost (..., M) of each member's residual
+    squared residual norms (..., N) at depths (..., N); inf where an active
+    point is behind
+    the camera or most of the member's points are.  A NaN depth counts as
+    behind."""
     if robust:
         s = HUBER_SCALE_PX
-        rho = np.where(norms <= s, norms**2, s * (2.0 * norms - s))
+        norms = np.sqrt(sq)
+        rho = np.where(norms <= s, sq, s * (2.0 * norms - s))
     else:
-        rho = norms**2
-    cost = (w_eff * rho).sum(axis=-1)
+        rho = sq
+    cost = _segment_sums(w_eff * rho, pts)
     behind = ~(z > MIN_DEPTH)
-    if behind.any():
-        blocked = (2 * behind.sum(axis=-1) > z.shape[-1]) | np.any(behind & (w_eff > 0), axis=-1)
-        cost = np.where(blocked, math.inf, cost)
+    if np.count_nonzero(behind):
+        n_behind = np.add.reduceat(behind, pts.starts, axis=-1, dtype=np.intp)
+        active = np.logical_or.reduceat(behind & (w_eff > 0), pts.starts, axis=-1)
+        cost = np.where((2 * n_behind > pts.counts) | active, math.inf, cost)
     return cost
 
 
 def _normal_equations(
-    resid: np.ndarray, jac: np.ndarray, norms: np.ndarray, w_eff: np.ndarray, robust: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Newton matrices (M, 6, 6), gradients (M, 6) and damping
-    diagonals (M, 6) of each member's (optionally Huber-)weighted residuals
-    (M, n, 2) with Jacobians (M, n, 2, 6)."""
+    resid: np.ndarray,
+    jac: np.ndarray,
+    sq: np.ndarray,
+    w_eff: np.ndarray,
+    robust: bool,
+    pts: RaggedPoints,
+    wanted: np.ndarray,
+    system: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Write into ``system`` (Gauss-Newton matrices (M, 6, 6), gradients
+    (M, 6) and damping diagonals (M, 6)) the rows of the wanted members
+    (a mask (M,)), from the (optionally Huber-)weighted residual rows
+    (2, N) and Jacobian rows (2, 6, N).  Each member's matrix and gradient
+    come from one Gram matrix of its own columns of the weighted Jacobian
+    and residual rows, stacked (14, n): the u rows' Gram block plus the v
+    rows'."""
+    n_wanted = np.count_nonzero(wanted)
+    if not n_wanted:
+        return
+    idx = None if n_wanted == len(wanted) else wanted.nonzero()[0].tolist()
+    rows_of = slice(None) if idx is None else idx
+    h, g, damp = system
     if robust:
         s = HUBER_SCALE_PX
+        norms = np.sqrt(sq)
         w_eff = w_eff * np.where(norms <= s, 1.0, s / np.maximum(norms, 1e-30))
-    sw = np.sqrt(w_eff)
-    m, n = sw.shape
-    jw = (jac * sw[..., None, None]).reshape(m, 2 * n, 6)
-    jt = np.swapaxes(jw, 1, 2)
-    h = jt @ jw
-    g = (jt @ (resid * sw[..., None]).reshape(m, 2 * n, 1))[..., 0]
-    return h, g, np.maximum(np.diagonal(h, axis1=1, axis2=2), 1e-12)
+    rows = np.empty((2, 7, len(w_eff)))
+    rows[:, :6] = jac
+    rows[:, 6] = resid
+    rows *= np.sqrt(w_eff)
+    gram = _segment_products(rows.reshape(14, -1), pts, idx)
+    h[rows_of] = hessian = gram[:, :6, :6] + gram[:, 7:13, 7:13]
+    g[rows_of] = gram[:, :6, 6] + gram[:, 7:13, 13]
+    damp[rows_of] = np.maximum(np.diagonal(hessian, axis1=1, axis2=2), 1e-12)
 
 
 _EYE6 = np.eye(6)
 
 
-def refine_pose(
-    initial,
-    pts3,
-    pix,
-    k: CameraIntrinsics,
-    w=None,
-    *,
-    robust: bool = False,
-    report: DegeneracyReport | None = None,
-):
+def refine_pose(initial, pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
     """Damped least-squares (Levenberg-Marquardt) reprojection refinement.
 
     Takes an initial Pose, (n, 3) object points, (n, 2) pixels and optional
@@ -443,100 +613,136 @@ def refine_pose(
     DivergedBehindCamera when the majority of points sit at non-positive
     depth.
 
-    ``initial`` may also be a PoseStack of M poses, with pixels (M, n, 2).
-    Every round takes one batched trial step for all members, each with its
-    own damping, admitted points and stop test.  A ``running`` mask gates
-    every update: a member that has stopped keeps its row and rides along
-    unchanged, so each takes exactly the steps it would take alone.  The
-    result is then a list with one PnPSolution or DivergedBehindCamera per
-    member.  A caller that has validated its inputs passes the points'
-    DegeneracyReport as ``report``, which skips both the validation and the
-    check.
+    ``initial`` may also be a PoseStack of M poses, with pixels (M, n, 2)
+    that share the points, or with a RaggedPoints stack of M members (pixel
+    rows (2, N), weights (N,) or None), which is taken as validated.  Every
+    round takes one batched trial step for the running members, each with
+    its own damping, admitted points and stop test; a member that has
+    stopped keeps its state, and the normal equations are rebuilt only for
+    members that accepted a trial and keep running, so each takes exactly
+    the steps it would take alone.  The result is then a list with one
+    PnPSolution or DivergedBehindCamera per member.
     """
-    if report is None:
-        pts3, pix, w = _validated(pts3, pix, w)
-        report = check_degeneracy(pts3)
+    if isinstance(pts3, RaggedPoints):
+        if len(initial.rotation) != len(pts3.counts):
+            raise ValueError("expected one initial pose per member of the stack")
+        return _refine(initial, pts3, pix, np.ones(pix.shape[-1]) if w is None else w, k, robust)
+    pts3, pix, w = _validated(pts3, pix, w)
     if pix.shape[:-2] != np.shape(initial.rotation)[:-2]:
         raise ValueError("expected one (n, 2) pixel set per initial pose")
-    n = len(pts3)
-    rot = np.asarray(initial.rotation, dtype=float).reshape(-1, 3, 3)
-    trans = np.asarray(initial.translation, dtype=float).reshape(-1, 3)
-    px = pix.reshape(-1, n, 2)
-    m = len(rot)
-    floor = 1e-16 * w.sum()
-    resid, jac, z = linearize_reprojection(PoseStack(rot, trans), pts3, px, k)
-    norms = np.hypot(resid[..., 0], resid[..., 1])
+    stack = pix.reshape(-1, len(pts3), 2)
+    s = len(stack)
+    rot, trans = np.reshape(initial.rotation, (-1, 3, 3)), np.reshape(initial.translation, (-1, 3))
+    pts = _shared(pts3, check_degeneracy(pts3), s)
+    outcomes = _refine(PoseStack(rot, trans), pts, _rows(stack), np.tile(w, s), k, robust)
+    return _raised(outcomes[0]) if isinstance(initial, Pose) else outcomes
+
+
+def _refine(initial, pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool) -> list:
+    """The Levenberg-Marquardt loop of ``refine_pose`` over a ragged stack."""
+    m = len(pts.counts)
+    if m == 0:
+        return []
+    rot = np.array(initial.rotation, dtype=float)
+    trans = np.array(initial.translation, dtype=float)
+    floor = 1e-16 * _segment_sums(w, pts)
+    resid, jac, z = linearize_reprojection(PoseStack(rot, trans), pts, pix, k)
+    sq = _squared(resid)
     w_eff = np.where(z <= MIN_DEPTH, 0.0, w)
     held_out = w_eff == 0.0  # points behind the camera, until they come back
-    cost = _cost(norms, z, w_eff, robust)
+    cost = _cost(sq, z, w_eff, robust, pts)
     diverged = ~np.isfinite(cost)
     cost[diverged] = 0.0  # a diverged member never runs; zero keeps its masked arithmetic finite
-    # Each member's state: pose, normal equations, residual norms, depths and
-    # cost.  An accepted trial replaces a member's whole state at once.
-    state = (rot, trans, *_normal_equations(resid, jac, norms, w_eff, robust), norms, z, cost)
+    running = ~diverged & (cost > floor)
+    system = (np.zeros((m, 6, 6)), np.zeros((m, 6)), np.ones((m, 6)))
+    _normal_equations(resid, jac, sq, w_eff, robust, pts, running, system)
+    h, g, damp = system
     lam = np.full(m, DAMPING_INIT)
     n_steps = np.zeros(m, dtype=int)  # accepted steps
-    running = ~diverged & (cost > floor)
-    while running.any():
-        rot, trans, h, g, damp, norms, z, cost = state
-        step = _solve_each(h + _EYE6 * (lam[:, None] * damp)[:, None, :], -g)
-        trial = retract(PoseStack(rot, trans), step)
-        t_resid, t_jac, t_z = linearize_reprojection(trial, pts3, px, k)
-        t_norms = np.hypot(t_resid[..., 0], t_resid[..., 1])
-        new_cost = _cost(t_norms, t_z, w_eff, robust)
+    while n_live := np.count_nonzero(running):
+        every = n_live == m
+        live = slice(None) if every else running.nonzero()[0]
+        step = _solve_each(h[live] + _EYE6 * (lam[live, None] * damp[live])[:, None, :], -g[live])
+        if every:
+            trial = retract(PoseStack(rot, trans), step)
+        else:  # a stopped member is evaluated where it is
+            trial = PoseStack(rot.copy(), trans.copy())
+            moved = retract(PoseStack(rot[live], trans[live]), step)
+            trial.rotation[live], trial.translation[live] = moved
+        t_resid, t_jac, t_z = linearize_reprojection(trial, pts, pix, k)
+        t_sq = _squared(t_resid)
+        new_cost = _cost(t_sq, t_z, w_eff, robust, pts)
         better = running & (new_cost < cost)
         rel_drop = (cost - new_cost) / np.maximum(cost, 1e-300)
-        if held_out.any():  # re-admit points that have come back in front of the camera
-            revived = held_out & better[:, None] & (t_z > MIN_DEPTH)
+        n_better = np.count_nonzero(better)
+        took = _per_pair(better, pts)
+        if np.count_nonzero(held_out):  # re-admit points that have come back in front of the camera
+            revived = held_out & took & (t_z > MIN_DEPTH)
             w_eff = np.where(revived, w, w_eff)
             held_out &= ~revived
-            new_cost = np.where(revived.any(axis=-1), _cost(t_norms, t_z, w_eff, robust), new_cost)
+            again = np.logical_or.reduceat(revived, pts.starts)
+            new_cost = np.where(again, _cost(t_sq, t_z, w_eff, robust, pts), new_cost)
         n_steps += better
         done = (rel_drop < FN_TOL) | (new_cost <= floor) | (n_steps >= MAX_ITERS)
-        if better.any():
-            system = _normal_equations(t_resid, t_jac, t_norms, w_eff, robust)
-            trial_state = (*trial, *system, t_norms, t_z, new_cost)
-            if not better.all():  # a member that did not improve keeps its state
-                for new, kept in zip(trial_state, state):
-                    np.copyto(new, kept, where=~better.reshape(-1, *(1,) * (new.ndim - 1)))
-            state = trial_state
+        if n_better == m:  # every member takes its trial's state
+            rot, trans, sq, z, cost = *trial, t_sq, t_z, new_cost
+        elif n_better:  # a member that did not improve keeps its state
+            rot[better], trans[better] = trial.rotation[better], trial.translation[better]
+            sq = np.where(took, t_sq, sq)
+            z = np.where(took, t_z, z)
+            cost = np.where(better, new_cost, cost)
+        if n_better:
+            _normal_equations(t_resid, t_jac, t_sq, w_eff, robust, pts, better & ~done, system)
         # The cap changes no running member's stop test; it keeps a stopped
         # member's damping from overflowing however long the rest run.
         lam = np.where(better, np.maximum(lam / 3.0, 1e-12), np.minimum(lam * 10.0, 1e12))
         running &= ~np.where(better, done, (lam >= 1e12) | (np.abs(rel_drop) < FN_TOL))
 
-    rot, trans, _, _, _, norms, z, _ = state
-    norms = np.where(z > MIN_DEPTH, norms, math.inf)
-    rms = np.sqrt(np.mean(norms**2, axis=-1))  # inf with any point behind the camera
-    outcomes = [
-        DivergedBehindCamera(f"the initial pose puts most of the {n} points behind it")
-        if diverged[j]
-        else PnPSolution(Pose(rot[j], trans[j]), float(rms[j]), norms[j], report)
-        for j in range(m)
-    ]
-    return _raised(outcomes[0]) if isinstance(initial, Pose) else outcomes
+    sq = np.where(z > MIN_DEPTH, sq, math.inf)
+    norms = np.sqrt(sq)
+    rms = np.sqrt(_segment_sums(sq, pts) / pts.counts)  # inf with any point behind
+    outcomes = []
+    for j, (lo, n, report) in enumerate(zip(pts.starts.tolist(), pts.counts.tolist(), pts.reports)):
+        if diverged[j]:
+            outcomes.append(
+                DivergedBehindCamera(f"the initial pose puts most of the {n} points behind it")
+            )
+        else:
+            pose = Pose(rot[j], trans[j])
+            outcomes.append(PnPSolution(pose, float(rms[j]), norms[lo : lo + n], report))
+    return outcomes
 
 
 def _linear_stage(
-    pts3: np.ndarray, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics, report: DegeneracyReport
+    pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The control-point candidates of each pixel set of a stack (S, n, 2):
-    rotations (S, C, 3, 3), translations (S, C, 3) and costs (S, C).
+    """The control-point candidates of each member of a stack: rotations
+    (M, C, 3, 3), translations (M, C, 3) and costs (M, C).  C is 3, or 2
+    when every member is near-planar; a near-planar member (two kernel
+    cases) has a NaN third case.
 
     All candidates are scored in one projection by the plain cost
     ``refine_pose`` starts from: the points behind the camera weigh zero,
     and a candidate with most points behind the camera (or a case without
     a solution) costs inf.
     """
-    r, t = _linear_candidates(pts3, pix, w, k, planar=report.classification == NEAR_PLANAR)
-    pc = pts3 @ np.swapaxes(r, -1, -2) + t[..., None, :]
-    resid, z, _ = _pixel_residuals(pc, pix[:, None], k)
-    norms = np.hypot(resid[..., 0], resid[..., 1])
-    return r, t, _cost(norms, z, np.where(z <= MIN_DEPTH, 0.0, w), robust=False)
+    planar = [report.classification == NEAR_PLANAR for report in pts.reports]
+    if len(set(planar)) == 1:
+        r, t = _linear_candidates(pts, pix, w, k, planar=planar[0])
+    else:
+        r, t = np.full((len(planar), 3, 3, 3), np.nan), np.full((len(planar), 3, 3), np.nan)
+        for flag in (False, True):
+            idx = np.flatnonzero(np.equal(planar, flag))
+            r[idx, : 3 - flag], t[idx, : 3 - flag] = _linear_candidates(
+                *_take(pts, pix, w, idx), k, planar=flag
+            )
+    resid, z, _, _, _ = _project(r.swapaxes(0, 1), t.swapaxes(0, 1), pts, pix, k)
+    costs = _cost(_squared(resid), z, np.where(z <= MIN_DEPTH, 0.0, w), False, pts)
+    return r, t, costs.T
 
 
 def _no_candidate(t: np.ndarray) -> NumericalFailure:
-    """The failure of a pixel set whose candidates, with translations t
+    """The failure of a member whose candidates, with translations t
     (C, 3), all cost inf."""
     if np.isfinite(t[:, 0]).any():
         return NumericalFailure("every control-point candidate puts most points behind the camera")
@@ -564,7 +770,7 @@ def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
     if pix.ndim != 2:
         raise ValueError(f"expected (n, 2) pixels, got {pix.shape}")
     with _in_float_range():
-        r, t, costs = _linear_stage(pts3, pix[None], w, k, _checked_points(pts3))
+        r, t, costs = _linear_stage(_shared(pts3, _checked_points(pts3), 1), pix.T, w, k)
     best = int(np.argmin(costs[0]))
     if not math.isfinite(costs[0, best]):
         raise _no_candidate(t[0])
@@ -585,33 +791,120 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
     refined pose that leaves any point behind the camera is a
     DivergedBehindCamera, never a solution.
 
+    A ragged stack is a list (or tuple) of M point sets (n_i, 3), with a
+    list of M pixel sets (n_i, 2) and optionally a list of M weight vectors
+    (n_i,): each member has its own pairs, and the result is a list with one
+    PnPSolution or CalibrationError per member, each exactly the outcome of
+    that member's solve alone.  Members given the same points array share
+    one degeneracy check.  The stack is solved in one pass, the multi-start
+    candidates of every member refined as members of one ``refine_pose``
+    stack; a stack whose solve leaves the float range is re-solved member
+    by member, so the error lands on the members that fail alone.  Invalid
+    input (ValueError) still raises.
+
     ``pix`` may also be a stack (S, n, 2) of pixel sets that share the
-    points and weights.  The stack is solved in one pass, the multi-start
-    candidates of every set refined as members of one ``refine_pose``
-    stack, and the result is a list with one PnPSolution or
-    CalibrationError per set.  Invalid input, a degenerate point set and
-    a step that leaves float range still raise: they fail every set alike.
+    points and weights: the ragged stack of S copies of the points, checked
+    once.  The result is again a list; invalid input, a degenerate point
+    set and a step that leaves the float range raise, since they fail every
+    set alike.
     """
+    if isinstance(pts3, (list, tuple)) and pts3 and np.ndim(pts3[0]) == 2:
+        return _solve_ragged(pts3, pix, k, w, robust)
     pts3, pix, w = _validated(pts3, pix, w)
+    stack = pix.reshape(-1, *pix.shape[-2:])
     with _in_float_range():
         report = _checked_points(pts3)
-        stack = pix.reshape(-1, *pix.shape[-2:])
-        r, t, costs = _linear_stage(pts3, stack, w, k, report)
-        n_starts = None if report.classification == NEAR_PLANAR else 1
-        ranked = np.argsort(costs, axis=-1, kind="stable")[:, :n_starts]
-        # Each set's usable starts, cheapest first: inf costs sort last.
-        owner, rank = np.nonzero(np.isfinite(np.take_along_axis(costs, ranked, axis=-1)))
+    pts = _shared(pts3, report, len(stack))
+    outcomes = _solve_stack(pts, _rows(stack), np.tile(w, len(stack)), k, robust)
+    return outcomes if pix.ndim == 3 else _raised(outcomes[0])
+
+
+def _solve_ragged(pts3, pix, k: CameraIntrinsics, w, robust: bool) -> list:
+    """``solve_pnp`` of a ragged stack given as lists of per-member arrays."""
+    m = len(pts3)
+    w = [None] * m if w is None else w
+    if len(pix) != m or len(w) != m:
+        raise ValueError(
+            f"expected one pixel set and weight vector per point set, got {m} point sets, "
+            f"{len(pix)} pixel sets and {len(w)} weight vectors"
+        )
+    outcomes: list = [None] * m
+    checked: dict = {}  # id of a validated points array: (the array, its report or error)
+    kept, members = [], []
+    for i in range(m):
+        try:
+            points, pixels, weights = _validated(pts3[i], pix[i], w[i])
+        except CalibrationError as exc:
+            outcomes[i] = exc
+            continue
+        if pixels.ndim != 2:
+            raise ValueError(f"expected (n, 2) pixels for member {i}, got {pixels.shape}")
+        if id(points) not in checked:
+            try:
+                with _in_float_range():
+                    checked[id(points)] = (points, _checked_points(points))
+            except CalibrationError as exc:
+                checked[id(points)] = (points, exc)
+        report = checked[id(points)][1]
+        if isinstance(report, CalibrationError):
+            outcomes[i] = report
+            continue
+        kept.append(i)
+        members.append((points.T, pixels.T, weights, report))
+    if kept:
+        xyz, uv, weights, reports = zip(*members)
+        pts = ragged_points(np.concatenate(xyz, axis=1), [len(wi) for wi in weights], reports)
+        uv, weights = np.concatenate(uv, axis=1), np.concatenate(weights)
+        solved = _solve_isolated(pts, uv, weights, k, robust)
+        for i, outcome in zip(kept, solved):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _solve_isolated(pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool) -> list:
+    """The outcomes of a stack's solve; a NumericalFailure that the stack
+    raises as a whole is pinned, by solving each member alone, on the
+    members that raise it alone."""
+    try:
+        return _solve_stack(pts, pix, w, k, robust)
+    except NumericalFailure as exc:
+        if len(pts.counts) == 1:
+            return [exc]
+        return [
+            outcome
+            for j in range(len(pts.counts))
+            for outcome in _solve_isolated(*_take(pts, pix, w, [j]), k, robust)
+        ]
+
+
+def _solve_stack(pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool) -> list:
+    """One PnPSolution or CalibrationError per member of a checked stack; a
+    step that leaves the float range raises NumericalFailure."""
+    m = len(pts.counts)
+    if m == 0:
+        return []
+    with _in_float_range():
+        r, t, costs = _linear_stage(pts, pix, w, k)
+        planar = np.array([report.classification == NEAR_PLANAR for report in pts.reports])
+        ranked = np.argsort(costs, axis=-1, kind="stable")
+        # Each member's usable starts, cheapest first (inf costs sort last):
+        # every finite candidate of a near-planar member, else the cheapest.
+        usable = np.isfinite(np.take_along_axis(costs, ranked, axis=-1))
+        usable[~planar, 1:] = False
+        owner, rank = np.nonzero(usable)
         case = ranked[owner, rank]
         starts = PoseStack(r[owner, case], t[owner, case])
-        refined = refine_pose(starts, pts3, stack[owner], k, w, robust=robust, report=report)
-    outcomes = [_no_candidate(ts) for ts in t]
+        every = len(owner) == m and not rank.any()  # each member's one start, in order
+        part = (pts, pix, w) if every else _take(pts, pix, w, owner)
+        refined = refine_pose(starts, part[0], part[1], k, part[2], robust=robust)
+    outcomes: list = [None] * m
     for s, first, sol in zip(owner.tolist(), (rank == 0).tolist(), refined):
         if isinstance(sol, PnPSolution) and not math.isfinite(sol.rms_reprojection_error):
             n_behind = int(np.isinf(sol.per_point_residuals).sum())
             sol = DivergedBehindCamera(
-                f"the refined pose leaves {n_behind} of {len(pts3)} points behind it"
+                f"the refined pose leaves {n_behind} of {pts.counts[s]} points behind it"
             )
         best = getattr(outcomes[s], "rms_reprojection_error", math.inf)
         if first or (isinstance(sol, PnPSolution) and sol.rms_reprojection_error < best):
             outcomes[s] = sol
-    return outcomes if pix.ndim == 3 else _raised(outcomes[0])
+    return [_no_candidate(t[j]) if out is None else out for j, out in enumerate(outcomes)]

@@ -402,7 +402,7 @@ def _offset(track: Track2D, offsets: np.ndarray) -> Track2D:
     uv = np.array(track.uv)
     vis = track.visible
     uv[vis] = uv[vis] + offsets
-    return Track2D(track.frame_index, uv, vis, track.sync)
+    return track.with_pixels(uv)
 
 
 @dataclass(frozen=True)
@@ -474,8 +474,8 @@ def _sweep(
     track observe(scene, noise_seed)(param) returns; a CalibrationError
     counts as a failed repeat.  The scenes are shared across values, and
     observe runs once per scene, so per-scene work (a noise draw) is done
-    once.  A scene's tracks run in one calibrate_each call, so values whose
-    tracks select the same frames share one stacked solve."""
+    once.  Every scene and value runs in one calibrate_each call: one
+    ragged PnP stack for the whole sweep."""
     if not params:
         raise ValueError(f"a {kind} sweep needs at least one value, got {params!r}")
     if n_repeats < 1:
@@ -487,25 +487,25 @@ def _sweep(
     options = CalibrationOptions(min_pairs=4)
     errors: list[list[PoseError]] = [[] for _ in params]
     n_fail = [0] * len(params)
+    members, slots = [], []
     for scene, noise_seed in scenes:
         req = CalibrationRequest(
             cfg.mode, chain, ref, cfg.camera, scene.clean_track, scene.joint_log, options,
             scene.points,
         )  # fmt: skip
-        slots, tracks = [], []
         track_at = observe(scene, noise_seed)
         for p, param in enumerate(params):
             try:
-                tracks.append(track_at(param))
+                members.append((req, track_at(param)))
             except CalibrationError:
                 n_fail[p] += 1
                 continue
-            slots.append(p)
-        for p, result in zip(slots, calibrate_each(req, tracks)):
-            if isinstance(result, CalibrationError):
-                n_fail[p] += 1
-            else:
-                errors[p].append(evaluate(result.pose, scene.t_gt))
+            slots.append((p, scene.t_gt))
+    for (p, t_gt), result in zip(slots, calibrate_each(members)):
+        if isinstance(result, CalibrationError):
+            n_fail[p] += 1
+        else:
+            errors[p].append(evaluate(result.pose, t_gt))
     cells = tuple(SweepCell(float(v), tuple(e), f) for v, e, f in zip(params, errors, n_fail))
     return SweepResult(kind, cells, _sweep_metadata(cfg, chain, ref, n_repeats))
 

@@ -357,14 +357,15 @@ def test_calibrate_each_stacks_requests_that_select_the_same_frames(panda, monke
     original = refcal.calibration.solve_pnp
 
     def counted(points, pix, *args, **kwargs):
-        stacks.append(pix.shape[0])
+        stacks.append([len(p) for p in pix])
         return original(points, pix, *args, **kwargs)
 
     monkeypatch.setattr(refcal.calibration, "solve_pnp", counted)
-    results = calibrate_each(req, tracks)
-    # The three noise levels share a stack and the subset solves alone; the
-    # track with too few pairs fails before any solve.
-    assert sorted(stacks) == [1, 3]
+    results = calibrate_each([(req, track) for track in tracks])
+    # The three noise levels and the subset, with its fewer pairs, share one
+    # ragged stack; the track with too few pairs fails before any solve.
+    n_used = len(usable)
+    assert stacks == [[n_used, len(usable[::3]), n_used, n_used]]
     assert isinstance(results[4], TooFewPairs)
     with pytest.raises(TooFewPairs):
         calibrate(replace(req, track=tracks[4]))
@@ -374,7 +375,7 @@ def test_calibrate_each_stacks_requests_that_select_the_same_frames(panda, monke
         assert np.array_equal(result.pose.translation, alone.pose.translation)
         assert result.n_pairs_used == alone.n_pairs_used
         assert result.dropped == alone.dropped
-    assert calibrate_each(req, []) == []
+    assert calibrate_each([]) == []
 
 
 def test_calibrate_each_selects_frames_once_per_flag_pattern(panda, monkeypatch):
@@ -396,7 +397,7 @@ def test_calibrate_each_selects_frames_once_per_flag_pattern(panda, monkeypatch)
 
     monkeypatch.setattr(refcal.calibration, "select_frames", counted)
     req = _request(scene, Mode.EYE_ON_BASE)
-    results = calibrate_each(req, tracks)
+    results = calibrate_each([(req, track) for track in tracks])
     # The six tracks share their frame numbers and flags, so one selection
     # serves them all; each still gets its own dropped tuple.
     assert len(calls) == 1
@@ -420,5 +421,5 @@ def test_calibrate_each_gives_a_stack_its_shared_error():
     flags = np.ones(n, bool)
     tracks = [Track2D(np.arange(n), uv + offset, flags, flags) for offset in (0.0, 1.5)]
     req = CalibrationRequest(Mode.EYE_ON_BASE, chain, ref, K, tracks[0], joints)
-    results = calibrate_each(req, tracks)
+    results = calibrate_each([(req, track) for track in tracks])
     assert [type(r) for r in results] == [DegenerateConfiguration] * 2

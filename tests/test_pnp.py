@@ -9,6 +9,7 @@ from helpers import random_pose, reprojection_rms, synth_scene
 from refcal import pnp
 from refcal.calibration import Mode
 from refcal.errors import (
+    CalibrationError,
     DegenerateConfiguration,
     DivergedBehindCamera,
     EmptyInput,
@@ -32,12 +33,10 @@ from refcal.pnp import (
     NEAR_PLANAR,
     WELL_CONDITIONED,
     PoseStack,
-    _barycentric,
-    _control_points,
     _initial_betas,
-    _kernel_basis,
     _linear_candidates,
     check_degeneracy,
+    ragged_points,
     linearize_reprojection,
     refine_pose,
     retract,
@@ -246,11 +245,24 @@ def test_initial_betas_of_a_singular_system_are_zero():
 
 def _per_case_candidates(pts3, pix, w, planar):
     """The kernel cases one at a time, each with its own least-squares beta
-    initialisation and Kabsch alignment."""
-    ctrl = _control_points(pts3, w, planar)
-    alphas = _barycentric(pts3, ctrl)
-    kernel = _kernel_basis(alphas, pix, w, K, n_vecs=3)
-    i, j = np.array(list(combinations(range(len(ctrl)), 2))).T
+    initialisation and Kabsch alignment, from the explicit (2n, 3m)
+    projection system rather than the solver's weighted moments."""
+    c0 = np.average(pts3, axis=0, weights=w)
+    evals, evecs = np.linalg.eigh(((pts3 - c0) * w[:, None]).T @ (pts3 - c0) / w.sum())
+    n_dirs = 2 if planar else 3
+    dirs = (np.sqrt(evals[::-1][:n_dirs]) * evecs[:, ::-1][:, :n_dirs]).T
+    ctrl = np.vstack([c0, c0 + dirs])
+    coords = (pts3 - c0) @ dirs.T / (dirs**2).sum(axis=1)
+    alphas = np.column_stack([1.0 - coords.sum(axis=1), coords])
+    m = len(ctrl)
+    rows = np.zeros((len(pts3), 2, m, 3))
+    rows[:, 0, :, 0] = alphas * K.fx
+    rows[:, 0, :, 2] = alphas * (K.cx - pix[:, :1])
+    rows[:, 1, :, 1] = alphas * K.fy
+    rows[:, 1, :, 2] = alphas * (K.cy - pix[:, 1:])
+    rows = (rows * np.sqrt(w)[:, None, None, None]).reshape(2 * len(pts3), 3 * m)
+    kernel = np.linalg.eigh(rows.T @ rows)[1][:, :3].T.reshape(3, m, 3)
+    i, j = np.array(list(combinations(range(m), 2))).T
     rho = ((ctrl[i] - ctrl[j]) ** 2).sum(axis=1)
     dv = kernel[:, i] - kernel[:, j]
     dot = [[(dv[a] * dv[b]).sum(axis=1) for b in range(3)] for a in range(3)]
@@ -276,6 +288,11 @@ def _per_case_candidates(pts3, pix, w, planar):
     return poses
 
 
+def _stack_of_one(pts3):
+    """The ragged stack of one member holding the points (n, 3)."""
+    return ragged_points(np.ascontiguousarray(pts3.T), [len(pts3)], [check_degeneracy(pts3)])
+
+
 @pytest.mark.parametrize("planar", [False, True], ids=["well_conditioned", "near_planar"])
 def test_stacked_candidates_match_a_per_case_loop(planar):
     rng = np.random.default_rng(191)
@@ -286,7 +303,7 @@ def test_stacked_candidates_match_a_per_case_loop(planar):
         pix = pix + rng.normal(0.0, 2.0, pix.shape)
         w = rng.uniform(0.5, 1.0, 12)
         assert check_degeneracy(pts).classification == (NEAR_PLANAR if planar else WELL_CONDITIONED)
-        rotations, translations = _linear_candidates(pts, pix, w, K, planar)
+        (rotations,), (translations,) = _linear_candidates(_stack_of_one(pts), pix.T, w, K, planar)
         expected = _per_case_candidates(pts, pix, w, planar)
         assert len(rotations) == len(expected) == (2 if planar else 3)
         for r, t, (r_ref, t_ref) in zip(rotations, translations, expected):
@@ -654,9 +671,9 @@ def test_stacked_solve_reports_a_set_without_a_linear_solution_alone(monkeypatch
     marked = pix + 0.5
     original = pnp._linear_candidates
 
-    def unsolved_marked(pts3, px, *args, **kwargs):
-        r, t = original(pts3, px, *args, **kwargs)
-        hit = np.all(px == marked, axis=(-2, -1))
+    def unsolved_marked(pts, px, *args, **kwargs):
+        r, t = original(pts, px, *args, **kwargs)
+        hit = [np.array_equal(seg, marked.T) for seg in np.split(px, pts.starts[1:], axis=1)]
         r[hit], t[hit] = np.nan, np.nan
         return r, t
 
@@ -708,7 +725,8 @@ def test_cost_counts_a_nan_depth_as_behind():
     # A kernel case without a solution has NaN depths; with them weighted
     # zero, the cost is still inf, not 0.
     zeros = np.zeros((1, 4))
-    assert pnp._cost(zeros, np.full((1, 4), np.nan), zeros, robust=False)[0] == math.inf
+    pts = ragged_points(np.zeros((3, 4)), [4], [None])
+    assert pnp._cost(zeros, np.full((1, 4), np.nan), zeros, False, pts)[0, 0] == math.inf
 
 
 def test_stacked_refinement_reports_a_diverged_member_alone():
@@ -759,3 +777,82 @@ def test_one_degeneracy_check_per_solve(monkeypatch, n_sets):
     pix = pix if n_sets is None else pix + rng.normal(0.0, 1.0, (n_sets, *pix.shape))
     solve_pnp(pts + rng.normal(0.0, 1e-4, pts.shape), pix, K)
     assert sorted(calls) == ["_validated", "check_degeneracy"]
+
+
+def _assert_identical(outcome, alone):
+    """One ragged-stack outcome against the same member solved alone: the
+    same pose, rms and per-point residuals bit for bit, or the same error."""
+    if isinstance(alone, Exception):
+        assert type(outcome) is type(alone)
+        assert str(outcome) == str(alone)
+        return
+    assert np.array_equal(outcome.pose.rotation, alone.pose.rotation)
+    assert np.array_equal(outcome.pose.translation, alone.pose.translation)
+    assert outcome.rms_reprojection_error == alone.rms_reprojection_error
+    assert np.array_equal(outcome.per_point_residuals, alone.per_point_residuals)
+    assert outcome.condition_report.classification == alone.condition_report.classification
+
+
+@pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
+def test_a_ragged_stack_solves_each_member_as_alone(robust):
+    # Members with their own points, pixels, weights and pair counts in one
+    # stack: a near-planar set (multi-start), zero weights that remove
+    # pairs, gross outliers, two members given the same points array, a
+    # member whose camera sees most points from behind, a collinear set and
+    # an empty one.  Each outcome is the one it gets alone, bit for bit.
+    rng = np.random.default_rng(229)
+    members = []
+    for n in (5, 9, 31, 31, 120):
+        _, pts, pix = synth_scene(rng, n, K)
+        members.append((pts, pix + rng.normal(0.0, 1.5, pix.shape), None))
+    _, planar, pix = synth_scene(rng, 20, K, planar=True)
+    planar = planar + rng.normal(0.0, 1e-4, planar.shape)
+    members.append((planar, pix + rng.normal(0.0, 1.0, pix.shape), None))
+    _, pts, pix = synth_scene(rng, 40, K)
+    w = rng.uniform(0.2, 1.0, 40)
+    w[[3, 17, 29]] = 0.0
+    members.append((pts, pix + rng.normal(0.0, 2.0, pix.shape), w))
+    outliers = members[2][1].copy()
+    outliers[:4] += 120.0
+    members.append((members[2][0], outliers, None))  # the same points array as member 2
+    behind = np.array(
+        [[-0.4, -0.3, 10.0], [0.4, 0.2, 11.0], [0.1, 0.5, 12.0], [-0.2, 0.1, -0.5],
+         [0.3, -0.2, -0.6], [0.2, 0.3, -0.7], [-0.3, -0.1, -0.8], [0.1, 0.2, -0.9]]
+    )  # fmt: skip
+    members.append((behind, behind[:, :2] / behind[:, 2:] * (K.fx, K.fy) + (K.cx, K.cy), None))
+    line = np.column_stack([np.linspace(-0.5, 0.5, 12), np.zeros(12), np.full(12, 2.0)])
+    members.append((line, line[:, :2] / line[:, 2:] * (K.fx, K.fy) + (K.cx, K.cy), None))
+    members.append((np.zeros((0, 3)), np.zeros((0, 2)), None))
+    order = rng.permutation(len(members))
+    members = [members[i] for i in order]
+    pts3, pix, weights = (list(column) for column in zip(*members))
+    outcomes = solve_pnp(pts3, pix, K, weights, robust=robust)
+    assert len(outcomes) == len(members)
+    kinds = set()
+    for outcome, (p3, px, wi) in zip(outcomes, members):
+        try:
+            alone = solve_pnp(p3, px, K, wi, robust=robust)
+        except CalibrationError as exc:
+            alone = exc
+        kinds.add(type(alone).__name__)
+        _assert_identical(outcome, alone)
+        # The ragged stack of one is the single solve.
+        (one,) = solve_pnp([p3], [px], K, None if wi is None else [wi], robust=robust)
+        _assert_identical(one, alone)
+    assert kinds == {"PnPSolution", "NumericalFailure", "DegenerateConfiguration", "EmptyInput"}
+    planar_sol = outcomes[list(order).index(5)]
+    assert planar_sol.condition_report.classification == NEAR_PLANAR
+    weighted_sol = outcomes[list(order).index(6)]
+    assert weighted_sol.per_point_residuals.shape == (37,)
+    with pytest.raises(ValueError):
+        solve_pnp(pts3, pix[:-1], K)
+
+
+def test_a_ragged_member_that_leaves_the_float_range_fails_alone():
+    # Points 1e160 m out overflow the solve of their member only: the stack
+    # is re-solved member by member, and the others keep their outcomes.
+    _, pts, pix = synth_scene(np.random.default_rng(5), 30, K)
+    outcomes = solve_pnp([pts, pts * 1e160, pts], [pix, pix, pix + 0.5], K)
+    assert type(outcomes[1]) is NumericalFailure and "float range" in str(outcomes[1])
+    _assert_identical(outcomes[0], solve_pnp(pts, pix, K))
+    _assert_identical(outcomes[2], solve_pnp(pts, pix + 0.5, K))

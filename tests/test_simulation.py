@@ -13,6 +13,7 @@ from refcal.calibration import (
     Track2D,
     calibrate,
     object_points,
+    select_frames,
 )
 from refcal.errors import CalibrationError, UnreachableView
 from refcal.geometry import (
@@ -394,6 +395,71 @@ def test_noise_sweep_matches_a_calibrate_per_request(panda, panda_base):
     assert n_failed == 4
 
 
+def test_frames_sweep_matches_a_calibrate_per_request(panda, panda_base):
+    # The sweep solves every scene and frame count as members of one ragged
+    # stack, each with its own pair count; a plain loop of one calibrate per
+    # (count, scene) must give the same table, bit for bit.  A count that a
+    # scene cannot reach fails before any solve.
+    for (chain, ref), mode in ((panda, Mode.EYE_ON_BASE), (panda_base, Mode.EYE_IN_HAND)):
+        cfg = ScenarioConfig(seed=41, mode=mode, duration=4.0, noise=NoiseModel(sigma=2.0))
+        counts = [4, 7, 25, 10**5]
+        sweep = run_frames_sweep(cfg, chain, ref, counts, n_repeats=3)
+        for n, cell in zip(counts, sweep.cells):
+            errors, n_fail = [], 0
+            for r in range(3):
+                scene_cfg = replace(cfg, seed=_child_seed(cfg.seed, _REPEAT, r))
+                scene = generate_scene(scene_cfg, chain, ref)
+                noise_seed = _child_seed(cfg.seed, _NOISE, r)
+                noisy = corrupt_track(scene.clean_track, cfg.noise, noise_seed)
+                try:
+                    options = CalibrationOptions(min_pairs=n)
+                    usable, _ = select_frames(noisy, scene.joint_log, options)
+                    picked = np.floor(np.arange(n) * len(usable) / n).astype(int)
+                    track = noisy.subset(usable[picked])
+                    req = CalibrationRequest(
+                        mode, chain, ref, cfg.camera, track, scene.joint_log,
+                        CalibrationOptions(min_pairs=4), scene.points,
+                    )  # fmt: skip
+                    errors.append(evaluate(calibrate(req).pose, scene.t_gt))
+                except CalibrationError:
+                    n_fail += 1
+            assert cell.n_fail == n_fail
+            assert cell.errors == tuple(errors)
+        assert sweep.cells[-1].n_fail == 3
+        assert all(len(cell.errors) == 3 for cell in sweep.cells[1:3])
+
+
+def test_noise_sweep_tracks_share_the_clean_flags(panda_base, monkeypatch):
+    # A noise level's track shares its scene's frame numbers and flags,
+    # copied and checked once; the pixels still get the finite check.
+    import refcal.simulation
+
+    chain, ref = panda_base
+    seen = []
+    original = refcal.simulation.calibrate_each
+
+    def recorded(members):
+        members = list(members)
+        seen.extend(members)
+        return original(members)
+
+    monkeypatch.setattr(refcal.simulation, "calibrate_each", recorded)
+    cfg = ScenarioConfig(seed=3, mode=Mode.EYE_IN_HAND, duration=2.0)
+    run_noise_sweep(cfg, chain, ref, [0.0, 2.0], n_repeats=2)
+    assert len(seen) == 4
+    for req, track in seen:
+        for name in ("frame_index", "visible", "sync"):
+            assert getattr(track, name) is getattr(req.track, name)
+        assert track.uv is not req.track.uv and not track.uv.flags.writeable
+    clean = seen[0][0].track
+    with pytest.raises(ValueError, match="finite pixel"), np.errstate(over="ignore"):
+        corrupt_track(clean, NoiseModel(sigma=1e308), seed=1)
+    with pytest.raises(ValueError, match="finite pixel"):
+        clean.with_pixels(np.where(clean.visible[:, None], np.inf, clean.uv))
+    with pytest.raises(ValueError):
+        clean.with_pixels(clean.uv.T)
+
+
 def test_noise_sweep_tracks_equal_corrupt_track(panda_base, monkeypatch):
     # The sweep draws each scene's noise once and scales it by each sigma;
     # the tracks it calibrates must be corrupt_track's, bit for bit.
@@ -405,14 +471,19 @@ def test_noise_sweep_tracks_equal_corrupt_track(panda_base, monkeypatch):
     seen = []
     original = refcal.simulation.calibrate_each
 
-    def recorded(req, tracks):
-        seen.append((req.track, list(tracks)))
-        return original(req, tracks)
+    def recorded(members):
+        members = list(members)
+        seen.append(members)
+        return original(members)
 
     monkeypatch.setattr(refcal.simulation, "calibrate_each", recorded)
     run_noise_sweep(cfg, chain, ref, sigmas, n_repeats=3)
-    assert len(seen) == 3
-    for r, (clean, tracks) in enumerate(seen):
+    # One call for the whole sweep, with a request per scene.
+    (members,) = seen
+    requests = list({id(req): req for req, _ in members}.values())
+    assert len(requests) == 3
+    for r, req in enumerate(requests):
+        clean, tracks = req.track, [track for other, track in members if other is req]
         noise_seed = _child_seed(cfg.seed, _NOISE, r)
         assert len(tracks) == len(sigmas)
         for sigma, track in zip(sigmas, tracks):

@@ -57,13 +57,14 @@ def test_solve_pnp_reaches_the_traced_pnp_names(monkeypatch):
 
 def test_noise_sweep_stays_stacked_and_traced(panda_base, monkeypatch):
     # The traced calibration.select_ms and pnp.solve_ms see the sweep only
-    # through these module attributes, and a scene's noise levels keep its
-    # frame flags, so they select frames once and solve as one stack.
+    # through these module attributes.  A scene's noise levels keep its
+    # frame flags, so they select frames once per scene, and every scene and
+    # noise level of the sweep is one member of one ragged stack.
     calls = {"select_frames": [], "solve_pnp": []}
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(calibration, name), **kwargs):
-            calls[_name].append(args[1].shape[0] if _name == "solve_pnp" else None)
+            calls[_name].append(len(args[1]) if _name == "solve_pnp" else None)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(calibration, name, counted)
@@ -72,4 +73,4 @@ def test_noise_sweep_stays_stacked_and_traced(panda_base, monkeypatch):
     sweep = run_noise_sweep(cfg, chain, ref, [0.0, 2.0, 4.0], n_repeats=2)
     assert [cell.n_fail for cell in sweep.cells] == [0, 0, 0]
     assert len(calls["select_frames"]) == 2
-    assert calls["solve_pnp"] == [3, 3]
+    assert calls["solve_pnp"] == [6]
