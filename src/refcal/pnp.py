@@ -15,8 +15,7 @@ run through ``np.add.reduceat`` over it, and Gram matrices and rotations
 through one BLAS product of the member's own columns (batched over runs of
 adjacent members with equal pair counts, on C-ordered operands).  So a
 member's result is bit for bit the one it gets in a stack of one, whatever
-else the stack holds.  A single solve is a stack of one, and S pixel sets
-of one point set are a stack of S copies of it.
+else the stack holds.  A single problem is solved as a stack of one.
 
 Pose convention: the returned pose maps object-frame points into the
 camera frame, so ``project(k, apply(pose, p3))`` reproduces the pixel.
@@ -88,9 +87,9 @@ class PnPSolution:
 
 
 class PoseStack(NamedTuple):
-    """S poses as rotations (S, 3, 3) and translations (S, 3): the stacked
-    form of ``Pose`` that ``retract``, ``linearize_reprojection`` and
-    ``refine_pose`` also take."""
+    """M poses as rotations (M, 3, 3) and translations (M, 3): the stacked
+    form of ``Pose`` that ``retract`` takes, and that ``refine_pose`` and
+    ``linearize_reprojection`` take with a RaggedPoints stack of M members."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -178,15 +177,30 @@ def _apply_each(mats: np.ndarray, cols: np.ndarray, pts: RaggedPoints) -> np.nda
     return products[0] if len(products) == 1 else np.concatenate(products, axis=-1)
 
 
-def _shared(pts3: np.ndarray, report, s: int) -> RaggedPoints:
-    """The stack of s members that all hold the points (n, 3)."""
-    xyz = np.repeat(pts3.T[:, None], s, axis=1).reshape(3, -1)
-    return ragged_points(xyz, [len(pts3)] * s, (report,) * s)
+def _stacked(members) -> tuple[RaggedPoints, np.ndarray, np.ndarray]:
+    """The ragged stack of validated members (points (n, 3), pixels (n, 2),
+    weights (n,), report): its RaggedPoints, pixel rows (2, N) and weights
+    (N,)."""
+    xyz, uv, weights, reports = zip(*members)
+    pts = ragged_points(
+        np.concatenate([p.T for p in xyz], axis=1), [len(wi) for wi in weights], reports
+    )
+    return pts, np.concatenate([p.T for p in uv], axis=1), np.concatenate(weights)
 
 
-def _rows(pix: np.ndarray) -> np.ndarray:
-    """Pixel sets (S, n, 2) as the u, v rows (2, S n) of a stack of S members."""
-    return pix.transpose(2, 0, 1).reshape(2, -1)
+def _alone(pts3, pix, w, check=None) -> tuple[RaggedPoints, np.ndarray, np.ndarray]:
+    """The stack of one of a single problem, validated, as ``_stacked``
+    gives it; its report is check(points), or None without a check."""
+    pts3, pix, w = _validated(pts3, pix, w)
+    return _stacked([(pts3, pix, w, check and check(pts3))])
+
+
+def _one_pose(pose) -> PoseStack:
+    """A Pose as a PoseStack of one.  A PoseStack raises ValueError: it
+    pairs with a RaggedPoints stack, not with (n, 3) points."""
+    if isinstance(pose, PoseStack):
+        raise ValueError("a PoseStack takes RaggedPoints, not (n, 3) points")
+    return PoseStack(np.reshape(pose.rotation, (1, 3, 3)), np.reshape(pose.translation, (1, 3)))
 
 
 def _take(pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, idx) -> tuple:
@@ -227,19 +241,19 @@ def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
 
 
 def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, 3) points, (n, 2) pixels or a stack (S, n, 2) of them, and (n,)
-    weights (all ones when None) as float arrays, less the pairs of zero
-    weight; rejects mismatched shapes, non-finite coordinates and negative
-    weights, and raises EmptyInput when n is zero and NumericalFailure when
-    every weight is zero."""
+    """(n, 3) points, (n, 2) pixels and (n,) weights (all ones when None)
+    as float arrays, less the pairs of zero weight; rejects mismatched
+    shapes, non-finite coordinates and negative weights, and raises
+    EmptyInput when n is zero and NumericalFailure when every weight is
+    zero."""
     pts3 = np.asarray(pts3, dtype=float)
     pix = np.asarray(pix, dtype=float)
     n = len(pts3) if pts3.ndim else 0
     ones = w is None
     w = np.ones(n) if ones else np.asarray(w, dtype=float)
-    if pts3.shape != (n, 3) or pix.shape[-2:] != (n, 2) or pix.ndim > 3 or w.shape != (n,):
+    if pts3.shape != (n, 3) or pix.shape != (n, 2) or w.shape != (n,):
         raise ValueError(
-            f"expected (n, 3) points, (n, 2) or (S, n, 2) pixels and (n,) weights, got "
+            f"expected (n, 3) points, (n, 2) pixels and (n,) weights, got "
             f"{pts3.shape}, {pix.shape} and {w.shape}"
         )
     if n == 0:
@@ -254,7 +268,7 @@ def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not w.any():
             raise NumericalFailure("all correspondence weights are zero")
         keep = w > 0
-        pts3, pix, w = pts3[keep], pix[..., keep, :], w[keep]
+        pts3, pix, w = pts3[keep], pix[keep], w[keep]
     return pts3, pix, w
 
 
@@ -435,7 +449,7 @@ def _rodrigues(wx: float, wy: float, wz: float) -> list:
 def retract(pose, delta):
     """Apply a local increment (rotation vector, translation) to a pose.
 
-    Also takes a PoseStack with increments (S, 6) and returns a PoseStack.
+    Also takes a PoseStack with increments (M, 6) and returns a PoseStack.
     Each increment's rotation comes from Python floats: for stacks of a few
     poses that is cheaper than the same formula in array arithmetic.
     """
@@ -506,24 +520,19 @@ def linearize_reprojection(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals and Jacobian of the pixel error w.r.t. a local increment.
 
-    Returns (residuals (n, 2), jacobian (n, 2, 6), depth (n,)); the
-    increment convention matches ``retract``.  Rows for points at or behind
-    the camera plane are zeroed and must be masked by the caller.  A
-    PoseStack of S poses with pixels (S, n, 2) gives every output a leading
-    S axis.  A PoseStack of M poses over a RaggedPoints stack, with pixel
-    rows (2, N), gives the structure-of-arrays outputs over the stack's N
-    pairs: residual rows (2, N), the Jacobian's u and v rows (2, 6, N) and
-    depths (N,).
+    Takes a Pose, (n, 3) object points and (n, 2) pixels, and returns
+    (residuals (n, 2), jacobian (n, 2, 6), depth (n,)); the increment
+    convention matches ``retract``.  Rows for points at or behind the camera
+    plane are zeroed and must be masked by the caller.  A PoseStack of M
+    poses over a RaggedPoints stack, with pixel rows (2, N), gives the
+    structure-of-arrays outputs over the stack's N pairs: residual rows
+    (2, N), the Jacobian's u and v rows (2, 6, N) and depths (N,).
     """
     if isinstance(pts3, RaggedPoints):
         return _linearize(pose, pts3, pix, k)
-    pts3, pix = np.asarray(pts3, dtype=float), np.asarray(pix, dtype=float)
-    lead, n = pix.shape[:-2], len(pts3)
-    stack = pix.reshape(-1, n, 2)
-    poses = PoseStack(np.reshape(pose.rotation, (-1, 3, 3)), np.reshape(pose.translation, (-1, 3)))
-    resid, jac, z = _linearize(poses, _shared(pts3, None, len(stack)), _rows(stack), k)
-    resid, jac = resid.T.reshape(*lead, n, 2), jac.transpose(2, 0, 1).reshape(*lead, n, 2, 6)
-    return resid, jac, z.reshape(*lead, n)
+    pts, rows, _ = _alone(pts3, pix, None)
+    resid, jac, z = _linearize(_one_pose(pose), pts, rows, k)
+    return resid.T, jac.transpose(2, 0, 1), z
 
 
 def _squared(resid: np.ndarray) -> np.ndarray:
@@ -613,29 +622,21 @@ def refine_pose(initial, pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool
     DivergedBehindCamera when the majority of points sit at non-positive
     depth.
 
-    ``initial`` may also be a PoseStack of M poses, with pixels (M, n, 2)
-    that share the points, or with a RaggedPoints stack of M members (pixel
-    rows (2, N), weights (N,) or None), which is taken as validated.  Every
-    round takes one batched trial step for the running members, each with
-    its own damping, admitted points and stop test; a member that has
-    stopped keeps its state, and the normal equations are rebuilt only for
-    members that accepted a trial and keep running, so each takes exactly
-    the steps it would take alone.  The result is then a list with one
-    PnPSolution or DivergedBehindCamera per member.
+    ``initial`` may also be a PoseStack of M poses with a RaggedPoints stack
+    of M members (pixel rows (2, N), weights (N,) or None), which is taken
+    as validated.  Every round takes one batched trial step for the running
+    members, each with its own damping, admitted points and stop test; a
+    member that has stopped keeps its state, and the normal equations are
+    rebuilt only for members that accepted a trial and keep running, so
+    each takes exactly the steps it would take alone.  The result is then a
+    list with one PnPSolution or DivergedBehindCamera per member.
     """
     if isinstance(pts3, RaggedPoints):
         if len(initial.rotation) != len(pts3.counts):
             raise ValueError("expected one initial pose per member of the stack")
         return _refine(initial, pts3, pix, np.ones(pix.shape[-1]) if w is None else w, k, robust)
-    pts3, pix, w = _validated(pts3, pix, w)
-    if pix.shape[:-2] != np.shape(initial.rotation)[:-2]:
-        raise ValueError("expected one (n, 2) pixel set per initial pose")
-    stack = pix.reshape(-1, len(pts3), 2)
-    s = len(stack)
-    rot, trans = np.reshape(initial.rotation, (-1, 3, 3)), np.reshape(initial.translation, (-1, 3))
-    pts = _shared(pts3, check_degeneracy(pts3), s)
-    outcomes = _refine(PoseStack(rot, trans), pts, _rows(stack), np.tile(w, s), k, robust)
-    return _raised(outcomes[0]) if isinstance(initial, Pose) else outcomes
+    start = _one_pose(initial)
+    return _raised(_refine(start, *_alone(pts3, pix, w, check_degeneracy), k, robust)[0])
 
 
 def _refine(initial, pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool) -> list:
@@ -766,11 +767,8 @@ def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
     Each kernel case gives the pose of its linearized betas, unpolished;
     the one with the smallest reprojection cost wins, the earlier on a tie.
     """
-    pts3, pix, w = _validated(pts3, pix, w)
-    if pix.ndim != 2:
-        raise ValueError(f"expected (n, 2) pixels, got {pix.shape}")
     with _in_float_range():
-        r, t, costs = _linear_stage(_shared(pts3, _checked_points(pts3), 1), pix.T, w, k)
+        r, t, costs = _linear_stage(*_alone(pts3, pix, w, _checked_points), k)
     best = int(np.argmin(costs[0]))
     if not math.isfinite(costs[0, best]):
         raise _no_candidate(t[0])
@@ -800,23 +798,12 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
     candidates of every member refined as members of one ``refine_pose``
     stack; a stack whose solve leaves the float range is re-solved member
     by member, so the error lands on the members that fail alone.  Invalid
-    input (ValueError) still raises.
-
-    ``pix`` may also be a stack (S, n, 2) of pixel sets that share the
-    points and weights: the ragged stack of S copies of the points, checked
-    once.  The result is again a list; invalid input, a degenerate point
-    set and a step that leaves the float range raise, since they fail every
-    set alike.
+    input (ValueError) still raises.  A single problem is solved as the
+    ragged stack of one.
     """
-    if isinstance(pts3, (list, tuple)) and pts3 and np.ndim(pts3[0]) == 2:
+    if isinstance(pts3, (list, tuple)) and (not pts3 or np.ndim(pts3[0]) == 2):
         return _solve_ragged(pts3, pix, k, w, robust)
-    pts3, pix, w = _validated(pts3, pix, w)
-    stack = pix.reshape(-1, *pix.shape[-2:])
-    with _in_float_range():
-        report = _checked_points(pts3)
-    pts = _shared(pts3, report, len(stack))
-    outcomes = _solve_stack(pts, _rows(stack), np.tile(w, len(stack)), k, robust)
-    return outcomes if pix.ndim == 3 else _raised(outcomes[0])
+    return _raised(_solve_ragged([pts3], [pix], k, [w], robust)[0])
 
 
 def _solve_ragged(pts3, pix, k: CameraIntrinsics, w, robust: bool) -> list:
@@ -837,8 +824,6 @@ def _solve_ragged(pts3, pix, k: CameraIntrinsics, w, robust: bool) -> list:
         except CalibrationError as exc:
             outcomes[i] = exc
             continue
-        if pixels.ndim != 2:
-            raise ValueError(f"expected (n, 2) pixels for member {i}, got {pixels.shape}")
         if id(points) not in checked:
             try:
                 with _in_float_range():
@@ -850,13 +835,9 @@ def _solve_ragged(pts3, pix, k: CameraIntrinsics, w, robust: bool) -> list:
             outcomes[i] = report
             continue
         kept.append(i)
-        members.append((points.T, pixels.T, weights, report))
+        members.append((points, pixels, weights, report))
     if kept:
-        xyz, uv, weights, reports = zip(*members)
-        pts = ragged_points(np.concatenate(xyz, axis=1), [len(wi) for wi in weights], reports)
-        uv, weights = np.concatenate(uv, axis=1), np.concatenate(weights)
-        solved = _solve_isolated(pts, uv, weights, k, robust)
-        for i, outcome in zip(kept, solved):
+        for i, outcome in zip(kept, _solve_isolated(*_stacked(members), k, robust)):
             outcomes[i] = outcome
     return outcomes
 

@@ -388,7 +388,7 @@ def corrupt_track(track: Track2D, noise: NoiseModel, seed: int) -> Track2D:
     deterministic under the seed, and for a fixed seed the injected offsets
     scale linearly with sigma (common random numbers across noise levels).
     """
-    return _offset(track, noise.sigma * _unit_noise(track, seed))
+    return _offset(track, noise.sigma, _unit_noise(track, seed))
 
 
 def _unit_noise(track: Track2D, seed: int) -> np.ndarray:
@@ -397,11 +397,16 @@ def _unit_noise(track: Track2D, seed: int) -> np.ndarray:
     return _substream(seed, _NOISE).standard_normal((int(track.visible.sum()), 2))
 
 
-def _offset(track: Track2D, offsets: np.ndarray) -> Track2D:
-    """The track with offsets (visible frames, 2) added to its visible pixels."""
+def _offset(track: Track2D, sigma: float, unit: np.ndarray) -> Track2D:
+    """The track with sigma times the draws unit (visible frames, 2) added
+    to its visible pixels; a sigma that takes a pixel past the float range
+    raises ValueError."""
     uv = np.array(track.uv)
     vis = track.visible
-    uv[vis] = uv[vis] + offsets
+    with np.errstate(over="ignore", invalid="ignore"):
+        uv[vis] = uv[vis] + sigma * unit
+    if not np.isfinite(uv[vis]).all():
+        raise ValueError(f"sigma={sigma} takes noisy pixels past the float range")
     return track.with_pixels(uv)
 
 
@@ -530,7 +535,7 @@ def run_noise_sweep(
 
     def observe(scene, noise_seed):
         unit = _unit_noise(scene.clean_track, noise_seed)
-        return lambda sigma: _offset(scene.clean_track, sigma * unit)
+        return lambda sigma: _offset(scene.clean_track, sigma, unit)
 
     return _sweep("noise", cfg, chain, ref, sigma_values, n_repeats, observe)
 

@@ -233,10 +233,15 @@ def test_mode_strings_validated(capsys):
 
 
 def _run_cli(*args):
-    """The CLI in a child process, so an uncaught error shows as a traceback."""
+    """The CLI in a child process, so an uncaught error shows as a traceback;
+    as in the suite, a RuntimeWarning is an error there, so a numpy warning
+    that leaks from a run shows as one too."""
     env = dict(os.environ, PYTHONPATH=str(Path(refcal.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "refcal.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "refcal.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
     )
 
 
@@ -446,6 +451,23 @@ def test_simulate_non_finite_sigma_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "sigma=nan" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        ("simulate", ["--sigma", "1e308"]),
+        ("sweep-frames", ["--counts", "4,20", "--sigma", "1e308", "--repeats", "1"]),
+        ("sweep-noise", ["--sigmas", "0,1e308", "--repeats", "1"]),
+    ],
+)
+def test_a_sigma_whose_noise_overflows_exits_2_naming_sigma(tmp_path, command, values):
+    out = tmp_path / "out"
+    proc = _run_cli(command, "--seed", "1", "--chain", _chain(), *values, "-o", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "sigma=1e+308" in proc.stderr
+    assert not out.exists()
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys):

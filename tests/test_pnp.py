@@ -475,6 +475,7 @@ def test_array_boundary_rejects_bad_input():
     ]
     for solve in (
         lambda p3, px, w: solve_pnp(p3, px, K, w),
+        lambda p3, px, w: solve_pnp_linear(p3, px, K, w),
         lambda p3, px, w: refine_pose(t_gt, p3, px, K, w),
     ):
         for p3, px, w in bad:
@@ -482,6 +483,13 @@ def test_array_boundary_rejects_bad_input():
                 solve(p3, px, w)
         with pytest.raises(EmptyInput):
             solve(np.zeros((0, 3)), np.zeros((0, 2)), None)
+    # The linearization takes no weights and checks the rest alike.
+    for p3, px, w in bad:
+        if w is None:
+            with pytest.raises(ValueError):
+                linearize_reprojection(t_gt, p3, px, K)
+    with pytest.raises(EmptyInput):
+        linearize_reprojection(t_gt, np.zeros((0, 3)), np.zeros((0, 2)), K)
 
 
 # ------------------------------------------------------------- full solve ---
@@ -579,16 +587,20 @@ def test_solve_pnp_zero_weight_points_ignored():
 
 def test_a_solve_that_leaves_the_float_range_raises_numerical_failure():
     # Finite inputs whose squares pass the float range: a focal length of
-    # 1e200 px, or points 1e160 m out.  Alone or stacked, the solve fails
-    # with a NumericalFailure instead of overflowing with a RuntimeWarning.
+    # 1e200 px, or points 1e160 m out.  The solve fails with a
+    # NumericalFailure instead of overflowing with a RuntimeWarning; in a
+    # stack, each member gets that outcome, the one it raises alone.
     _, pts, pix = synth_scene(np.random.default_rng(5), 30, K)
     huge_f = CameraIntrinsics(1e200, K.fy, K.cx, K.cy, K.width, K.height)
     for solve in (solve_pnp, solve_pnp_linear):
         for args in ((pts, pix, huge_f), (pts * 1e160, pix, K)):
             with pytest.raises(NumericalFailure, match="float range"):
                 solve(*args)
-    with pytest.raises(NumericalFailure, match="float range"):
-        solve_pnp(pts, np.stack([pix, pix]), huge_f)
+    outcomes = solve_pnp([pts, pts], [pix, pix + 0.5], huge_f)
+    for outcome, px in zip(outcomes, (pix, pix + 0.5)):
+        with pytest.raises(NumericalFailure) as alone:
+            solve_pnp(pts, px, huge_f)
+        _assert_identical(outcome, alone.value)
 
 
 def test_solve_pnp_robust_downweights_outliers():
@@ -608,13 +620,18 @@ def test_solve_pnp_robust_downweights_outliers():
 # ---------------------------------------------------------- stacked solves ---
 
 
-def _assert_same_solution(sol, alone):
-    assert_allclose(sol.pose.rotation, alone.pose.rotation, rtol=0, atol=1e-9)
-    assert_allclose(sol.pose.translation, alone.pose.translation, rtol=0, atol=1e-9)
-    assert sol.rms_reprojection_error == pytest.approx(
-        alone.rms_reprojection_error, rel=1e-9, abs=1e-12
-    )
-    assert sol.condition_report.classification == alone.condition_report.classification
+def _assert_identical(outcome, alone):
+    """One ragged-stack outcome against the same member solved alone: the
+    same pose, rms and per-point residuals bit for bit, or the same error."""
+    if isinstance(alone, Exception):
+        assert type(outcome) is type(alone)
+        assert str(outcome) == str(alone)
+        return
+    assert np.array_equal(outcome.pose.rotation, alone.pose.rotation)
+    assert np.array_equal(outcome.pose.translation, alone.pose.translation)
+    assert outcome.rms_reprojection_error == alone.rms_reprojection_error
+    assert np.array_equal(outcome.per_point_residuals, alone.per_point_residuals)
+    assert outcome.condition_report.classification == alone.condition_report.classification
 
 
 @pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
@@ -632,10 +649,11 @@ def test_stacked_solve_matches_each_set_alone(planar, weighted, robust):
         unit = rng.standard_normal(pix.shape)
         stack = np.stack([pix + sigma * unit for sigma in (0.0, 1.0, 3.0, 8.0)] + [pix + unit])
         stack[4, :3] += 90.0
-        solved = solve_pnp(pts, stack, K, w, robust=robust)
+        weights = None if w is None else [w] * len(stack)
+        solved = solve_pnp([pts] * len(stack), list(stack), K, weights, robust=robust)
         assert len(solved) == len(stack)
         for sol, pix_s in zip(solved, stack):
-            _assert_same_solution(sol, solve_pnp(pts, pix_s, K, w, robust=robust))
+            _assert_identical(sol, solve_pnp(pts, pix_s, K, w, robust=robust))
         if not planar:  # the planar points were moved off the plane after projecting
             assert solved[0].rms_reprojection_error < 1e-6
 
@@ -656,11 +674,10 @@ def test_stacked_solve_reports_a_failed_set_alone():
         solve_pnp(pts, behind, K)
     with pytest.raises(NumericalFailure, match="behind the camera"):
         solve_pnp_linear(pts, behind, K)
-    solved = solve_pnp(pts, np.stack([front, behind, front + 0.5]), K)
-    assert type(solved[1]) is NumericalFailure
-    assert str(solved[1]) == str(alone.value)
-    _assert_same_solution(solved[0], solve_pnp(pts, front, K))
-    _assert_same_solution(solved[2], solve_pnp(pts, front + 0.5, K))
+    solved = solve_pnp([pts] * 3, [front, behind, front + 0.5], K)
+    _assert_identical(solved[1], alone.value)
+    _assert_identical(solved[0], solve_pnp(pts, front, K))
+    _assert_identical(solved[2], solve_pnp(pts, front + 0.5, K))
 
 
 def test_stacked_solve_reports_a_set_without_a_linear_solution_alone(monkeypatch):
@@ -681,9 +698,9 @@ def test_stacked_solve_reports_a_set_without_a_linear_solution_alone(monkeypatch
     for solve in (solve_pnp, solve_pnp_linear):
         with pytest.raises(NumericalFailure, match="no usable control-point solution"):
             solve(pts, marked, K)
-    solved = solve_pnp(pts, np.stack([pix, marked]), K)
+    solved = solve_pnp([pts, pts], [pix, marked], K)
     assert str(solved[1]) == "no usable control-point solution"
-    _assert_same_solution(solved[0], solve_pnp(pts, pix, K))
+    _assert_identical(solved[0], solve_pnp(pts, pix, K))
 
 
 def test_a_refined_pose_with_points_behind_the_camera_is_a_diverged_solve():
@@ -696,9 +713,9 @@ def test_a_refined_pose_with_points_behind_the_camera_is_a_diverged_solve():
     dragged[:2] += rng.normal(0.0, 800.0, (2, 2))
     with pytest.raises(DivergedBehindCamera, match="leaves 1 of 8 points behind it"):
         solve_pnp(pts, dragged, K)
-    solved = solve_pnp(pts, np.stack([pix, dragged]), K)
+    solved = solve_pnp([pts, pts], [pix, dragged], K)
     assert isinstance(solved[1], DivergedBehindCamera)
-    _assert_same_solution(solved[0], solve_pnp(pts, pix, K))
+    _assert_identical(solved[0], solve_pnp(pts, pix, K))
 
 
 def test_a_later_start_replaces_a_diverged_best_ranked_start(monkeypatch):
@@ -741,29 +758,41 @@ def test_stacked_refinement_reports_a_diverged_member_alone():
     stack = PoseStack(
         np.stack([s.rotation for s in starts]), np.stack([s.translation for s in starts])
     )
-    refined = refine_pose(stack, pts, np.stack([noisy, noisy, pix]), K)
-    assert isinstance(refined[1], DivergedBehindCamera)
-    with pytest.raises(DivergedBehindCamera):
+    report = check_degeneracy(pts)
+    ragged = ragged_points(np.concatenate([pts.T] * 3, axis=1), [20] * 3, [report] * 3)
+    rows = np.concatenate([noisy.T, noisy.T, pix.T], axis=1)
+    refined = refine_pose(stack, ragged, rows, K)
+    with pytest.raises(DivergedBehindCamera) as alone:
         refine_pose(starts[1], pts, noisy, K)
-    _assert_same_solution(refined[0], refine_pose(starts[0], pts, noisy, K))
-    _assert_same_solution(refined[2], refine_pose(starts[2], pts, pix, K))
-    # One pixel set per start pose, and the closed form takes one set.
-    for bad in (noisy, np.stack([noisy, noisy])):
+    _assert_identical(refined[1], alone.value)
+    _assert_identical(refined[0], refine_pose(starts[0], pts, noisy, K))
+    _assert_identical(refined[2], refine_pose(starts[2], pts, pix, K))
+    # One start pose per member; a PoseStack takes RaggedPoints, and a
+    # single problem one (n, 2) pixel set.
+    with pytest.raises(ValueError):
+        refine_pose(PoseStack(stack.rotation[:2], stack.translation[:2]), ragged, rows, K)
+    for call in (refine_pose, linearize_reprojection):
         with pytest.raises(ValueError):
-            refine_pose(stack, pts, bad, K)
-    with pytest.raises(ValueError):
-        refine_pose(t_gt, pts, np.stack([noisy]), K)
-    with pytest.raises(ValueError):
-        solve_pnp_linear(pts, np.stack([noisy]), K)
+            call(stack, pts, noisy, K)
+    for call in (
+        lambda px: solve_pnp(pts, px, K),
+        lambda px: solve_pnp([pts], [px], K),
+        lambda px: solve_pnp_linear(pts, px, K),
+        lambda px: refine_pose(t_gt, pts, px, K),
+        lambda px: linearize_reprojection(t_gt, pts, px, K),
+    ):
+        with pytest.raises(ValueError):
+            call(np.stack([noisy]))
     empty = PoseStack(np.zeros((0, 3, 3)), np.zeros((0, 3)))
-    assert refine_pose(empty, pts, np.zeros((0, 20, 2)), K) == []
-    assert solve_pnp(pts, np.zeros((0, 20, 2)), K) == []
+    assert refine_pose(empty, ragged_points(np.zeros((3, 0)), [], []), np.zeros((2, 0)), K) == []
+    assert solve_pnp([], [], K) == []
 
 
 @pytest.mark.parametrize("n_sets", [None, 1, 5], ids=["one_problem", "stack_of_1", "stack_of_5"])
 def test_one_degeneracy_check_per_solve(monkeypatch, n_sets):
     # The guard's report is the one the refinement reports: a solve checks
-    # and validates its points once, and a stack shares one of each.
+    # and validates its points once; a stack validates each member and
+    # checks each points array once, however many members share it.
     calls = []
     for name in ("check_degeneracy", "_validated"):
 
@@ -774,23 +803,10 @@ def test_one_degeneracy_check_per_solve(monkeypatch, n_sets):
         monkeypatch.setattr(pnp, name, counted)
     rng = np.random.default_rng(211)
     _, pts, pix = synth_scene(rng, 15, K, planar=True)
-    pix = pix if n_sets is None else pix + rng.normal(0.0, 1.0, (n_sets, *pix.shape))
-    solve_pnp(pts + rng.normal(0.0, 1e-4, pts.shape), pix, K)
-    assert sorted(calls) == ["_validated", "check_degeneracy"]
-
-
-def _assert_identical(outcome, alone):
-    """One ragged-stack outcome against the same member solved alone: the
-    same pose, rms and per-point residuals bit for bit, or the same error."""
-    if isinstance(alone, Exception):
-        assert type(outcome) is type(alone)
-        assert str(outcome) == str(alone)
-        return
-    assert np.array_equal(outcome.pose.rotation, alone.pose.rotation)
-    assert np.array_equal(outcome.pose.translation, alone.pose.translation)
-    assert outcome.rms_reprojection_error == alone.rms_reprojection_error
-    assert np.array_equal(outcome.per_point_residuals, alone.per_point_residuals)
-    assert outcome.condition_report.classification == alone.condition_report.classification
+    pix = pix if n_sets is None else list(pix + rng.normal(0.0, 1.0, (n_sets, *pix.shape)))
+    pts = pts + rng.normal(0.0, 1e-4, pts.shape)
+    solve_pnp(pts if n_sets is None else [pts] * n_sets, pix, K)
+    assert sorted(calls) == ["_validated"] * (n_sets or 1) + ["check_degeneracy"]
 
 
 @pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
