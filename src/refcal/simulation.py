@@ -403,10 +403,11 @@ def _offset(track: Track2D, sigma: float, unit: np.ndarray) -> Track2D:
     raises ValueError."""
     uv = np.array(track.uv)
     vis = track.visible
-    with np.errstate(over="ignore", invalid="ignore"):
-        uv[vis] = uv[vis] + sigma * unit
-    if not np.isfinite(uv[vis]).all():
+    with np.errstate(over="ignore"):
+        noisy = uv[vis] + sigma * unit
+    if not np.isfinite(noisy).all():
         raise ValueError(f"sigma={sigma} takes noisy pixels past the float range")
+    uv[vis] = noisy
     return track.with_pixels(uv)
 
 
