@@ -1,4 +1,4 @@
-"""The PnP core: degeneracy diagnosis, closed-form solve, refinement.
+"""The PnP core: degeneracy diagnosis, linear (SQPnP) search, refinement.
 
 Run: python demos/03_pnp_solver.py
 """
@@ -38,7 +38,7 @@ print(f"n={report.n_points}, classification={report.classification}, "
 
 print("\n== noiseless solve ==")
 linear = solve_pnp_linear(p_obj, pixels, k)
-print(f"closed-form: |dt| = {np.max(np.abs(linear.translation - t_gt.translation)):.2e} m")
+print(f"linear:      |dt| = {np.max(np.abs(linear.translation - t_gt.translation)):.2e} m")
 sol = solve_pnp(p_obj, pixels, k)
 print(f"refined:     |dt| = {np.max(np.abs(sol.pose.translation - t_gt.translation)):.2e} m, "
       f"rot = {rotation_error(sol.pose, t_gt):.2e} rad, rms = {sol.rms_reprojection_error:.2e} px")

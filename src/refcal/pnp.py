@@ -1,10 +1,12 @@
 """Perspective-n-Point pose estimation from 2D-3D correspondences.
 
-The solver is self-contained: a control-point (EPnP-style) closed-form
-stage provides the initial pose, and damped least squares on the pixel
-reprojection error refines it.  Degeneracy of the 3D point arrangement is
-diagnosed before solving; collinear or too-small point sets are rejected
-because they admit no well-conditioned unique pose.
+The solver is self-contained: a global search of the object-space cost
+over SO(3) (SQPnP-style: Gauss-Newton from 18 starts built from the
+eigenvectors of its 9 x 9 matrix) provides the one initial pose, and damped
+least squares on the pixel reprojection error refines it.  Degeneracy of
+the 3D point arrangement is diagnosed before solving; collinear or
+too-small point sets are rejected because they admit no well-conditioned
+unique pose.
 
 Every stage runs on a ragged stack: M members, each with its own points,
 pixels, weights and pair count, laid end to end in structure-of-arrays
@@ -28,7 +30,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     EmptyInput,
     NumericalFailure,
 )
-from .geometry import MIN_DEPTH, CameraIntrinsics, Pose, freeze, orthonormalize
+from .geometry import MIN_DEPTH, CameraIntrinsics, Pose, freeze
 
 WELL_CONDITIONED = "well_conditioned"
 NEAR_COLLINEAR = "near_collinear"
@@ -66,6 +67,13 @@ FN_TOL = 1e-10
 MAX_ITERS = 100
 DAMPING_INIT = 1e-3
 HUBER_SCALE_PX = 3.0
+
+# Gauss-Newton steps on SO(3) that each start of the linear stage takes.
+SQP_STEPS = 4
+
+# A solution whose median reprojection error passes this share of the image
+# diagonal is a wild fit, not a pose.
+WILD_FIT_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -203,14 +211,10 @@ def _one_pose(pose) -> PoseStack:
     return PoseStack(np.reshape(pose.rotation, (1, 3, 3)), np.reshape(pose.translation, (1, 3)))
 
 
-def _take(pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, idx) -> tuple:
-    """The stack of members idx (in that order, repeats allowed), with their
-    pixel rows and weights."""
-    counts = pts.counts[idx]
-    offsets = pts.starts[idx] - (np.cumsum(counts) - counts)
-    cols = np.repeat(offsets, counts) + np.arange(counts.sum())
-    sub = ragged_points(pts.xyz[:, cols], counts, [pts.reports[i] for i in idx])
-    return sub, pix[:, cols], w[cols]
+def _member(pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, j: int) -> tuple:
+    """The stack of one of member j, with its pixel rows and weights."""
+    cols = np.arange(pts.starts[j], pts.starts[j] + pts.counts[j])
+    return ragged_points(pts.xyz[:, cols], [len(cols)], [pts.reports[j]]), pix[:, cols], w[cols]
 
 
 def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
@@ -292,40 +296,6 @@ def _checked_points(pts3: np.ndarray) -> DegeneracyReport:
     return report
 
 
-def _initial_betas(gram: np.ndarray, rho: np.ndarray, n_cases: int) -> np.ndarray:
-    """Linearized distance-constraint betas (..., C, 3) of kernel cases
-    1..n_cases, zero-padded; a case with a degenerate kernel vector gets NaN.
-
-    ``gram`` (..., P, 3, 3), read nowhere else, holds the Gram matrix of
-    each control-point pair's kernel differences, and ``rho`` (..., P) the
-    squared control-point distances.  Case 1 fits one scale to the
-    distances; cases 2 and 3 fit the first three or all six columns of one
-    system in b11, b12, b22, b13, b23, b33, through its normal equations.
-    """
-    betas = np.zeros((*gram.shape[:-3], n_cases, 3))
-    norms2 = gram[..., 0, 0]
-    denom = norms2.sum(axis=-1)
-    ok = denom >= 1e-30
-    scale = (np.sqrt(rho) * np.sqrt(norms2)).sum(axis=-1) / np.where(ok, denom, 1.0)
-    betas[..., 0, 0] = np.where(ok, scale, np.nan)
-    # C order whatever the stack size, so each member's products run alike.
-    cols = np.multiply(
-        gram[..., [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]], [1.0, 2.0, 1.0, 2.0, 2.0, 1.0], order="C"
-    )
-    cols_t = np.swapaxes(cols, -1, -2)
-    used = np.repeat(np.tri(n_cases - 1, 2, dtype=bool), 3, axis=1)  # (C - 1, 6)
-    lhs = np.where(used[:, :, None] & used[:, None, :], (cols_t @ cols)[..., None, :, :], np.eye(6))
-    rhs = (cols_t @ rho[..., None])[..., 0]
-    sol = _solve_each(lhs, np.where(used, rhs[..., None, :], 0.0))
-    signs = sol[..., [0, 1, 3]]
-    signs[..., 0] = 1.0
-    # Case 2 keeps b1, b2 and case 3 all three; b1 comes out positive.
-    betas[..., 1:, :] = np.copysign(np.sqrt(np.abs(sol[..., [0, 2, 5]])), signs) * np.tri(
-        n_cases - 1, 3, 1
-    )
-    return betas
-
-
 def _solve_each(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """x (..., k) with h[i] @ x[i] = g[i]; a zero row where h[i] is singular."""
     try:
@@ -339,97 +309,107 @@ def _solve_each(h: np.ndarray, g: np.ndarray) -> np.ndarray:
         return x.reshape(g.shape)
 
 
-# Index pairs (i <= j) and control-point pairs (i < j) of 3 and 4 points.
-_UPPER = {m: np.triu_indices(m) for m in (3, 4)}
-_PAIRS = {m: np.array(list(combinations(range(m), 2))).T for m in (3, 4)}
+_CROSS = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 
-def _linear_candidates(
-    pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics, planar: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (M, C, 3, 3) and translations (M, C, 3) of the kernel cases
-    of each member, in case order, NaN for a case without a solution: the
-    member's control points (centroid plus 2 or 3 principal directions
-    scaled by the spread), then one weighted Kabsch alignment
-    (R @ p + t ~= camera-frame point) per case.
+def _rotations(a: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the first two columns of each matrix a (..., 3, 3),
+    their cross product third: a rotation, or NaN where a column it
+    normalizes has zero length (as when it underflows; never divided by)."""
 
-    The 2n x 3m projection system of a member enters only through its
-    normal matrix, and the camera-frame points only through the Kabsch
-    cross-covariance; both are formed from weighted barycentric moments of
-    the member's pairs, so no per-pair row and no camera point is built.
+    def unit(v):
+        norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        return v / np.where(norm > 0, norm, math.nan)
+
+    x = unit(a[..., :, 0])
+    y = a[..., :, 1]
+    y = unit(y - (x * y).sum(axis=-1, keepdims=True) * x)
+    xy = x[..., _CROSS[0]] * y[..., _CROSS[1]]  # both halves of x cross y
+    return np.stack([x, y, xy[..., :3] - xy[..., 3:]], axis=-1)
+
+
+# [e_k]x as 9-vectors (3, 9), column j e_k x e_j; _LIFT[k] takes the rows r of
+# R to those of [e_k]x R, its change per unit left increment about axis k.
+_HAT = np.cross(np.eye(3)[:, None], np.eye(3)).swapaxes(1, 2).reshape(3, 9)
+_LIFT = np.kron(_HAT.reshape(3, 3, 3), np.eye(3))
+
+
+def _sqp_candidates(
+    pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each member's candidate rotations (M, 18, 3, 3), translations (M, 18, 3)
+    and costs (M, 18): a global search of the object-space cost
+    sum_i w_i |(I - v_i v_i^T)(R p_i + t)|^2 over the unit rays v_i (SQPnP,
+    Terzakis & Lourakis, ECCV 2020).  With r the rows of R as a 9-vector,
+    the best t is P r and the cost r^T Omega r; one Gram matrix of the
+    per-pair rows sqrt(w) [v (x) p, v, p, 1], p in the member's principal
+    axes, holds both.  The starts are +-1 times each eigenvector of Omega,
+    made a rotation by Gram-Schmidt of its first two columns (for a flat
+    member, those of its in-plane axes); each takes SQP_STEPS Gauss-Newton
+    steps on SO(3).  A candidate costs r^T Omega r, or inf when most points
+    are at or behind the camera plane (as when it has no rotation, NaN).
     """
-    m = 3 if planar else 4  # control points
-    n_members = len(pts.counts)
-    wsum = _segment_sums(w, pts)
-    c0 = _segment_sums(w * pts.xyz, pts) / wsum  # (3, M)
-    d = pts.xyz - _per_pair(c0, pts)  # centred points (3, N)
+    m = len(pts.counts)
+    c0 = _segment_sums(w * pts.xyz, pts) / _segment_sums(w, pts)  # (3, M)
     sw = np.sqrt(w)
-    wd = sw * d
-    evals, evecs = np.linalg.eigh(_segment_products(wd, pts) / wsum[:, None, None])
-    spread = np.sqrt(np.maximum(evals[:, ::-1][:, : m - 1], 1e-16))  # largest first
-    dirs = spread[..., None] * evecs[..., ::-1][..., : m - 1].swapaxes(1, 2)  # (M, m - 1, 3)
-    ctrl = np.concatenate([c0.T[:, None], c0.T[:, None] + dirs], axis=1)  # (M, m, 3)
-    # Barycentric coordinates: expansion in the orthogonal principal basis,
-    # exact for the full basis; the planar case projects out the (tiny)
-    # off-plane component.
-    alphas = np.empty((m, len(w)))
-    alphas[1:] = _apply_each(dirs / (dirs**2).sum(axis=-1)[..., None], d, pts)
-    alphas[0] = 1.0 - alphas[1:].sum(axis=0)
-
-    # One Gram matrix of the rows [A; A du; A dv; sqrt(w); sqrt(w) (p - c0)],
-    # A = alphas sqrt(w), du = cx - u, dv = cy - v, holds every moment the
-    # candidates need: those of the normal matrix of the projection rows
-    # [a fx, 0, a du] and [0, a fy, a dv] over the control points'
-    # coefficients a, and the Kabsch sums below.
-    a = alphas * sw
-    moments = _segment_products(
-        np.concatenate([a, a * (k.cx - pix[0]), a * (k.cy - pix[1]), sw[None], wd]), pts
-    )
-    s0, su, sv = moments[:, :m, :m], moments[:, :m, m : 2 * m], moments[:, :m, 2 * m : 3 * m]
-    normal = np.empty((n_members, m, 3, m, 3))
-    normal[:, :, 0, :, 0] = s0 * k.fx * k.fx
-    normal[:, :, 1, :, 1] = s0 * k.fy * k.fy
-    normal[:, :, 0, :, 1] = normal[:, :, 1, :, 0] = 0.0
-    normal[:, :, 0, :, 2] = su * k.fx
-    normal[:, :, 2, :, 0] = su.swapaxes(1, 2) * k.fx
-    normal[:, :, 1, :, 2] = sv * k.fy
-    normal[:, :, 2, :, 1] = sv.swapaxes(1, 2) * k.fy
-    duv = moments[:, m : 3 * m, m : 3 * m]
-    normal[:, :, 2, :, 2] = duv[:, :m, :m] + duv[:, m:, m:]
+    d = pts.xyz - _per_pair(c0, pts)
+    # Principal axes as columns, largest spread first, turned into a rotation.
+    axes = np.linalg.eigh(_segment_products(sw * d, pts))[1][..., ::-1].copy()
+    axes[..., 2] *= np.sign(np.linalg.det(axes))[:, None]
+    # Per-pair rows: v (x) p (9), v (3), and p in homogeneous form (4).
+    rows = np.empty((16, len(w)))
+    ray, hom = rows[9:12], rows[12:16]
+    hom[:3] = _apply_each(np.ascontiguousarray(axes.swapaxes(1, 2)), d, pts)
+    hom[3] = 1.0
+    # The ray through each pixel, in pixel-scaled units: a focal length whose
+    # square passes the float range fails here, as in the refinement.
+    ray[0] = k.fy * (pix[0] - k.cx)
+    ray[1] = k.fx * (pix[1] - k.cy)
+    ray[2] = k.fx * k.fy
+    ray /= np.sqrt((ray * ray).sum(axis=0))
+    np.multiply(ray[:, None], hom[:3], out=rows[:9].reshape(3, 3, -1))
+    gram = _segment_products(rows * sw, pts)  # (M, 16, 16)
+    # The quadratic form of (r, t): |R p + t|^2 less (v . (R p + t))^2.
+    i3 = np.eye(3)
+    m_rr = np.einsum("ac,mbe->mabce", i3, gram[:, 12:15, 12:15]).reshape(m, 9, 9) - gram[:, :9, :9]
+    m_rt = np.einsum("ac,mb->mabc", i3, gram[:, 12:15, 15]).reshape(m, 9, 3) - gram[:, :9, 9:12]
+    m_tt = gram[:, 15, 15, None, None] * i3 - gram[:, 9:12, 9:12]
     try:
-        _, evecs = np.linalg.eigh(normal.reshape(n_members, 3 * m, 3 * m))
+        p = -np.linalg.solve(m_tt, m_rt.swapaxes(1, 2))  # (M, 3, 9)
+        omega = m_rr + m_rt @ p
+        evecs = np.linalg.eigh(omega)[1].swapaxes(1, 2)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("null-space extraction failed") from exc
-    kernel = evecs[..., :3].swapaxes(1, 2)  # smallest three, (M, 3, 3 m)
-
-    i, j = _PAIRS[m]
-    # C order whatever the stack size: BLAS products of strided operands round
-    # differently from those of contiguous ones.
-    rho = np.ascontiguousarray(((ctrl[:, i] - ctrl[:, j]) ** 2).sum(axis=-1))  # (M, P)
-    dk = kernel.reshape(n_members, 3, m, 3)
-    dk = dk[..., i, :] - dk[..., j, :]  # (M, 3, P, 3)
-    gram = np.einsum("mapd,mbpd->mpab", dk, dk, order="C")  # (M, P, 3, 3)
-    betas = _initial_betas(gram, rho, m - 1)
-    solved = np.all(np.isfinite(betas), axis=-1)
-    betas = np.where(solved[..., None], betas, 0.0)
-    ctrl_cam = (betas @ kernel).reshape(n_members, m - 1, m, 3)
-
-    # The camera-frame point of pair i is sum_j a_ij C_j, so its weighted
-    # sums need only the moments sum_i w a_ij and sum_i w a_ij (p_i - c0).
-    a0, moment = moments[:, :m, 3 * m], moments[:, :m, 3 * m + 1 :]  # (M, m), (M, m, 3)
-    depth = (a0[:, None] * ctrl_cam[..., 2]).sum(axis=-1)  # weighted z sum, (M, C)
-    ctrl_cam = np.where((depth < 0)[..., None, None], -ctrl_cam, ctrl_cam)
-    c_dst = (a0[:, None, :, None] * ctrl_cam).sum(axis=2) / wsum[:, None, None]  # (M, C, 3)
-    offset = moments[:, 3 * m, 3 * m + 1 :]  # sum_i w (p_i - c0), zero up to rounding
-    cross = ctrl_cam.swapaxes(-1, -2) @ moment[:, None] - c_dst[..., None] * offset[:, None, None]
-    try:
-        r = orthonormalize(cross)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("pose alignment SVD failed") from exc
-    t = c_dst - (r @ np.ascontiguousarray(c0.T)[:, None, :, None])[..., 0]
-    r[~solved] = np.nan
-    t[~solved] = np.nan
-    return r, t
+        raise NumericalFailure("the object-space system has no solution") from exc
+    # Gram-Schmidt of -E is that of E with its first two columns negated.
+    rot = _rotations(evecs.reshape(m, 9, 3, 3))
+    rot = np.concatenate([rot, rot * [-1.0, -1.0, 1.0]], axis=1)  # (M, 18, 3, 3)
+    # With J_k = [e_k]x R as 9-vectors, H_kl = J_k^T Omega J_l and
+    # -g_k = -J_k^T Omega r are quadratic forms r^T F r in r: their 12
+    # matrices F, laid out [j, (i, form)] (M, 9, 108), give the Gauss-Newton
+    # system of every start in two products.
+    lift_omega = _LIFT.swapaxes(1, 2) @ omega[:, None]  # (M, 3, 9, 9)
+    forms = np.concatenate([(lift_omega[:, :, None] @ _LIFT).reshape(m, 9, 9, 9), -lift_omega], 1)
+    forms = np.ascontiguousarray(forms.transpose(0, 3, 2, 1)).reshape(m, 9, 108)
+    for _ in range(SQP_STEPS):
+        r = rot.reshape(m, 18, 9)
+        system = (r[..., None, :] @ (r @ forms).reshape(m, 18, 9, 12))[..., 0, :]
+        step = _solve_each(system[..., :9].reshape(m, 18, 3, 3), system[..., 9:])
+        rot = _rotations(rot + (step @ _HAT).reshape(m, 18, 3, 3) @ rot)
+    r = rot.reshape(m, 18, 9)
+    costs = ((r @ omega) * r).sum(axis=-1)
+    t = r @ np.ascontiguousarray(p.swapaxes(1, 2))  # (M, 18, 3), principal frame
+    # Each candidate's depth row [R_z, t_z] on the homogeneous points, counted
+    # in front per member, one product per run of equal pair counts.
+    depth_rows = np.concatenate([rot[..., 2, :], t[..., 2:]], axis=-1)  # (M, 18, 4)
+    n_front = []
+    for j0, size, lo, n in pts.runs:
+        block = hom[:, lo : lo + size * n].reshape(4, size, n).swapaxes(0, 1)
+        n_front.append(np.count_nonzero(depth_rows[j0 : j0 + size] @ block > MIN_DEPTH, axis=-1))
+    costs = np.where(2 * np.concatenate(n_front) < pts.counts[:, None], math.inf, costs)
+    # Back to the object frame: R p = R A^T (x - c0) for the axes A.
+    rot = rot @ axes.swapaxes(1, 2)[:, None]
+    t -= (rot @ np.ascontiguousarray(c0.T)[:, None, :, None])[..., 0]
+    return rot, t, costs
 
 
 def _rodrigues(wx: float, wy: float, wz: float) -> list:
@@ -620,7 +600,7 @@ def refine_pose(initial, pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool
     noiseless fit at rounding level, checked at the start too), after
     MAX_ITERS accepted steps, or when its damping reaches 1e12.  Raises
     DivergedBehindCamera when the majority of points sit at non-positive
-    depth.
+    depth, and NumericalFailure when a step leaves the float range.
 
     ``initial`` may also be a PoseStack of M poses with a RaggedPoints stack
     of M members (pixel rows (2, N), weights (N,) or None), which is taken
@@ -636,7 +616,9 @@ def refine_pose(initial, pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool
             raise ValueError("expected one initial pose per member of the stack")
         return _refine(initial, pts3, pix, np.ones(pix.shape[-1]) if w is None else w, k, robust)
     start = _one_pose(initial)
-    return _raised(_refine(start, *_alone(pts3, pix, w, check_degeneracy), k, robust)[0])
+    with _in_float_range():
+        outcome = _refine(start, *_alone(pts3, pix, w, check_degeneracy), k, robust)[0]
+    return _raised(outcome)
 
 
 def _refine(initial, pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool) -> list:
@@ -714,40 +696,7 @@ def _refine(initial, pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: boo
     return outcomes
 
 
-def _linear_stage(
-    pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The control-point candidates of each member of a stack: rotations
-    (M, C, 3, 3), translations (M, C, 3) and costs (M, C).  C is 3, or 2
-    when every member is near-planar; a near-planar member (two kernel
-    cases) has a NaN third case.
-
-    All candidates are scored in one projection by the plain cost
-    ``refine_pose`` starts from: the points behind the camera weigh zero,
-    and a candidate with most points behind the camera (or a case without
-    a solution) costs inf.
-    """
-    planar = [report.classification == NEAR_PLANAR for report in pts.reports]
-    if len(set(planar)) == 1:
-        r, t = _linear_candidates(pts, pix, w, k, planar=planar[0])
-    else:
-        r, t = np.full((len(planar), 3, 3, 3), np.nan), np.full((len(planar), 3, 3), np.nan)
-        for flag in (False, True):
-            idx = np.flatnonzero(np.equal(planar, flag))
-            r[idx, : 3 - flag], t[idx, : 3 - flag] = _linear_candidates(
-                *_take(pts, pix, w, idx), k, planar=flag
-            )
-    resid, z, _, _, _ = _project(r.swapaxes(0, 1), t.swapaxes(0, 1), pts, pix, k)
-    costs = _cost(_squared(resid), z, np.where(z <= MIN_DEPTH, 0.0, w), False, pts)
-    return r, t, costs.T
-
-
-def _no_candidate(t: np.ndarray) -> NumericalFailure:
-    """The failure of a member whose candidates, with translations t
-    (C, 3), all cost inf."""
-    if np.isfinite(t[:, 0]).any():
-        return NumericalFailure("every control-point candidate puts most points behind the camera")
-    return NumericalFailure("no usable control-point solution")
+_NO_START = "every linear candidate puts most points behind the camera"
 
 
 @contextlib.contextmanager
@@ -762,16 +711,13 @@ def _in_float_range():
 
 
 def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
-    """Closed-form control-point pose estimate (no refinement).
-
-    Each kernel case gives the pose of its linearized betas, unpolished;
-    the one with the smallest reprojection cost wins, the earlier on a tie.
-    """
+    """The linear stage's pose estimate (no refinement): the SQPnP candidate
+    of the least object-space cost, the earlier on a tie."""
     with _in_float_range():
-        r, t, costs = _linear_stage(*_alone(pts3, pix, w, _checked_points), k)
+        r, t, costs = _sqp_candidates(*_alone(pts3, pix, w, _checked_points), k)
     best = int(np.argmin(costs[0]))
     if not math.isfinite(costs[0, best]):
-        raise _no_candidate(t[0])
+        raise NumericalFailure(_NO_START)
     return Pose(r[0, best], t[0, best])
 
 
@@ -781,22 +727,20 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
     Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
     A zero weight removes its pair before anything else sees it, so the
     solution's per_point_residuals and its report's n_points count only the
-    pairs of positive weight.  Near-planar point sets refine from every
-    linear candidate (multi-start) because the planar problem has a
-    two-fold ambiguity the closed form may land on the wrong side of.
-    Candidates rank by cost, equal costs in case order; the best-ranked
-    start's outcome stands unless a later start refines to a lower rms.  A
-    refined pose that leaves any point behind the camera is a
-    DivergedBehindCamera, never a solution.
+    pairs of positive weight.  Levenberg-Marquardt refines the linear
+    stage's cheapest SQPnP candidate; it takes no other start.  A refined
+    pose that leaves any point behind the camera is a DivergedBehindCamera,
+    and one whose median reprojection error passes WILD_FIT_SHARE of the
+    image diagonal a NumericalFailure: never a solution.
 
     A ragged stack is a list (or tuple) of M point sets (n_i, 3), with a
     list of M pixel sets (n_i, 2) and optionally a list of M weight vectors
     (n_i,): each member has its own pairs, and the result is a list with one
     PnPSolution or CalibrationError per member, each exactly the outcome of
     that member's solve alone.  Members given the same points array share
-    one degeneracy check.  The stack is solved in one pass, the multi-start
-    candidates of every member refined as members of one ``refine_pose``
-    stack; a stack whose solve leaves the float range is re-solved member
+    one degeneracy check.  The stack is solved in one pass, every member's
+    start refined as a member of one ``refine_pose`` stack; a stack whose
+    solve leaves the float range is re-solved member
     by member, so the error lands on the members that fail alone.  Invalid
     input (ValueError) still raises.  A single problem is solved as the
     ragged stack of one.
@@ -854,38 +798,34 @@ def _solve_isolated(pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool
         return [
             outcome
             for j in range(len(pts.counts))
-            for outcome in _solve_isolated(*_take(pts, pix, w, [j]), k, robust)
+            for outcome in _solve_isolated(*_member(pts, pix, w, j), k, robust)
         ]
 
 
 def _solve_stack(pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool) -> list:
-    """One PnPSolution or CalibrationError per member of a checked stack; a
-    step that leaves the float range raises NumericalFailure."""
-    m = len(pts.counts)
-    if m == 0:
-        return []
+    """One PnPSolution or CalibrationError per member of a checked stack of at
+    least one; a step that leaves the float range raises NumericalFailure."""
     with _in_float_range():
-        r, t, costs = _linear_stage(pts, pix, w, k)
-        planar = np.array([report.classification == NEAR_PLANAR for report in pts.reports])
-        ranked = np.argsort(costs, axis=-1, kind="stable")
-        # Each member's usable starts, cheapest first (inf costs sort last):
-        # every finite candidate of a near-planar member, else the cheapest.
-        usable = np.isfinite(np.take_along_axis(costs, ranked, axis=-1))
-        usable[~planar, 1:] = False
-        owner, rank = np.nonzero(usable)
-        case = ranked[owner, rank]
-        starts = PoseStack(r[owner, case], t[owner, case])
-        every = len(owner) == m and not rank.any()  # each member's one start, in order
-        part = (pts, pix, w) if every else _take(pts, pix, w, owner)
-        refined = refine_pose(starts, part[0], part[1], k, part[2], robust=robust)
-    outcomes: list = [None] * m
-    for s, first, sol in zip(owner.tolist(), (rank == 0).tolist(), refined):
-        if isinstance(sol, PnPSolution) and not math.isfinite(sol.rms_reprojection_error):
-            n_behind = int(np.isinf(sol.per_point_residuals).sum())
-            sol = DivergedBehindCamera(
-                f"the refined pose leaves {n_behind} of {pts.counts[s]} points behind it"
-            )
-        best = getattr(outcomes[s], "rms_reprojection_error", math.inf)
-        if first or (isinstance(sol, PnPSolution) and sol.rms_reprojection_error < best):
-            outcomes[s] = sol
-    return [_no_candidate(t[j]) if out is None else out for j, out in enumerate(outcomes)]
+        r, t, costs = _sqp_candidates(pts, pix, w, k)
+        best = np.arange(len(costs)), np.argmin(costs, axis=-1)  # the first on a tie
+        refined = refine_pose(PoseStack(r[best], t[best]), pts, pix, k, w, robust=robust)
+    found, wild = np.isfinite(costs[best]), WILD_FIT_SHARE * math.hypot(k.width, k.height)
+    for j, sol in enumerate(refined):
+        if not found[j]:
+            refined[j] = NumericalFailure(_NO_START)
+        elif isinstance(sol, PnPSolution):
+            residuals, rms = sol.per_point_residuals, sol.rms_reprojection_error
+            if not math.isfinite(rms):
+                refined[j] = DivergedBehindCamera(
+                    f"the refined pose leaves {int(np.isinf(residuals).sum())} of "
+                    f"{len(residuals)} points behind it"
+                )
+            # Half the residuals are at least the median, so it is at most
+            # sqrt(2) times the rms: a smaller rms needs no median.
+            elif rms > wild / math.sqrt(2.0) and np.median(residuals) > wild:
+                refined[j] = NumericalFailure(
+                    f"the refined pose is a wild fit: its median reprojection error, "
+                    f"{np.median(residuals):.4g} px, passes {WILD_FIT_SHARE:.0%} of the "
+                    f"image diagonal"
+                )
+    return refined

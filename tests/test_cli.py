@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -332,21 +333,27 @@ def test_numbers_out_of_range_exit_2_naming_the_file(tmp_path, noisy_scene, comm
 
 
 def test_a_refined_pose_with_points_behind_the_camera_exits_3(tmp_path, noisy_scene):
-    # A focal length of 1e37 px leaves the best pose with some tracked
-    # points behind the camera: a failed solve, not a result with rms = inf.
-    # At such focal lengths rounding decides the outcome: at 1e30 px the
-    # last bits of the FK points decide between this exit and a wild fit,
-    # and the count of points left behind follows the solver's rounding.
+    # A wrong focal length leaves no pose that fits the track.  At 1e37 px or
+    # 1e8 px the refined pose keeps every tracked point in front of the
+    # camera but is a wild fit: each exits 3 naming its median error (some
+    # hundred px at 1e8 px, ~1e11 px at 1e37 px) instead of writing a result.
+    # The wild-fit bound is 5% of the 1920 x 1080 image's diagonal, 110 px.
     doc = json.loads((noisy_scene / "intrinsics.json").read_text())
-    doc["fx"] = 1e37
-    bad = tmp_path / "intrinsics.json"
-    bad.write_text(json.dumps(doc))
-    out = tmp_path / "r.json"
-    proc = _run_cli(*_calibrate_args(noisy_scene, intrinsics=bad, output=out))
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert "error: the refined pose leaves 148 of 300 points behind it" in proc.stderr
-    assert not out.exists()
+    for fx, low, high in ((1e37, 1e10, 1e12), (1e8, 110.2, 1e4)):
+        doc["fx"] = fx
+        bad = tmp_path / "intrinsics.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        proc = _run_cli(*_calibrate_args(noisy_scene, intrinsics=bad, output=out))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        wild = re.search(
+            r"error: the refined pose is a wild fit: its median reprojection error, (\S+) px, "
+            r"passes 5% of the image diagonal",
+            proc.stderr,
+        )
+        assert wild and low < float(wild[1]) < high
+        assert not out.exists()
 
 
 def _with(doc, path, value):

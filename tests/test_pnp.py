@@ -1,5 +1,4 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -33,8 +32,6 @@ from refcal.pnp import (
     NEAR_PLANAR,
     WELL_CONDITIONED,
     PoseStack,
-    _initial_betas,
-    _linear_candidates,
     check_degeneracy,
     ragged_points,
     linearize_reprojection,
@@ -227,88 +224,36 @@ def test_refine_rms_matches_per_point_residuals():
     )
 
 
-def test_initial_betas_of_a_singular_system_are_zero():
-    # An all-zero Gram matrix has no scale to fit: case 1 is NaN, and the
-    # singular normal equations of cases 2 and 3 are solved one by one and
-    # give zero betas.
-    rho = np.ones(6)
-    betas = _initial_betas(np.zeros((6, 3, 3)), rho, 3)
-    assert_allclose(betas, [[np.nan, 0, 0], [0, 0, 0], [0, 0, 0]], rtol=0, atol=0)
-    # Only the first kernel vector has differences: case 1 is regular, cases
-    # 2 and 3 are singular in the same stack.
-    gram = np.zeros((6, 3, 3))
-    gram[:, 0, 0] = g00 = np.linspace(0.5, 1.5, 6)
-    betas = _initial_betas(gram, rho, 3)
-    assert_allclose(betas[0], [np.sqrt(rho * g00).sum() / g00.sum(), 0, 0], rtol=1e-15, atol=0)
-    assert np.array_equal(betas[1:], np.zeros((2, 3)))
-
-
-def _per_case_candidates(pts3, pix, w, planar):
-    """The kernel cases one at a time, each with its own least-squares beta
-    initialisation and Kabsch alignment, from the explicit (2n, 3m)
-    projection system rather than the solver's weighted moments."""
-    c0 = np.average(pts3, axis=0, weights=w)
-    evals, evecs = np.linalg.eigh(((pts3 - c0) * w[:, None]).T @ (pts3 - c0) / w.sum())
-    n_dirs = 2 if planar else 3
-    dirs = (np.sqrt(evals[::-1][:n_dirs]) * evecs[:, ::-1][:, :n_dirs]).T
-    ctrl = np.vstack([c0, c0 + dirs])
-    coords = (pts3 - c0) @ dirs.T / (dirs**2).sum(axis=1)
-    alphas = np.column_stack([1.0 - coords.sum(axis=1), coords])
-    m = len(ctrl)
-    rows = np.zeros((len(pts3), 2, m, 3))
-    rows[:, 0, :, 0] = alphas * K.fx
-    rows[:, 0, :, 2] = alphas * (K.cx - pix[:, :1])
-    rows[:, 1, :, 1] = alphas * K.fy
-    rows[:, 1, :, 2] = alphas * (K.cy - pix[:, 1:])
-    rows = (rows * np.sqrt(w)[:, None, None, None]).reshape(2 * len(pts3), 3 * m)
-    kernel = np.linalg.eigh(rows.T @ rows)[1][:, :3].T.reshape(3, m, 3)
-    i, j = np.array(list(combinations(range(m), 2))).T
-    rho = ((ctrl[i] - ctrl[j]) ** 2).sum(axis=1)
-    dv = kernel[:, i] - kernel[:, j]
-    dot = [[(dv[a] * dv[b]).sum(axis=1) for b in range(3)] for a in range(3)]
-    cols = np.column_stack(
-        [dot[0][0], 2 * dot[0][1], dot[1][1], 2 * dot[0][2], 2 * dot[1][2], dot[2][2]]
-    )
-    poses = []
-    for case in (1, 2) if planar else (1, 2, 3):
-        if case == 1:
-            betas = np.array([np.sqrt(rho * dot[0][0]).sum() / dot[0][0].sum()])
-        else:
-            s = np.linalg.lstsq(cols[:, : 3 * (case - 1)], rho, rcond=None)[0]
-            betas = [math.sqrt(abs(s[0])), math.copysign(math.sqrt(abs(s[2])), s[1])]
-            if case == 3:
-                betas.append(math.copysign(math.sqrt(abs(s[5])), s[3]))
-            betas = np.array(betas)
-        xc = alphas @ np.tensordot(betas, kernel[:case], axes=1)
-        xc = -xc if w @ xc[:, 2] < 0 else xc
-        c_src, c_dst = np.average(pts3, axis=0, weights=w), np.average(xc, axis=0, weights=w)
-        u, _, vt = np.linalg.svd(((xc - c_dst) * w[:, None]).T @ (pts3 - c_src))
-        r = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
-        poses.append((r, c_dst - r @ c_src))
-    return poses
-
-
-def _stack_of_one(pts3):
-    """The ragged stack of one member holding the points (n, 3)."""
-    return ragged_points(np.ascontiguousarray(pts3.T), [len(pts3)], [check_degeneracy(pts3)])
-
-
 @pytest.mark.parametrize("planar", [False, True], ids=["well_conditioned", "near_planar"])
-def test_stacked_candidates_match_a_per_case_loop(planar):
+def test_candidate_costs_are_object_space_costs_summed_pair_by_pair(planar):
+    # The linear stage forms r^T Omega r and t = P r from Gram moments; the
+    # reference sums sum_i w_i |(I - v_i v_i^T)(R p_i + t)|^2 over the pairs at
+    # each candidate's pose, whose rotation is a rotation and whose
+    # translation is the best one for it.
     rng = np.random.default_rng(191)
-    for _ in range(10):
+    for _ in range(5):
         _, pts, pix = synth_scene(rng, 12, K, planar=planar)
-        if planar:
-            pts = pts + rng.normal(0.0, 1e-4, pts.shape)
         pix = pix + rng.normal(0.0, 2.0, pix.shape)
         w = rng.uniform(0.5, 1.0, 12)
-        assert check_degeneracy(pts).classification == (NEAR_PLANAR if planar else WELL_CONDITIONED)
-        (rotations,), (translations,) = _linear_candidates(_stack_of_one(pts), pix.T, w, K, planar)
-        expected = _per_case_candidates(pts, pix, w, planar)
-        assert len(rotations) == len(expected) == (2 if planar else 3)
-        for r, t, (r_ref, t_ref) in zip(rotations, translations, expected):
-            assert_allclose(r, r_ref, rtol=0, atol=1e-9)
-            assert_allclose(t, t_ref, rtol=0, atol=1e-9)
+        rays = np.column_stack([(pix - (K.cx, K.cy)) / (K.fx, K.fy), np.ones(12)])
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+
+        def cost(rot, trans):
+            pc = pts @ rot.T + trans
+            off = pc - (pc * rays).sum(axis=1, keepdims=True) * rays
+            return float(w @ (off**2).sum(axis=1))
+
+        (rotations,), (translations,), (costs,) = pnp._sqp_candidates(
+            *pnp._alone(pts, pix, w, check_degeneracy), K
+        )
+        assert np.isfinite(costs).any()
+        for rot, trans, c in zip(rotations, translations, costs):
+            assert_allclose(rot @ rot.T, np.eye(3), rtol=0, atol=1e-12)
+            assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+            if math.isfinite(c):
+                assert cost(rot, trans) == pytest.approx(c, rel=1e-6, abs=1e-15)
+                for step in 1e-4 * np.vstack([np.eye(3), -np.eye(3)]):
+                    assert cost(rot, trans + step) > cost(rot, trans)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
@@ -430,6 +375,34 @@ def test_solve_reaches_the_optimum_refined_from_the_truth(panda, panda_base, mod
             from_truth = refine_pose(scene.t_gt, pts, pix, cfg.camera)
             assert_allclose(sol.pose.translation, from_truth.pose.translation, rtol=0, atol=1e-6)
             assert rotation_error(sol.pose, from_truth.pose) < 1e-6
+
+
+@pytest.mark.parametrize("mode", [Mode.EYE_ON_BASE, Mode.EYE_IN_HAND])
+def test_four_frames_solve_to_the_truth_or_raise(panda, panda_base, mode):
+    # Sixty scenes, each solved from four evenly spaced visible frames: the
+    # fewest pairs a solve takes, where a local start lands on wrong minima
+    # (an EPnP control-point start put eye-on-base seeds 5002 and 5051
+    # 1.13 m and 5,683 km off, with no error).  Noiseless, every solve is
+    # the truth or raises; at sigma = 2 px none is more than 10 cm off.
+    chain, ref = panda if mode is Mode.EYE_ON_BASE else panda_base
+    clean, noisy = [], []
+    for seed in range(5000, 5060):
+        cfg = ScenarioConfig(seed=seed, mode=mode)
+        scene = generate_scene(cfg, chain, ref)
+        track = scene.clean_track
+        visible = np.flatnonzero(track.visible)
+        rows = visible[np.floor(np.arange(4) * len(visible) / 4).astype(int)]
+        uv = corrupt_track(track, NoiseModel(sigma=2.0), seed).uv[rows]
+        clean.append((seed, scene.points[rows], track.uv[rows], scene.t_gt))
+        noisy.append((seed, scene.points[rows], uv, scene.t_gt))
+    for corpus, tol in ((clean, 1e-6), (noisy, 0.1)):
+        seeds, pts, pix, truths = zip(*corpus)
+        camera = ScenarioConfig(seed=0).camera
+        for seed, sol, t_gt in zip(seeds, solve_pnp(list(pts), list(pix), camera), truths):
+            if isinstance(sol, CalibrationError):
+                continue
+            error = np.linalg.norm(sol.pose.translation - t_gt.translation)
+            assert error < tol, (seed, error)
 
 
 def test_jacobian_matches_central_differences():
@@ -588,14 +561,17 @@ def test_solve_pnp_zero_weight_points_ignored():
 def test_a_solve_that_leaves_the_float_range_raises_numerical_failure():
     # Finite inputs whose squares pass the float range: a focal length of
     # 1e200 px, or points 1e160 m out.  The solve fails with a
-    # NumericalFailure instead of overflowing with a RuntimeWarning; in a
-    # stack, each member gets that outcome, the one it raises alone.
-    _, pts, pix = synth_scene(np.random.default_rng(5), 30, K)
+    # NumericalFailure instead of overflowing with a RuntimeWarning, and so
+    # does a refinement from the truth at that focal length; in a stack, each
+    # member gets that outcome, the one it raises alone.
+    t_gt, pts, pix = synth_scene(np.random.default_rng(5), 30, K)
     huge_f = CameraIntrinsics(1e200, K.fy, K.cx, K.cy, K.width, K.height)
     for solve in (solve_pnp, solve_pnp_linear):
         for args in ((pts, pix, huge_f), (pts * 1e160, pix, K)):
             with pytest.raises(NumericalFailure, match="float range"):
                 solve(*args)
+    with pytest.raises(NumericalFailure, match="float range"):
+        refine_pose(t_gt, pts, pix, huge_f)
     outcomes = solve_pnp([pts, pts], [pix, pix + 0.5], huge_f)
     for outcome, px in zip(outcomes, (pix, pix + 0.5)):
         with pytest.raises(NumericalFailure) as alone:
@@ -659,9 +635,11 @@ def test_stacked_solve_matches_each_set_alone(planar, weighted, robust):
 
 
 def test_stacked_solve_reports_a_failed_set_alone():
-    # Set 1 is seen by a camera with five of its eight points behind it: no
-    # control-point candidate keeps most points in front, so only that set
-    # fails, with the error it raises alone.
+    # Set 1 holds the pixels of eight points, five of them behind the camera:
+    # no pose sees all eight where they were seen.  The linear stage's start
+    # keeps at least half of them in front, and its refinement is a wild fit
+    # (median error ~166 px), so only that set fails, with the error it
+    # raises alone.
     pts = np.array(
         [[-0.4, -0.3, 10.0], [0.4, 0.2, 11.0], [0.1, 0.5, 12.0], [-0.2, 0.1, -0.5],
          [0.3, -0.2, -0.6], [0.2, 0.3, -0.7], [-0.3, -0.1, -0.8], [0.1, 0.2, -0.9]]
@@ -670,10 +648,10 @@ def test_stacked_solve_reports_a_failed_set_alone():
     behind = pts[:, :2] / pts[:, 2:] * (K.fx, K.fy) + (K.cx, K.cy)
     t_gt = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.2), (0.1, -0.1, 3.0))
     front = project(K, apply(t_gt, pts))
-    with pytest.raises(NumericalFailure, match="behind the camera") as alone:
+    with pytest.raises(NumericalFailure, match="wild fit: its median reprojection error") as alone:
         solve_pnp(pts, behind, K)
-    with pytest.raises(NumericalFailure, match="behind the camera"):
-        solve_pnp_linear(pts, behind, K)
+    start = solve_pnp_linear(pts, behind, K)
+    assert (apply(start, pts)[:, 2] > MIN_DEPTH).sum() >= 4
     solved = solve_pnp([pts] * 3, [front, behind, front + 0.5], K)
     _assert_identical(solved[1], alone.value)
     _assert_identical(solved[0], solve_pnp(pts, front, K))
@@ -681,25 +659,32 @@ def test_stacked_solve_reports_a_failed_set_alone():
 
 
 def test_stacked_solve_reports_a_set_without_a_linear_solution_alone(monkeypatch):
-    # Every kernel case of the marked pixel set is left unsolved (NaN), as
-    # when its distance constraints are degenerate.
+    # Every candidate of one marked pixel set is left without a rotation
+    # (NaN), as when Gram-Schmidt meets a zero column, and every candidate of
+    # another puts most points behind the camera (cost inf): neither set has
+    # a start, and each fails alone.
     rng = np.random.default_rng(223)
     _, pts, pix = synth_scene(rng, 12, K)
-    marked = pix + 0.5
-    original = pnp._linear_candidates
+    unsolved, behind = pix + 0.5, pix - 0.5
+    original = pnp._sqp_candidates
 
-    def unsolved_marked(pts, px, *args, **kwargs):
-        r, t = original(pts, px, *args, **kwargs)
-        hit = [np.array_equal(seg, marked.T) for seg in np.split(px, pts.starts[1:], axis=1)]
-        r[hit], t[hit] = np.nan, np.nan
-        return r, t
+    def marked(pts, px, *args):
+        r, t, costs = original(pts, px, *args)
+        for seg, j in zip(np.split(px, pts.starts[1:], axis=1), range(len(costs))):
+            if np.array_equal(seg, unsolved.T):
+                r[j], t[j] = np.nan, np.nan
+            if np.array_equal(seg, unsolved.T) or np.array_equal(seg, behind.T):
+                costs[j] = math.inf
+        return r, t, costs
 
-    monkeypatch.setattr(pnp, "_linear_candidates", unsolved_marked)
+    monkeypatch.setattr(pnp, "_sqp_candidates", marked)
+    message = "every linear candidate puts most points behind the camera"
     for solve in (solve_pnp, solve_pnp_linear):
-        with pytest.raises(NumericalFailure, match="no usable control-point solution"):
-            solve(pts, marked, K)
-    solved = solve_pnp([pts, pts], [pix, marked], K)
-    assert str(solved[1]) == "no usable control-point solution"
+        for px in (unsolved, behind):
+            with pytest.raises(NumericalFailure, match=message):
+                solve(pts, px, K)
+    solved = solve_pnp([pts, pts, pts], [pix, unsolved, behind], K)
+    assert str(solved[1]) == str(solved[2]) == message
     _assert_identical(solved[0], solve_pnp(pts, pix, K))
 
 
@@ -718,28 +703,8 @@ def test_a_refined_pose_with_points_behind_the_camera_is_a_diverged_solve():
     _assert_identical(solved[0], solve_pnp(pts, pix, K))
 
 
-def test_a_later_start_replaces_a_diverged_best_ranked_start(monkeypatch):
-    # Near-planar multi-start: the cheapest candidate refines to a pose with
-    # a point behind the camera, the second to a finite rms, which wins.
-    rng = np.random.default_rng(162)
-    _, pts, pix = synth_scene(rng, 8, K, depth=(0.3, 3.0), planar=True)
-    dragged = pix.copy()
-    dragged[:2] += rng.normal(0.0, 800.0, (2, 2))
-    refined = []
-    original = pnp.refine_pose
-
-    def recorded(*args, **kwargs):
-        refined.extend(original(*args, **kwargs))
-        return refined
-
-    monkeypatch.setattr(pnp, "refine_pose", recorded)
-    sol = solve_pnp(pts, dragged, K)
-    assert [math.isfinite(r.rms_reprojection_error) for r in refined] == [False, True]
-    assert sol is refined[1]
-
-
 def test_cost_counts_a_nan_depth_as_behind():
-    # A kernel case without a solution has NaN depths; with them weighted
+    # A pose without a rotation (NaN) has NaN depths; with them weighted
     # zero, the cost is still inf, not 0.
     zeros = np.zeros((1, 4))
     pts = ragged_points(np.zeros((3, 4)), [4], [None])
@@ -812,7 +777,7 @@ def test_one_degeneracy_check_per_solve(monkeypatch, n_sets):
 @pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
 def test_a_ragged_stack_solves_each_member_as_alone(robust):
     # Members with their own points, pixels, weights and pair counts in one
-    # stack: a near-planar set (multi-start), zero weights that remove
+    # stack: a near-planar set, zero weights that remove
     # pairs, gross outliers, two members given the same points array, a
     # member whose camera sees most points from behind, a collinear set and
     # an empty one.  Each outcome is the one it gets alone, bit for bit.

@@ -363,8 +363,9 @@ def test_noise_sweep_smoke(panda, tmp_path):
 def test_noise_sweep_matches_a_calibrate_per_request(panda, panda_base):
     # The sweep stacks a scene's sigma values into one solve; a plain loop of
     # one calibrate per (sigma, scene) must give the same table.  The
-    # six-frame scenes fail in 4 of 9 calibrations: as a whole scene (too
-    # few visible frames) and as one sigma of a stack.
+    # six-frame scenes fail in 3 of 9 calibrations, as a whole scene (too
+    # few visible frames); the four-frame repeat at sigma = 30 px solves
+    # 8.4 cm off.
     short = ScenarioConfig(seed=35, fps=1.0, duration=6.0)
     for (chain, ref), cfg, sigmas in (
         (panda_base, ScenarioConfig(seed=29, mode=Mode.EYE_IN_HAND), [0.0, 2.0, 6.0, 10.0]),
@@ -392,7 +393,7 @@ def test_noise_sweep_matches_a_calibrate_per_request(panda, panda_base):
             assert cell.n_fail == n_fail
             n_failed += n_fail
             assert cell.errors == tuple(errors)  # bit for bit: the stack solves each alone
-    assert n_failed == 4
+    assert n_failed == 3
 
 
 def test_frames_sweep_matches_a_calibrate_per_request(panda, panda_base):
