@@ -9,9 +9,9 @@ too-small point sets are rejected because they admit no well-conditioned
 unique pose.
 
 Every stage runs on a ragged stack: M members, each with its own points,
-pixels, weights and pair count, laid end to end in structure-of-arrays
-form (``RaggedPoints``: x, y, z rows (3, N), pixels as u, v rows (2, N),
-weights (N,)).  Member j owns the columns starts[j]:starts[j] + counts[j],
+pixels and pair count, laid end to end in structure-of-arrays form
+(``RaggedPoints``: x, y, z rows (3, N); pixels as u, v rows (2, N)).  Every
+pair counts once.  Member j owns the columns starts[j]:starts[j] + counts[j],
 and every reduction over a member's pairs reads that segment alone: sums
 run through ``np.add.reduceat`` over it, and Gram matrices and rotations
 through one BLAS product of the member's own columns (batched over runs of
@@ -109,8 +109,8 @@ class RaggedPoints(NamedTuple):
     (M,), each member's DegeneracyReport, and the maximal runs (first
     member, members, first column, pair count) of adjacent members with
     equal pair counts.  ``refine_pose`` and ``linearize_reprojection`` take
-    it in place of (n, 3) points, with the pixels as u, v rows (2, N) and
-    the weights as (N,); ``ragged_points`` builds it."""
+    it in place of (n, 3) points, with the pixels as u, v rows (2, N);
+    ``ragged_points`` builds it."""
 
     xyz: np.ndarray
     starts: np.ndarray
@@ -185,22 +185,19 @@ def _apply_each(mats: np.ndarray, cols: np.ndarray, pts: RaggedPoints) -> np.nda
     return products[0] if len(products) == 1 else np.concatenate(products, axis=-1)
 
 
-def _stacked(members) -> tuple[RaggedPoints, np.ndarray, np.ndarray]:
+def _stacked(members) -> tuple[RaggedPoints, np.ndarray]:
     """The ragged stack of validated members (points (n, 3), pixels (n, 2),
-    weights (n,), report): its RaggedPoints, pixel rows (2, N) and weights
-    (N,)."""
-    xyz, uv, weights, reports = zip(*members)
-    pts = ragged_points(
-        np.concatenate([p.T for p in xyz], axis=1), [len(wi) for wi in weights], reports
-    )
-    return pts, np.concatenate([p.T for p in uv], axis=1), np.concatenate(weights)
+    report): its RaggedPoints and pixel rows (2, N)."""
+    xyz, uv, reports = zip(*members)
+    pts = ragged_points(np.concatenate([p.T for p in xyz], axis=1), [len(p) for p in xyz], reports)
+    return pts, np.concatenate([p.T for p in uv], axis=1)
 
 
-def _alone(pts3, pix, w, check=None) -> tuple[RaggedPoints, np.ndarray, np.ndarray]:
+def _alone(pts3, pix, check=None) -> tuple[RaggedPoints, np.ndarray]:
     """The stack of one of a single problem, validated, as ``_stacked``
     gives it; its report is check(points), or None without a check."""
-    pts3, pix, w = _validated(pts3, pix, w)
-    return _stacked([(pts3, pix, w, check and check(pts3))])
+    pts3, pix = _validated(pts3, pix)
+    return _stacked([(pts3, pix, check and check(pts3))])
 
 
 def _one_pose(pose) -> PoseStack:
@@ -211,10 +208,10 @@ def _one_pose(pose) -> PoseStack:
     return PoseStack(np.reshape(pose.rotation, (1, 3, 3)), np.reshape(pose.translation, (1, 3)))
 
 
-def _member(pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, j: int) -> tuple:
-    """The stack of one of member j, with its pixel rows and weights."""
+def _member(pts: RaggedPoints, pix: np.ndarray, j: int) -> tuple:
+    """The stack of one of member j, with its pixel rows."""
     cols = np.arange(pts.starts[j], pts.starts[j] + pts.counts[j])
-    return ragged_points(pts.xyz[:, cols], [len(cols)], [pts.reports[j]]), pix[:, cols], w[cols]
+    return ragged_points(pts.xyz[:, cols], [len(cols)], [pts.reports[j]]), pix[:, cols]
 
 
 def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
@@ -244,36 +241,22 @@ def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
     return DegeneracyReport(n_points=n, spread_singular_values=sv, classification=cls)
 
 
-def _validated(pts3, pix, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, 3) points, (n, 2) pixels and (n,) weights (all ones when None)
-    as float arrays, less the pairs of zero weight; rejects mismatched
-    shapes, non-finite coordinates and negative weights, and raises
-    EmptyInput when n is zero and NumericalFailure when every weight is
+def _validated(pts3, pix) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) points and (n, 2) pixels as float arrays; rejects mismatched
+    shapes and non-finite coordinates, and raises EmptyInput when n is
     zero."""
     pts3 = np.asarray(pts3, dtype=float)
     pix = np.asarray(pix, dtype=float)
     n = len(pts3) if pts3.ndim else 0
-    ones = w is None
-    w = np.ones(n) if ones else np.asarray(w, dtype=float)
-    if pts3.shape != (n, 3) or pix.shape != (n, 2) or w.shape != (n,):
+    if pts3.shape != (n, 3) or pix.shape != (n, 2):
         raise ValueError(
-            f"expected (n, 3) points, (n, 2) pixels and (n,) weights, got "
-            f"{pts3.shape}, {pix.shape} and {w.shape}"
+            f"expected (n, 3) points and (n, 2) pixels, got {pts3.shape} and {pix.shape}"
         )
     if n == 0:
         raise EmptyInput("no correspondences given")
     if not (np.isfinite(pts3).all() and np.isfinite(pix).all()):
         raise ValueError("correspondence coordinates must be finite")
-    if ones:
-        return pts3, pix, w
-    if not (w >= 0).all():
-        raise ValueError("correspondence weights must be nonnegative")
-    if not w.all():  # a zero weight removes its pair
-        if not w.any():
-            raise NumericalFailure("all correspondence weights are zero")
-        keep = w > 0
-        pts3, pix, w = pts3[keep], pix[keep], w[keep]
-    return pts3, pix, w
+    return pts3, pix
 
 
 def _raised(outcome):
@@ -335,29 +318,28 @@ _LIFT = np.kron(_HAT.reshape(3, 3, 3), np.eye(3))
 
 
 def _sqp_candidates(
-    pts: RaggedPoints, pix: np.ndarray, w: np.ndarray, k: CameraIntrinsics
+    pts: RaggedPoints, pix: np.ndarray, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each member's candidate rotations (M, 18, 3, 3), translations (M, 18, 3)
     and costs (M, 18): a global search of the object-space cost
-    sum_i w_i |(I - v_i v_i^T)(R p_i + t)|^2 over the unit rays v_i (SQPnP,
+    sum_i |(I - v_i v_i^T)(R p_i + t)|^2 over the unit rays v_i (SQPnP,
     Terzakis & Lourakis, ECCV 2020).  With r the rows of R as a 9-vector,
     the best t is P r and the cost r^T Omega r; one Gram matrix of the
-    per-pair rows sqrt(w) [v (x) p, v, p, 1], p in the member's principal
-    axes, holds both.  The starts are +-1 times each eigenvector of Omega,
+    per-pair rows [v (x) p, v, p, 1], p in the member's principal axes,
+    holds both.  The starts are +-1 times each eigenvector of Omega,
     made a rotation by Gram-Schmidt of its first two columns (for a flat
     member, those of its in-plane axes); each takes SQP_STEPS Gauss-Newton
     steps on SO(3).  A candidate costs r^T Omega r, or inf when most points
     are at or behind the camera plane (as when it has no rotation, NaN).
     """
     m = len(pts.counts)
-    c0 = _segment_sums(w * pts.xyz, pts) / _segment_sums(w, pts)  # (3, M)
-    sw = np.sqrt(w)
+    c0 = _segment_sums(pts.xyz, pts) / pts.counts  # (3, M)
     d = pts.xyz - _per_pair(c0, pts)
     # Principal axes as columns, largest spread first, turned into a rotation.
-    axes = np.linalg.eigh(_segment_products(sw * d, pts))[1][..., ::-1].copy()
+    axes = np.linalg.eigh(_segment_products(d, pts))[1][..., ::-1].copy()
     axes[..., 2] *= np.sign(np.linalg.det(axes))[:, None]
     # Per-pair rows: v (x) p (9), v (3), and p in homogeneous form (4).
-    rows = np.empty((16, len(w)))
+    rows = np.empty((16, pix.shape[1]))
     ray, hom = rows[9:12], rows[12:16]
     hom[:3] = _apply_each(np.ascontiguousarray(axes.swapaxes(1, 2)), d, pts)
     hom[3] = 1.0
@@ -368,7 +350,7 @@ def _sqp_candidates(
     ray[2] = k.fx * k.fy
     ray /= np.sqrt((ray * ray).sum(axis=0))
     np.multiply(ray[:, None], hom[:3], out=rows[:9].reshape(3, 3, -1))
-    gram = _segment_products(rows * sw, pts)  # (M, 16, 16)
+    gram = _segment_products(rows, pts)  # (M, 16, 16)
     # The quadratic form of (r, t): |R p + t|^2 less (v . (R p + t))^2.
     i3 = np.eye(3)
     m_rr = np.einsum("ac,mbe->mabce", i3, gram[:, 12:15, 12:15]).reshape(m, 9, 9) - gram[:, :9, :9]
@@ -510,7 +492,7 @@ def linearize_reprojection(
     """
     if isinstance(pts3, RaggedPoints):
         return _linearize(pose, pts3, pix, k)
-    pts, rows, _ = _alone(pts3, pix, None)
+    pts, rows = _alone(pts3, pix)
     resid, jac, z = _linearize(_one_pose(pose), pts, rows, k)
     return resid.T, jac.transpose(2, 0, 1), z
 
@@ -522,24 +504,23 @@ def _squared(resid: np.ndarray) -> np.ndarray:
 
 
 def _cost(
-    sq: np.ndarray, z: np.ndarray, w_eff: np.ndarray, robust: bool, pts: RaggedPoints
+    sq: np.ndarray, z: np.ndarray, admitted: np.ndarray, robust: bool, pts: RaggedPoints
 ) -> np.ndarray:
-    """Weighted (optionally Huber) cost (..., M) of each member's residual
-    squared residual norms (..., N) at depths (..., N); inf where an active
-    point is behind
-    the camera or most of the member's points are.  A NaN depth counts as
-    behind."""
+    """Each member's cost (..., M): the sum of the squared residual norms sq
+    (..., N), optionally Huber, over its admitted points (a mask (N,)); inf
+    where an admitted point is behind the camera, or most of the member's
+    points are, at depths z (..., N).  A NaN depth counts as behind."""
     if robust:
         s = HUBER_SCALE_PX
         norms = np.sqrt(sq)
         rho = np.where(norms <= s, sq, s * (2.0 * norms - s))
     else:
         rho = sq
-    cost = _segment_sums(w_eff * rho, pts)
+    cost = _segment_sums(admitted * rho, pts)
     behind = ~(z > MIN_DEPTH)
     if np.count_nonzero(behind):
         n_behind = np.add.reduceat(behind, pts.starts, axis=-1, dtype=np.intp)
-        active = np.logical_or.reduceat(behind & (w_eff > 0), pts.starts, axis=-1)
+        active = np.logical_or.reduceat(behind & admitted, pts.starts, axis=-1)
         cost = np.where((2 * n_behind > pts.counts) | active, math.inf, cost)
     return cost
 
@@ -548,7 +529,7 @@ def _normal_equations(
     resid: np.ndarray,
     jac: np.ndarray,
     sq: np.ndarray,
-    w_eff: np.ndarray,
+    admitted: np.ndarray,
     robust: bool,
     pts: RaggedPoints,
     wanted: np.ndarray,
@@ -556,25 +537,26 @@ def _normal_equations(
 ) -> None:
     """Write into ``system`` (Gauss-Newton matrices (M, 6, 6), gradients
     (M, 6) and damping diagonals (M, 6)) the rows of the wanted members
-    (a mask (M,)), from the (optionally Huber-)weighted residual rows
-    (2, N) and Jacobian rows (2, 6, N).  Each member's matrix and gradient
-    come from one Gram matrix of its own columns of the weighted Jacobian
-    and residual rows, stacked (14, n): the u rows' Gram block plus the v
-    rows'."""
+    (a mask (M,)), from the residual rows (2, N) and Jacobian rows
+    (2, 6, N) of the admitted points (a mask (N,)), Huber-weighted when
+    robust.  Each member's matrix and gradient come from one Gram matrix of
+    its own columns of those Jacobian and residual rows, stacked (14, n):
+    the u rows' Gram block plus the v rows'."""
     n_wanted = np.count_nonzero(wanted)
     if not n_wanted:
         return
     idx = None if n_wanted == len(wanted) else wanted.nonzero()[0].tolist()
     rows_of = slice(None) if idx is None else idx
     h, g, damp = system
+    scale = admitted
     if robust:
         s = HUBER_SCALE_PX
         norms = np.sqrt(sq)
-        w_eff = w_eff * np.where(norms <= s, 1.0, s / np.maximum(norms, 1e-30))
-    rows = np.empty((2, 7, len(w_eff)))
+        scale = np.sqrt(admitted * np.where(norms <= s, 1.0, s / np.maximum(norms, 1e-30)))
+    rows = np.empty((2, 7, len(admitted)))
     rows[:, :6] = jac
     rows[:, 6] = resid
-    rows *= np.sqrt(w_eff)
+    rows *= scale
     gram = _segment_products(rows.reshape(14, -1), pts, idx)
     h[rows_of] = hessian = gram[:, :6, :6] + gram[:, 7:13, 7:13]
     g[rows_of] = gram[:, :6, 6] + gram[:, 7:13, 13]
@@ -584,61 +566,60 @@ def _normal_equations(
 _EYE6 = np.eye(6)
 
 
-def refine_pose(initial, pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
+def refine_pose(initial, pts3, pix, k: CameraIntrinsics, *, robust: bool = False):
     """Damped least-squares (Levenberg-Marquardt) reprojection refinement.
 
-    Takes an initial Pose, (n, 3) object points, (n, 2) pixels and optional
-    (n,) weights, a zero weight removing its pair; ``robust`` swaps the
-    squared loss for a Huber loss of scale HUBER_SCALE_PX.  Points behind
-    the camera at the initial pose are down-weighted to zero and re-checked
-    after each accepted step; accepted steps never increase the cost.  Each
-    trial pose is linearized once: an accepted trial's normal equations,
-    residual norms and depths serve the next step and the result.  A member
-    stops when a trial, accepted or rejected (which leaves its state as it
-    was), moves its cost by less than FN_TOL relative, when its cost is at
-    or below an absolute floor of 1e-16 per unit weight (1e-8 px rms: a
-    noiseless fit at rounding level, checked at the start too), after
-    MAX_ITERS accepted steps, or when its damping reaches 1e12.  Raises
-    DivergedBehindCamera when the majority of points sit at non-positive
-    depth, and NumericalFailure when a step leaves the float range.
+    Takes an initial Pose, (n, 3) object points and (n, 2) pixels;
+    ``robust`` swaps the squared loss for a Huber loss of scale
+    HUBER_SCALE_PX.  Points behind the camera at the initial pose are held
+    out of the cost and re-admitted after an accepted step that brings them
+    back in front; accepted steps never increase the cost.  Each trial pose
+    is linearized once: an accepted trial's normal equations, residual
+    norms and depths serve the next step and the result.  A member stops
+    when a trial, accepted or rejected (which leaves its state as it was),
+    moves its cost by less than FN_TOL relative, when its cost is at or
+    below an absolute floor of 1e-16 per pair (1e-8 px rms: a noiseless fit
+    at rounding level, checked at the start too), after MAX_ITERS accepted
+    steps, or when its damping reaches 1e12.  Raises DivergedBehindCamera
+    when the majority of points sit at non-positive depth, and
+    NumericalFailure when a step leaves the float range.
 
     ``initial`` may also be a PoseStack of M poses with a RaggedPoints stack
-    of M members (pixel rows (2, N), weights (N,) or None), which is taken
-    as validated.  Every round takes one batched trial step for the running
-    members, each with its own damping, admitted points and stop test; a
-    member that has stopped keeps its state, and the normal equations are
-    rebuilt only for members that accepted a trial and keep running, so
-    each takes exactly the steps it would take alone.  The result is then a
-    list with one PnPSolution or DivergedBehindCamera per member.
+    of M members and pixel rows (2, N), which is taken as validated.  Every
+    round takes one batched trial step for the running members, each with
+    its own damping, admitted points and stop test; a member that has
+    stopped keeps its state, and the normal equations are rebuilt only for
+    members that accepted a trial and keep running, so each takes exactly
+    the steps it would take alone.  The result is then a list with one
+    PnPSolution or DivergedBehindCamera per member.
     """
     if isinstance(pts3, RaggedPoints):
         if len(initial.rotation) != len(pts3.counts):
             raise ValueError("expected one initial pose per member of the stack")
-        return _refine(initial, pts3, pix, np.ones(pix.shape[-1]) if w is None else w, k, robust)
+        return _refine(initial, pts3, pix, k, robust)
     start = _one_pose(initial)
     with _in_float_range():
-        outcome = _refine(start, *_alone(pts3, pix, w, check_degeneracy), k, robust)[0]
+        outcome = _refine(start, *_alone(pts3, pix, check_degeneracy), k, robust)[0]
     return _raised(outcome)
 
 
-def _refine(initial, pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool) -> list:
+def _refine(initial, pts: RaggedPoints, pix, k: CameraIntrinsics, robust: bool) -> list:
     """The Levenberg-Marquardt loop of ``refine_pose`` over a ragged stack."""
     m = len(pts.counts)
     if m == 0:
         return []
     rot = np.array(initial.rotation, dtype=float)
     trans = np.array(initial.translation, dtype=float)
-    floor = 1e-16 * _segment_sums(w, pts)
+    floor = 1e-16 * pts.counts
     resid, jac, z = linearize_reprojection(PoseStack(rot, trans), pts, pix, k)
     sq = _squared(resid)
-    w_eff = np.where(z <= MIN_DEPTH, 0.0, w)
-    held_out = w_eff == 0.0  # points behind the camera, until they come back
-    cost = _cost(sq, z, w_eff, robust, pts)
+    admitted = ~(z <= MIN_DEPTH)  # points behind the camera are held out until they come back
+    cost = _cost(sq, z, admitted, robust, pts)
     diverged = ~np.isfinite(cost)
     cost[diverged] = 0.0  # a diverged member never runs; zero keeps its masked arithmetic finite
     running = ~diverged & (cost > floor)
     system = (np.zeros((m, 6, 6)), np.zeros((m, 6)), np.ones((m, 6)))
-    _normal_equations(resid, jac, sq, w_eff, robust, pts, running, system)
+    _normal_equations(resid, jac, sq, admitted, robust, pts, running, system)
     h, g, damp = system
     lam = np.full(m, DAMPING_INIT)
     n_steps = np.zeros(m, dtype=int)  # accepted steps
@@ -654,17 +635,16 @@ def _refine(initial, pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: boo
             trial.rotation[live], trial.translation[live] = moved
         t_resid, t_jac, t_z = linearize_reprojection(trial, pts, pix, k)
         t_sq = _squared(t_resid)
-        new_cost = _cost(t_sq, t_z, w_eff, robust, pts)
+        new_cost = _cost(t_sq, t_z, admitted, robust, pts)
         better = running & (new_cost < cost)
         rel_drop = (cost - new_cost) / np.maximum(cost, 1e-300)
         n_better = np.count_nonzero(better)
         took = _per_pair(better, pts)
-        if np.count_nonzero(held_out):  # re-admit points that have come back in front of the camera
-            revived = held_out & took & (t_z > MIN_DEPTH)
-            w_eff = np.where(revived, w, w_eff)
-            held_out &= ~revived
+        if not admitted.all():  # re-admit points that have come back in front of the camera
+            revived = ~admitted & took & (t_z > MIN_DEPTH)
+            admitted |= revived
             again = np.logical_or.reduceat(revived, pts.starts)
-            new_cost = np.where(again, _cost(t_sq, t_z, w_eff, robust, pts), new_cost)
+            new_cost = np.where(again, _cost(t_sq, t_z, admitted, robust, pts), new_cost)
         n_steps += better
         done = (rel_drop < FN_TOL) | (new_cost <= floor) | (n_steps >= MAX_ITERS)
         if n_better == m:  # every member takes its trial's state
@@ -675,7 +655,7 @@ def _refine(initial, pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: boo
             z = np.where(took, t_z, z)
             cost = np.where(better, new_cost, cost)
         if n_better:
-            _normal_equations(t_resid, t_jac, t_sq, w_eff, robust, pts, better & ~done, system)
+            _normal_equations(t_resid, t_jac, t_sq, admitted, robust, pts, better & ~done, system)
         # The cap changes no running member's stop test; it keeps a stopped
         # member's damping from overflowing however long the rest run.
         lam = np.where(better, np.maximum(lam / 3.0, 1e-12), np.minimum(lam * 10.0, 1e12))
@@ -701,41 +681,40 @@ _NO_START = "every linear candidate puts most points behind the camera"
 
 @contextlib.contextmanager
 def _in_float_range():
-    """Turn a float overflow or invalid operation (points or focal lengths
-    whose squares pass the float range) into a NumericalFailure."""
+    """Turn a float overflow, division by zero or invalid operation (points
+    or focal lengths whose squares pass the float range either way) into a
+    NumericalFailure."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
         raise NumericalFailure(f"the solve left the float range: {exc}") from exc
 
 
-def solve_pnp_linear(pts3, pix, k: CameraIntrinsics, w=None) -> Pose:
+def solve_pnp_linear(pts3, pix, k: CameraIntrinsics) -> Pose:
     """The linear stage's pose estimate (no refinement): the SQPnP candidate
     of the least object-space cost, the earlier on a tie."""
     with _in_float_range():
-        r, t, costs = _sqp_candidates(*_alone(pts3, pix, w, _checked_points), k)
+        r, t, costs = _sqp_candidates(*_alone(pts3, pix, _checked_points), k)
     best = int(np.argmin(costs[0]))
     if not math.isfinite(costs[0, best]):
         raise NumericalFailure(_NO_START)
     return Pose(r[0, best], t[0, best])
 
 
-def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
+def solve_pnp(pts3, pix, k: CameraIntrinsics, *, robust: bool = False):
     """Full pipeline: degeneracy check, linear solve, refinement.
 
-    Takes (n, 3) object points, (n, 2) pixels and optional (n,) weights.
-    A zero weight removes its pair before anything else sees it, so the
-    solution's per_point_residuals and its report's n_points count only the
-    pairs of positive weight.  Levenberg-Marquardt refines the linear
-    stage's cheapest SQPnP candidate; it takes no other start.  A refined
+    Takes (n, 3) object points and (n, 2) pixels, every pair counting once.
+    Levenberg-Marquardt refines the linear stage's cheapest SQPnP candidate;
+    it takes no other start.  A refined
     pose that leaves any point behind the camera is a DivergedBehindCamera,
     and one whose median reprojection error passes WILD_FIT_SHARE of the
     image diagonal a NumericalFailure: never a solution.
 
     A ragged stack is a list (or tuple) of M point sets (n_i, 3), with a
-    list of M pixel sets (n_i, 2) and optionally a list of M weight vectors
-    (n_i,): each member has its own pairs, and the result is a list with one
+    list of M pixel sets (n_i, 2): each member has its own pairs, and the
+    result is a list with one
     PnPSolution or CalibrationError per member, each exactly the outcome of
     that member's solve alone.  Members given the same points array share
     one degeneracy check.  The stack is solved in one pass, every member's
@@ -746,25 +725,21 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, w=None, *, robust: bool = False):
     ragged stack of one.
     """
     if isinstance(pts3, (list, tuple)) and (not pts3 or np.ndim(pts3[0]) == 2):
-        return _solve_ragged(pts3, pix, k, w, robust)
-    return _raised(_solve_ragged([pts3], [pix], k, [w], robust)[0])
+        return _solve_ragged(pts3, pix, k, robust)
+    return _raised(_solve_ragged([pts3], [pix], k, robust)[0])
 
 
-def _solve_ragged(pts3, pix, k: CameraIntrinsics, w, robust: bool) -> list:
+def _solve_ragged(pts3, pix, k: CameraIntrinsics, robust: bool) -> list:
     """``solve_pnp`` of a ragged stack given as lists of per-member arrays."""
     m = len(pts3)
-    w = [None] * m if w is None else w
-    if len(pix) != m or len(w) != m:
-        raise ValueError(
-            f"expected one pixel set and weight vector per point set, got {m} point sets, "
-            f"{len(pix)} pixel sets and {len(w)} weight vectors"
-        )
+    if len(pix) != m:
+        raise ValueError(f"expected one pixel set per point set, got {m} and {len(pix)}")
     outcomes: list = [None] * m
     checked: dict = {}  # id of a validated points array: (the array, its report or error)
     kept, members = [], []
     for i in range(m):
         try:
-            points, pixels, weights = _validated(pts3[i], pix[i], w[i])
+            points, pixels = _validated(pts3[i], pix[i])
         except CalibrationError as exc:
             outcomes[i] = exc
             continue
@@ -779,36 +754,36 @@ def _solve_ragged(pts3, pix, k: CameraIntrinsics, w, robust: bool) -> list:
             outcomes[i] = report
             continue
         kept.append(i)
-        members.append((points, pixels, weights, report))
+        members.append((points, pixels, report))
     if kept:
         for i, outcome in zip(kept, _solve_isolated(*_stacked(members), k, robust)):
             outcomes[i] = outcome
     return outcomes
 
 
-def _solve_isolated(pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool) -> list:
+def _solve_isolated(pts: RaggedPoints, pix, k: CameraIntrinsics, robust: bool) -> list:
     """The outcomes of a stack's solve; a NumericalFailure that the stack
     raises as a whole is pinned, by solving each member alone, on the
     members that raise it alone."""
     try:
-        return _solve_stack(pts, pix, w, k, robust)
+        return _solve_stack(pts, pix, k, robust)
     except NumericalFailure as exc:
         if len(pts.counts) == 1:
             return [exc]
         return [
             outcome
             for j in range(len(pts.counts))
-            for outcome in _solve_isolated(*_member(pts, pix, w, j), k, robust)
+            for outcome in _solve_isolated(*_member(pts, pix, j), k, robust)
         ]
 
 
-def _solve_stack(pts: RaggedPoints, pix, w, k: CameraIntrinsics, robust: bool) -> list:
+def _solve_stack(pts: RaggedPoints, pix, k: CameraIntrinsics, robust: bool) -> list:
     """One PnPSolution or CalibrationError per member of a checked stack of at
     least one; a step that leaves the float range raises NumericalFailure."""
     with _in_float_range():
-        r, t, costs = _sqp_candidates(pts, pix, w, k)
+        r, t, costs = _sqp_candidates(pts, pix, k)
         best = np.arange(len(costs)), np.argmin(costs, axis=-1)  # the first on a tie
-        refined = refine_pose(PoseStack(r[best], t[best]), pts, pix, k, w, robust=robust)
+        refined = refine_pose(PoseStack(r[best], t[best]), pts, pix, k, robust=robust)
     found, wild = np.isfinite(costs[best]), WILD_FIT_SHARE * math.hypot(k.width, k.height)
     for j, sol in enumerate(refined):
         if not found[j]:

@@ -332,6 +332,21 @@ def test_numbers_out_of_range_exit_2_naming_the_file(tmp_path, noisy_scene, comm
     assert f"error: {bad}" in proc.stderr
 
 
+def test_a_focal_length_whose_square_underflows_exits_3(tmp_path, noisy_scene):
+    # At fx = fy = 1e-300 px the rays' squared norms underflow to zero: the
+    # solve fails with the float-range error instead of warning as it divides.
+    doc = json.loads((noisy_scene / "intrinsics.json").read_text())
+    doc["fx"] = doc["fy"] = 1e-300
+    bad = tmp_path / "intrinsics.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    proc = _run_cli(*_calibrate_args(noisy_scene, intrinsics=bad, output=out))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "error: the solve left the float range" in proc.stderr
+    assert not out.exists()
+
+
 def test_a_refined_pose_with_points_behind_the_camera_exits_3(tmp_path, noisy_scene):
     # A wrong focal length leaves no pose that fits the track.  At 1e37 px or
     # 1e8 px the refined pose keeps every tracked point in front of the

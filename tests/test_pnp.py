@@ -227,24 +227,23 @@ def test_refine_rms_matches_per_point_residuals():
 @pytest.mark.parametrize("planar", [False, True], ids=["well_conditioned", "near_planar"])
 def test_candidate_costs_are_object_space_costs_summed_pair_by_pair(planar):
     # The linear stage forms r^T Omega r and t = P r from Gram moments; the
-    # reference sums sum_i w_i |(I - v_i v_i^T)(R p_i + t)|^2 over the pairs at
+    # reference sums sum_i |(I - v_i v_i^T)(R p_i + t)|^2 over the pairs at
     # each candidate's pose, whose rotation is a rotation and whose
     # translation is the best one for it.
     rng = np.random.default_rng(191)
     for _ in range(5):
         _, pts, pix = synth_scene(rng, 12, K, planar=planar)
         pix = pix + rng.normal(0.0, 2.0, pix.shape)
-        w = rng.uniform(0.5, 1.0, 12)
         rays = np.column_stack([(pix - (K.cx, K.cy)) / (K.fx, K.fy), np.ones(12)])
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
 
         def cost(rot, trans):
             pc = pts @ rot.T + trans
             off = pc - (pc * rays).sum(axis=1, keepdims=True) * rays
-            return float(w @ (off**2).sum(axis=1))
+            return float((off**2).sum())
 
         (rotations,), (translations,), (costs,) = pnp._sqp_candidates(
-            *pnp._alone(pts, pix, w, check_degeneracy), K
+            *pnp._alone(pts, pix, check_degeneracy), K
         )
         assert np.isfinite(costs).any()
         for rot, trans, c in zip(rotations, translations, costs):
@@ -259,7 +258,7 @@ def test_candidate_costs_are_object_space_costs_summed_pair_by_pair(planar):
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
 def test_refine_readmits_points_that_come_back_in_front(sigma, monkeypatch):
     # Six of thirty points sit 0.3-0.5 m from the camera; the start pose is
-    # 0.6 m too far forward, so those six begin behind it with zero weight.
+    # 0.6 m too far forward, so those six begin behind it, held out of the cost.
     rng = np.random.default_rng(181)
     z = np.concatenate([rng.uniform(1.5, 3.5, 24), rng.uniform(0.3, 0.5, 6)])
     p_cam = np.column_stack([z * rng.uniform(-0.35, 0.35, 30), z * rng.uniform(-0.35, 0.35, 30), z])
@@ -436,33 +435,18 @@ def test_array_boundary_rejects_bad_input():
     nan_pts[3, 1] = math.nan
     inf_pix = pix.copy()
     inf_pix[5, 0] = math.inf
-    negative = np.ones(12)
-    negative[7] = -0.5
-    bad = [
-        (nan_pts, pix, None),
-        (pts, inf_pix, None),
-        (pts, pix, negative),
-        (pts[:11], pix, None),
-        (pts, pix, np.ones(11)),
-        (pts[:, :2], pix[:, :2], None),
-    ]
+    bad = [(nan_pts, pix), (pts, inf_pix), (pts[:11], pix), (pts[:, :2], pix[:, :2])]
     for solve in (
-        lambda p3, px, w: solve_pnp(p3, px, K, w),
-        lambda p3, px, w: solve_pnp_linear(p3, px, K, w),
-        lambda p3, px, w: refine_pose(t_gt, p3, px, K, w),
+        lambda p3, px: solve_pnp(p3, px, K),
+        lambda p3, px: solve_pnp_linear(p3, px, K),
+        lambda p3, px: refine_pose(t_gt, p3, px, K),
+        lambda p3, px: linearize_reprojection(t_gt, p3, px, K),
     ):
-        for p3, px, w in bad:
+        for p3, px in bad:
             with pytest.raises(ValueError):
-                solve(p3, px, w)
+                solve(p3, px)
         with pytest.raises(EmptyInput):
-            solve(np.zeros((0, 3)), np.zeros((0, 2)), None)
-    # The linearization takes no weights and checks the rest alike.
-    for p3, px, w in bad:
-        if w is None:
-            with pytest.raises(ValueError):
-                linearize_reprojection(t_gt, p3, px, K)
-    with pytest.raises(EmptyInput):
-        linearize_reprojection(t_gt, np.zeros((0, 3)), np.zeros((0, 2)), K)
+            solve(np.zeros((0, 3)), np.zeros((0, 2)))
 
 
 # ------------------------------------------------------------- full solve ---
@@ -528,55 +512,29 @@ def test_solve_pnp_translation_equivariance():
         assert rotation_error(expected, sol1.pose) < 1e-7
 
 
-def test_solve_pnp_zero_weight_points_ignored():
-    rng = np.random.default_rng(167)
-    t_gt, pts, pix = synth_scene(rng, 30, K)
-    # Corrupt ten points wildly but give them zero weight.
-    sabotaged = pix.copy()
-    sabotaged[:10] += 500.0
-    w = np.ones(30)
-    w[:10] = 0.0
-    sol = solve_pnp(pts, sabotaged, K, w)
-    assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-6
-    with pytest.raises(NumericalFailure, match="weights are zero"):
-        solve_pnp(pts, pix, K, np.zeros(30))
-
-    # A zero weight removes its pair: three points mirrored behind the camera
-    # leave the fit, the in-front test and the rms alone (they raised
-    # DivergedBehindCamera when the in-front test counted them).
-    p_cam = apply(t_gt, pts[:3])
-    p_cam[:, 2] *= -1.0
-    pts[:3] = apply(invert(t_gt), p_cam)
-    w[3:10] = 1.0
-    sol = solve_pnp(pts, pix, K, w)
-    kept = solve_pnp(pts[3:], pix[3:], K)
-    assert np.array_equal(sol.pose.rotation, kept.pose.rotation)
-    assert np.array_equal(sol.pose.translation, kept.pose.translation)
-    assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-9
-    assert sol.per_point_residuals.shape == (27,)
-    assert sol.condition_report.n_points == 27
-    assert refine_pose(t_gt, pts, pix, K, w).per_point_residuals.shape == (27,)
-
-
 def test_a_solve_that_leaves_the_float_range_raises_numerical_failure():
     # Finite inputs whose squares pass the float range: a focal length of
     # 1e200 px, or points 1e160 m out.  The solve fails with a
     # NumericalFailure instead of overflowing with a RuntimeWarning, and so
     # does a refinement from the truth at that focal length; in a stack, each
-    # member gets that outcome, the one it raises alone.
+    # member gets that outcome, the one it raises alone.  At fx = fy = 1e-300
+    # px the squares underflow instead: the rays' norms are zero, and the
+    # division by them fails the same way.
     t_gt, pts, pix = synth_scene(np.random.default_rng(5), 30, K)
     huge_f = CameraIntrinsics(1e200, K.fy, K.cx, K.cy, K.width, K.height)
+    tiny_f = CameraIntrinsics(1e-300, 1e-300, K.cx, K.cy, K.width, K.height)
     for solve in (solve_pnp, solve_pnp_linear):
-        for args in ((pts, pix, huge_f), (pts * 1e160, pix, K)):
+        for args in ((pts, pix, huge_f), (pts * 1e160, pix, K), (pts, pix, tiny_f)):
             with pytest.raises(NumericalFailure, match="float range"):
                 solve(*args)
     with pytest.raises(NumericalFailure, match="float range"):
         refine_pose(t_gt, pts, pix, huge_f)
-    outcomes = solve_pnp([pts, pts], [pix, pix + 0.5], huge_f)
-    for outcome, px in zip(outcomes, (pix, pix + 0.5)):
-        with pytest.raises(NumericalFailure) as alone:
-            solve_pnp(pts, px, huge_f)
-        _assert_identical(outcome, alone.value)
+    for camera in (huge_f, tiny_f):
+        outcomes = solve_pnp([pts, pts], [pix, pix + 0.5], camera)
+        for outcome, px in zip(outcomes, (pix, pix + 0.5)):
+            with pytest.raises(NumericalFailure, match="float range") as alone:
+                solve_pnp(pts, px, camera)
+            _assert_identical(outcome, alone.value)
 
 
 def test_solve_pnp_robust_downweights_outliers():
@@ -587,7 +545,7 @@ def test_solve_pnp_robust_downweights_outliers():
     plain = solve_pnp(pts, bad, K)
     robust = solve_pnp(pts, bad, K, robust=True)
     with pytest.raises(TypeError):  # robust is keyword-only: no positional flag turns it on
-        solve_pnp(pts, bad, K, None, True)
+        solve_pnp(pts, bad, K, True)
     err_plain = np.linalg.norm(plain.pose.translation - t_gt.translation)
     err_robust = np.linalg.norm(robust.pose.translation - t_gt.translation)
     assert err_robust < err_plain
@@ -611,9 +569,11 @@ def _assert_identical(outcome, alone):
 
 
 @pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-@pytest.mark.parametrize("planar", [False, True], ids=["well_conditioned", "near_planar"])
-def test_stacked_solve_matches_each_set_alone(planar, weighted, robust):
+# "unweighted": every pair counts once; the ids keep the cases' names stable.
+@pytest.mark.parametrize(
+    "planar", [False, True], ids=["well_conditioned-unweighted", "near_planar-unweighted"]
+)
+def test_stacked_solve_matches_each_set_alone(planar, robust):
     # One point set seen at sigma = 0, 1, 3 and 8 px (common random numbers,
     # as in the noise sweep), plus a set with three gross outliers.
     rng = np.random.default_rng(197)
@@ -621,15 +581,13 @@ def test_stacked_solve_matches_each_set_alone(planar, weighted, robust):
         _, pts, pix = synth_scene(rng, 24, K, planar=planar)
         if planar:
             pts = pts + rng.normal(0.0, 1e-4, pts.shape)
-        w = rng.uniform(0.3, 1.0, 24) if weighted else None
         unit = rng.standard_normal(pix.shape)
         stack = np.stack([pix + sigma * unit for sigma in (0.0, 1.0, 3.0, 8.0)] + [pix + unit])
         stack[4, :3] += 90.0
-        weights = None if w is None else [w] * len(stack)
-        solved = solve_pnp([pts] * len(stack), list(stack), K, weights, robust=robust)
+        solved = solve_pnp([pts] * len(stack), list(stack), K, robust=robust)
         assert len(solved) == len(stack)
         for sol, pix_s in zip(solved, stack):
-            _assert_identical(sol, solve_pnp(pts, pix_s, K, w, robust=robust))
+            _assert_identical(sol, solve_pnp(pts, pix_s, K, robust=robust))
         if not planar:  # the planar points were moved off the plane after projecting
             assert solved[0].rms_reprojection_error < 1e-6
 
@@ -704,11 +662,11 @@ def test_a_refined_pose_with_points_behind_the_camera_is_a_diverged_solve():
 
 
 def test_cost_counts_a_nan_depth_as_behind():
-    # A pose without a rotation (NaN) has NaN depths; with them weighted
-    # zero, the cost is still inf, not 0.
-    zeros = np.zeros((1, 4))
+    # A pose without a rotation (NaN) has NaN depths; with those points held
+    # out of the cost, the cost is still inf, not 0.
+    sq, admitted = np.zeros((1, 4)), np.zeros(4, dtype=bool)
     pts = ragged_points(np.zeros((3, 4)), [4], [None])
-    assert pnp._cost(zeros, np.full((1, 4), np.nan), zeros, False, pts)[0, 0] == math.inf
+    assert pnp._cost(sq, np.full((1, 4), np.nan), admitted, False, pts)[0, 0] == math.inf
 
 
 def test_stacked_refinement_reports_a_diverged_member_alone():
@@ -776,55 +734,51 @@ def test_one_degeneracy_check_per_solve(monkeypatch, n_sets):
 
 @pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
 def test_a_ragged_stack_solves_each_member_as_alone(robust):
-    # Members with their own points, pixels, weights and pair counts in one
-    # stack: a near-planar set, zero weights that remove
-    # pairs, gross outliers, two members given the same points array, a
-    # member whose camera sees most points from behind, a collinear set and
-    # an empty one.  Each outcome is the one it gets alone, bit for bit.
+    # Members with their own points, pixels and pair counts in one stack: a
+    # near-planar set, gross outliers, two members given the same points
+    # array, a member whose camera sees most points from behind, a collinear
+    # set and an empty one.  Each outcome is the one it gets alone, bit for
+    # bit.
     rng = np.random.default_rng(229)
     members = []
     for n in (5, 9, 31, 31, 120):
         _, pts, pix = synth_scene(rng, n, K)
-        members.append((pts, pix + rng.normal(0.0, 1.5, pix.shape), None))
+        members.append((pts, pix + rng.normal(0.0, 1.5, pix.shape)))
     _, planar, pix = synth_scene(rng, 20, K, planar=True)
     planar = planar + rng.normal(0.0, 1e-4, planar.shape)
-    members.append((planar, pix + rng.normal(0.0, 1.0, pix.shape), None))
-    _, pts, pix = synth_scene(rng, 40, K)
-    w = rng.uniform(0.2, 1.0, 40)
-    w[[3, 17, 29]] = 0.0
-    members.append((pts, pix + rng.normal(0.0, 2.0, pix.shape), w))
+    members.append((planar, pix + rng.normal(0.0, 1.0, pix.shape)))
+    _, pts, pix = synth_scene(rng, 37, K)
+    members.append((pts, pix + rng.normal(0.0, 2.0, pix.shape)))
     outliers = members[2][1].copy()
     outliers[:4] += 120.0
-    members.append((members[2][0], outliers, None))  # the same points array as member 2
+    members.append((members[2][0], outliers))  # the same points array as member 2
     behind = np.array(
         [[-0.4, -0.3, 10.0], [0.4, 0.2, 11.0], [0.1, 0.5, 12.0], [-0.2, 0.1, -0.5],
          [0.3, -0.2, -0.6], [0.2, 0.3, -0.7], [-0.3, -0.1, -0.8], [0.1, 0.2, -0.9]]
     )  # fmt: skip
-    members.append((behind, behind[:, :2] / behind[:, 2:] * (K.fx, K.fy) + (K.cx, K.cy), None))
+    members.append((behind, behind[:, :2] / behind[:, 2:] * (K.fx, K.fy) + (K.cx, K.cy)))
     line = np.column_stack([np.linspace(-0.5, 0.5, 12), np.zeros(12), np.full(12, 2.0)])
-    members.append((line, line[:, :2] / line[:, 2:] * (K.fx, K.fy) + (K.cx, K.cy), None))
-    members.append((np.zeros((0, 3)), np.zeros((0, 2)), None))
+    members.append((line, line[:, :2] / line[:, 2:] * (K.fx, K.fy) + (K.cx, K.cy)))
+    members.append((np.zeros((0, 3)), np.zeros((0, 2))))
     order = rng.permutation(len(members))
     members = [members[i] for i in order]
-    pts3, pix, weights = (list(column) for column in zip(*members))
-    outcomes = solve_pnp(pts3, pix, K, weights, robust=robust)
+    pts3, pix = (list(column) for column in zip(*members))
+    outcomes = solve_pnp(pts3, pix, K, robust=robust)
     assert len(outcomes) == len(members)
     kinds = set()
-    for outcome, (p3, px, wi) in zip(outcomes, members):
+    for outcome, (p3, px) in zip(outcomes, members):
         try:
-            alone = solve_pnp(p3, px, K, wi, robust=robust)
+            alone = solve_pnp(p3, px, K, robust=robust)
         except CalibrationError as exc:
             alone = exc
         kinds.add(type(alone).__name__)
         _assert_identical(outcome, alone)
         # The ragged stack of one is the single solve.
-        (one,) = solve_pnp([p3], [px], K, None if wi is None else [wi], robust=robust)
+        (one,) = solve_pnp([p3], [px], K, robust=robust)
         _assert_identical(one, alone)
     assert kinds == {"PnPSolution", "NumericalFailure", "DegenerateConfiguration", "EmptyInput"}
     planar_sol = outcomes[list(order).index(5)]
     assert planar_sol.condition_report.classification == NEAR_PLANAR
-    weighted_sol = outcomes[list(order).index(6)]
-    assert weighted_sol.per_point_residuals.shape == (37,)
     with pytest.raises(ValueError):
         solve_pnp(pts3, pix[:-1], K)
 
