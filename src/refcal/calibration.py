@@ -142,10 +142,14 @@ class CalibrationRequest:
 class CalibrationResult:
     """Estimated pose (camera-to-base or camera-to-end-effector) plus audit trail."""
 
-    pose: Pose
     solution: PnPSolution
     n_pairs_used: int
     dropped: tuple[tuple[int, str], ...]
+
+    @property
+    def pose(self) -> Pose:
+        """The solution's pose."""
+        return self.solution.pose
 
 
 def select_frames(
@@ -248,7 +252,7 @@ def calibrate_each(members) -> list[CalibrationResult | CalibrationError]:
             if isinstance(sol, CalibrationError):
                 results[i] = sol
             else:
-                results[i] = CalibrationResult(sol.pose, sol, n, drop)
+                results[i] = CalibrationResult(sol, n, drop)
     return results
 
 

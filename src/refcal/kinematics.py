@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, JointLimitWarning
-from .geometry import ORTHONORMAL_TOL, Pose, compose_stack, freeze, reproject_drifted, skew
+from .geometry import Pose, freeze, reproject_drifted, skew
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -133,35 +133,27 @@ class JointLog:
 
 class _Links:
     """What forward kinematics needs of a chain beyond its joints, built once
-    per chain: the revolute origins folded with their axes, the prismatic
-    slide directions, the q columns of each kind and which joints have
-    limits."""
+    per chain: the origin rotations, each re-projected onto SO(3) if it
+    drifts past ORTHONORMAL_TOL; the revolute ones folded with their axes
+    made unit, so every local rotation is a rotation to rounding at every
+    reading; the prismatic slide directions, the q columns of each kind and
+    which joints have limits."""
 
     def __init__(self, chain: KinematicChain):
         actuated = [j for j in chain.joints if j.actuated]
-        revolute = [j for j in chain.joints if j.kind == REVOLUTE]
+        revolute = [i for i, j in enumerate(chain.joints) if j.kind == REVOLUTE]
         self.actuated = actuated
         self.limited = np.array([j.limits is not None for j in actuated], dtype=bool)
         self.revolute_cols = [c for c, j in enumerate(actuated) if j.kind == REVOLUTE]
         self.prismatic_cols = [c for c, j in enumerate(actuated) if j.kind == PRISMATIC]
-        origins = np.array([j.origin.rotation for j in revolute]).reshape(-1, 1, 3, 3)
-        k = skew(np.array([j.axis for j in revolute]).reshape(-1, 1, 3))
+        rotations = np.array([j.origin.rotation for j in chain.joints]).reshape(-1, 3, 3)
+        self.rotations = reproject_drifted(rotations)
+        origins = self.rotations[revolute][:, None]
+        axes = np.array([chain.joints[i].axis for i in revolute]).reshape(-1, 1, 3)
+        k = skew(axes / np.linalg.norm(axes, axis=-1, keepdims=True))
         # origin . Rodrigues(axis, theta) = origins + sin(theta) turn1 + (1 - cos(theta)) turn2
         self.origins, self.turn1, self.turn2 = origins, origins @ k, origins @ (k @ k)
         self.slides = [j.origin.rotation @ j.axis for j in chain.joints]
-        self.upright_origins = reproject_drifted(
-            np.array([j.origin.rotation for j in chain.joints]).reshape(-1, 3, 3)
-        )
-        # origin . Rodrigues(axis, theta) - call it O Rod - has the Gram matrix
-        # I + Rod.T (O.T O - I) Rod - (1 - cos theta)^2 (|axis|^2 - 1) K^2.
-        # Below this bound it stays within ORTHONORMAL_TOL / 2 of SO(3) at
-        # every angle, so only the other revolute joints' rotations can
-        # drift past ORTHONORMAL_TOL and need the frame-by-frame check.
-        gram = np.swapaxes(origins, -1, -2) @ origins - np.eye(3)
-        stretch = np.abs(np.array([j.axis @ j.axis for j in revolute]) - 1.0)
-        self.drifting = np.linalg.norm(gram, axis=(-2, -1))[:, 0] + 8.0 * stretch > (
-            ORTHONORMAL_TOL / 2.0
-        )
 
 
 def _readings(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
@@ -188,13 +180,12 @@ def _readings(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
 
 
 def _local_transforms(
-    chain: KinematicChain, rows: np.ndarray, upright: bool = False
+    chain: KinematicChain, rows: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each joint's transform from its child link to its parent link at the
     readings rows (N, J): a rotation, (3, 3) or (N, 3, 3), and a translation,
-    (3,) or (N, 3).  With upright, each rotation that drifts past
-    ORTHONORMAL_TOL is re-projected onto SO(3), as compose_stack re-projects
-    a drifted product."""
+    (3,) or (N, 3).  Each rotation is in SO(3) to rounding, from the chain's
+    constants as _Links repaired them."""
     links = chain._links
     theta = rows[:, links.revolute_cols].T[..., None, None]
     # Each revolute joint's origin folded into its motion, all in one
@@ -204,12 +195,9 @@ def _local_transforms(
     turned = np.sin(theta) * links.turn1
     turned += links.origins
     turned += (1.0 - np.cos(theta)) * links.turn2
-    if upright and links.drifting.any():
-        turned[links.drifting] = reproject_drifted(turned[links.drifting])
     turned, slid = iter(turned), iter(rows[:, links.prismatic_cols].T)
-    fixed = links.upright_origins if upright else [j.origin.rotation for j in chain.joints]
     local = []
-    for joint, r, slide in zip(chain.joints, fixed, links.slides):
+    for joint, r, slide in zip(chain.joints, links.rotations, links.slides):
         t = joint.origin.translation
         if joint.kind == REVOLUTE:
             r = next(turned)
@@ -223,8 +211,9 @@ def forward_kinematics(
     chain: KinematicChain, q: np.ndarray
 ) -> list[Pose] | tuple[np.ndarray, np.ndarray]:
     """Base-to-link transforms of every link frame, index 0 being the base:
-    each joint's local transform composed onto its parent link's, with each
-    product re-projected onto SO(3) if it drifts past ORTHONORMAL_TOL.
+    each joint's local transform composed onto its parent link's.  The local
+    rotations are in SO(3) to rounding (see _Links), so their products are
+    too and none is re-projected.
 
     q of shape (N, J) gives stacked rotations (N, L, 3, 3) and translations
     (N, L, 3); one reading q of shape (J,) gives that frame as a list of L
@@ -238,9 +227,9 @@ def forward_kinematics(
     translations = np.empty((n, chain.n_links, 3))
     rotations[:, 0], translations[:, 0] = np.eye(3), 0.0
     for i, (local_r, local_t) in enumerate(_local_transforms(chain, rows)):
-        rotations[:, i + 1], translations[:, i + 1] = compose_stack(
-            rotations[:, i], translations[:, i], local_r, local_t
-        )
+        r, t = rotations[:, i], translations[:, i]
+        rotations[:, i + 1] = r @ local_r
+        translations[:, i + 1] = (r @ local_t[..., None])[..., 0] + t
     if q.ndim < 2:
         return [Pose(r, t) for r, t in zip(rotations[0], translations[0])]
     return rotations, translations
@@ -269,7 +258,7 @@ def reference_point_in_base(
     q = np.asarray(q, dtype=float)
     rows = _readings(chain, q)
     x = ref.offset
-    for r, t in reversed(_local_transforms(chain, rows, upright=True)[: ref.link_index]):
+    for r, t in reversed(_local_transforms(chain, rows)[: ref.link_index]):
         x = np.einsum("...ij,...j->...i", r, x) + t
     return _per_reading(x, q, len(rows))
 
@@ -289,7 +278,7 @@ def base_point_in_ee_frame(
     q = np.asarray(q, dtype=float)
     rows = _readings(chain, q)
     x = np.asarray(p_base, dtype=float)
-    for r, t in _local_transforms(chain, rows, upright=True):
+    for r, t in _local_transforms(chain, rows):
         x = np.einsum("...ji,...j->...i", r, x - t)
     return _per_reading(x, q, len(rows))
 

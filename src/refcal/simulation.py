@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from ._version import __version__
 from .calibration import (
     CalibrationOptions,
@@ -42,7 +43,6 @@ from .fileio import (
     write_intrinsics_file,
     write_joint_log_csv,
     write_pose_file,
-    write_sweep_csv,
     write_track_csv,
 )
 from .geometry import (
@@ -116,6 +116,8 @@ class ScenarioConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got seed={self.seed}")
         for name, value in (("fps", self.fps), ("duration", self.duration)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {name}={value}")
@@ -441,7 +443,9 @@ class SweepResult:
     metadata: dict
 
     def to_csv(self, path) -> None:
-        write_sweep_csv(self, path)
+        # Called through the module, not a name bound at import, so a wrapper
+        # set on refcal.fileio.write_sweep_csv (the benchmark tracer's) sees it.
+        fileio.write_sweep_csv(self, path)
 
 
 def _config_digest(cfg: ScenarioConfig, chain: KinematicChain, ref: ReferencePoint) -> str:

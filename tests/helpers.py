@@ -1,5 +1,6 @@
-"""Shared test utilities: random poses, synthetic PnP scenes and JSON leaf
-replacement for fuzzing the file parsers."""
+"""Shared test utilities: random poses, synthetic PnP scenes, slightly
+drifted kinematic chains and JSON leaf replacement for fuzzing the file
+parsers."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from refcal.geometry import CameraIntrinsics, Pose, apply, invert, project, rotation_about_axis
+from refcal.kinematics import FIXED, JOINT_KINDS, PRISMATIC, Joint, KinematicChain
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.ndarray:
@@ -44,6 +46,38 @@ def synth_scene(
     p_obj = apply(invert(t_gt), p_cam)
     pix = project(k, p_cam)
     return t_gt, p_obj, pix
+
+
+@st.composite
+def drifted_chains(draw):
+    """A serial chain of 1 to 7 joints of each kind in a drawn order, plus
+    1 to 5 readings (N, J) of it.  Its constants are as slightly off as a
+    chain may be: each axis is a random unit axis stretched by up to 9e-10
+    either way (Joint admits 1e-9), and some origin rotations are stretched
+    along a random direction by 1e-8 to 1e-6, which puts each of them past
+    ORTHONORMAL_TOL (R^T R - I = 2 eps u u^T to first order, and some
+    u_i^2 >= 1/3)."""
+    counts = [draw(st.integers(1, 7)) for _ in JOINT_KINDS]
+    kinds = draw(st.permutations([k for k, n in zip(JOINT_KINDS, counts) for _ in range(n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    joints = []
+    for i, kind in enumerate(kinds):
+        rotation = random_rotation(rng)
+        if draw(st.booleans()):
+            u = rng.standard_normal(3)
+            u /= np.linalg.norm(u)
+            rotation = rotation @ (np.eye(3) + draw(st.floats(1e-8, 1e-6)) * np.outer(u, u))
+        axis = rng.standard_normal(3)
+        axis *= (1.0 + draw(st.floats(-9e-10, 9e-10))) / np.linalg.norm(axis)
+        origin = Pose(rotation, rng.uniform(-0.2, 0.2, 3))
+        joints.append(Joint(f"j{i}", kind, origin, (0.0, 0.0, 1.0) if kind == FIXED else axis))
+    chain = KinematicChain("drifted", tuple(joints))
+    n = draw(st.integers(1, 5))
+    q = np.column_stack(
+        [rng.uniform(-0.3, 0.3, n) if k == PRISMATIC else rng.uniform(-np.pi, np.pi, n)
+         for k in kinds if k != FIXED]
+    )  # fmt: skip
+    return chain, q
 
 
 def reprojection_rms(pose: Pose, pts3, pix, k: CameraIntrinsics) -> float:

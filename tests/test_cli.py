@@ -255,6 +255,16 @@ def test_eval_scalar_translation_exits_2_without_traceback(tmp_path):
     assert str(pose) in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-noise"])
+def test_a_negative_seed_exits_2_naming_the_seed(tmp_path, command):
+    extra = ["--sigmas", "0", "--repeats", "1"] if command == "sweep-noise" else []
+    proc = _run_cli(command, "--seed", "-5", "--chain", _chain(), *extra,
+                    "-o", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "seed=-5" in proc.stderr
+
+
 def test_one_element_joint_limits_exits_2_without_traceback(tmp_path):
     doc = json.loads(Path(_chain()).read_text())
     doc["joints"][0]["limits"] = [-1.0]

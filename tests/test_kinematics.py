@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from helpers import drifted_chains
 from refcal.calibration import Mode, object_points
 from refcal.errors import DimensionMismatch, JointLimitWarning
 from refcal.fileio import builtin_chain_path, parse_chain_file
-from refcal.geometry import Pose, apply, compose, identity, invert, rot_z, skew
+from refcal.geometry import (
+    ORTHONORMAL_TOL,
+    Pose,
+    apply,
+    compose,
+    identity,
+    invert,
+    orthonormalize,
+    rot_z,
+    skew,
+)
 from refcal.kinematics import (
     Joint,
     JointLog,
@@ -381,10 +393,10 @@ DRIFT = KinematicChain(
 )
 DRIFT_Q = np.array([[0.0, 0.0], [0.4, -1.1], [2.0, 0.7]])
 
-# An origin stretched along x by 8e-10 has R^T R - I = diag(1.6e-9, 0, 0).
-# After a z rotation by theta the largest entry is 1.6e-9 max(c^2, s^2,
-# |c s|): past ORTHONORMAL_TOL at theta = 0, 0.8e-9 at odd multiples of
-# pi/4.  So only the frame at 0 is re-projected; the others keep their drift.
+# An origin stretched along x by 8e-10 has R^T R - I = diag(1.6e-9, 0, 0),
+# past ORTHONORMAL_TOL.  After a z rotation by theta the largest entry is
+# 1.6e-9 max(c^2, s^2, |c s|): only 0.8e-9 at odd multiples of pi/4, so a
+# frame-by-frame check would keep the drift of those frames.
 DRIFT_ONE = KinematicChain(
     name="drift-one",
     joints=(
@@ -393,6 +405,14 @@ DRIFT_ONE = KinematicChain(
     ),
 )
 DRIFT_ONE_Q = np.array([[math.pi / 4], [-math.pi / 4], [0.0], [3 * math.pi / 4]])
+# Stretched by 4e-10 instead, the origin is within ORTHONORMAL_TOL of SO(3).
+SLIGHT = KinematicChain(
+    name="slight",
+    joints=(
+        _revolute("j1", origin=Pose(np.diag([1.0 + 4e-10, 1.0, 1.0]), (0.1, 0.0, 0.2))),
+        _fixed("tool", (0.0, 0.0, 0.1)),
+    ),
+)
 
 
 def test_batched_fk_reprojects_drifted_rotations():
@@ -406,17 +426,40 @@ def test_batched_fk_reprojects_drifted_rotations():
             assert_allclose(translations[i, k], pose.translation, rtol=0, atol=1e-12)
 
 
-def test_batched_fk_reprojects_only_the_drifted_frame():
-    chain, q = DRIFT_ONE, DRIFT_ONE_Q
+def _so3_drift(rotations):
+    return np.abs(np.swapaxes(rotations, -1, -2) @ rotations - np.eye(3)).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("chain", [DRIFT_ONE, SLIGHT], ids=["drift-one", "slight"])
+def test_a_drifted_origin_is_repaired_once_and_a_slight_one_used_as_given(chain):
+    # DRIFT_ONE's origin is re-projected once, for every frame alike: FK and
+    # both point carries follow the per-frame oracle on the re-projected
+    # origin.  SLIGHT's origin is used as it is given, in every frame.
+    origin = chain.joints[0].origin
+    drifted = _so3_drift(origin.rotation) > ORTHONORMAL_TOL
+    if drifted:
+        origin = Pose(orthonormalize(origin.rotation), origin.translation)
+    oracle_chain = KinematicChain(
+        chain.name, (replace(chain.joints[0], origin=origin), *chain.joints[1:])
+    )
+    q = DRIFT_ONE_Q
     rotations, translations = forward_kinematics(chain, q)
-    drift = np.abs(np.swapaxes(rotations, -1, -2) @ rotations - np.eye(3)).max(axis=(-2, -1))
-    assert drift[2, 1:].max() < 1e-12
-    for i in (0, 1, 3):
-        assert_allclose(drift[i, 1:], 8e-10, rtol=1e-3)
+    drift = _so3_drift(rotations)
+    if drifted:
+        assert drift.max() < 1e-12
+    else:
+        assert drift[:, 1:].min() > 1e-10
+        assert np.array_equal(rotations[q[:, 0] == 0.0, 1], origin.rotation[None])
+    offset = np.array([0.05, -0.02, 0.07])
+    points = reference_point_in_base(chain, ReferencePoint(1, offset), q)
+    in_ee = base_point_in_ee_frame(chain, q, offset)
     for i, qi in enumerate(q):
-        for k, pose in enumerate(_per_frame_fk(chain, qi)):
+        oracle = _per_frame_fk(oracle_chain, qi)
+        for k, pose in enumerate(oracle):
             assert_allclose(rotations[i, k], pose.rotation, rtol=0, atol=1e-12)
             assert_allclose(translations[i, k], pose.translation, rtol=0, atol=1e-12)
+        assert_allclose(points[i], apply(oracle[1], offset), rtol=0, atol=1e-12)
+        assert_allclose(in_ee[i], apply(invert(oracle[-1]), offset), rtol=0, atol=1e-12)
 
 
 # A revolute joint about y, a prismatic joint along a tilted axis under a
@@ -433,6 +476,26 @@ SLIDE = KinematicChain(
     ),
 )
 SLIDE_Q = np.array([[0.0, 0.0, 0.0], [0.7, -0.3, 1.2], [-2.1, 0.45, 3.0]])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drifted_chains())
+def test_fk_and_the_carries_stay_on_so3_for_slightly_drifted_chains(chain_and_q):
+    # Every local rotation is a rotation to rounding once _Links has repaired
+    # the chain's constants, so every link's product is too, and the carried
+    # points agree with applying the FK poses.
+    chain, q = chain_and_q
+    rotations, translations = forward_kinematics(chain, q)
+    assert _so3_drift(rotations).max() < 1e-12
+    assert (np.linalg.det(rotations) > 0).all()
+    offset = np.array([0.05, -0.02, 0.07])
+    for link in range(chain.n_links):
+        points = reference_point_in_base(chain, ReferencePoint(link, offset), q)
+        expected = rotations[:, link] @ offset + translations[:, link]
+        assert_allclose(points, expected, rtol=0, atol=1e-12)
+    r_ee, t_ee = rotations[:, -1], translations[:, -1]
+    expected = np.einsum("nji,nj->ni", r_ee, offset - t_ee)
+    assert_allclose(base_point_in_ee_frame(chain, q, offset), expected, rtol=0, atol=1e-12)
 
 
 def _fresh(points):

@@ -70,6 +70,13 @@ def test_config_rejects_a_non_finite_or_non_positive_fps_or_duration(name, value
         ScenarioConfig(seed=1, **{name: value})
 
 
+def test_config_rejects_a_negative_seed():
+    # numpy's own error for a negative seed names neither the seed nor its value.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got seed=-1"):
+        ScenarioConfig(seed=-1)
+    assert ScenarioConfig(seed=0).seed == 0
+
+
 def test_config_takes_from_one_to_a_million_frames():
     assert ScenarioConfig(seed=1, fps=1.0, duration=0.6).n_frames == 1
     assert ScenarioConfig(seed=1, fps=1000.0, duration=1000.0).n_frames == 10**6

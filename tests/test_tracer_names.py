@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from helpers import synth_scene
-from refcal import calibration, pnp
+from refcal import calibration, fileio, pnp
 from refcal.calibration import Mode
 from refcal.geometry import CameraIntrinsics
 from refcal.simulation import ScenarioConfig, run_noise_sweep
@@ -74,3 +74,14 @@ def test_noise_sweep_stays_stacked_and_traced(panda_base, monkeypatch):
     assert [cell.n_fail for cell in sweep.cells] == [0, 0, 0]
     assert len(calls["select_frames"]) == 2
     assert calls["solve_pnp"] == [6]
+
+
+def test_sweep_to_csv_reaches_the_traced_writer(panda, tmp_path, monkeypatch):
+    # The traced fileio.write_ms sees sweep files only through this module
+    # attribute; a name bound at import would leave it at 0.
+    written = []
+    monkeypatch.setattr(fileio, "write_sweep_csv", lambda sweep, path: written.append(path))
+    chain, ref = panda
+    sweep = run_noise_sweep(ScenarioConfig(seed=1, duration=2.0), chain, ref, [0.0], n_repeats=1)
+    sweep.to_csv(tmp_path / "noise.csv")
+    assert written == [tmp_path / "noise.csv"]
