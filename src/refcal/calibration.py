@@ -107,14 +107,8 @@ class CalibrationOptions:
 
 @dataclass(frozen=True)
 class CalibrationRequest:
-    """Everything one calibration needs.
-
-    ``points``, when given, holds the object point of every joint-log row,
-    shape (joints.n_frames, 3), as ``object_points(mode, chain, ref,
-    joints.positions)`` returns them; ``calibrate`` then uses them instead of
-    running forward kinematics.  A simulator that projected its track from
-    those points passes them; a capture from files leaves it None.
-    """
+    """Everything one calibration needs; the object points of the used
+    frames come from forward kinematics at their joint readings."""
 
     mode: Mode
     chain: KinematicChain
@@ -123,19 +117,6 @@ class CalibrationRequest:
     track: Track2D
     joints: JointLog
     options: CalibrationOptions = field(default_factory=CalibrationOptions)
-    points: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.points is None:
-            return
-        pts = freeze(self, "points")
-        if pts.shape != (self.joints.n_frames, 3):
-            raise ValueError(
-                f"points must have shape ({self.joints.n_frames}, 3), one per joint-log "
-                f"row, got {pts.shape}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
 
 
 @dataclass(frozen=True)
@@ -189,16 +170,12 @@ def object_points(
     """
     if mode is Mode.EYE_ON_BASE:
         return reference_point_in_base(chain, ref, q)
-    _check_base_reference(ref)
-    return base_point_in_ee_frame(chain, q, ref.offset)
-
-
-def _check_base_reference(ref: ReferencePoint) -> None:
     if ref.link_index != 0:
         raise ValueError(
             "eye-in-hand needs the reference point on the base link (link 0), "
             f"got link {ref.link_index}"
         )
+    return base_point_in_ee_frame(chain, q, ref.offset)
 
 
 def calibrate(req: CalibrationRequest) -> CalibrationResult:
@@ -218,12 +195,12 @@ def calibrate_each(members) -> list[CalibrationResult | CalibrationError]:
     it raises.  Other errors (an eye-in-hand request without a base
     reference point) are raised.
 
-    Frames are selected, and their object points looked up, once per
-    request and pattern of frame numbers and flags.  Every member with
-    usable frames then joins one ragged PnP stack per camera and loss (in
-    practice one stack): each member keeps its own pairs, every per-member
-    sum reads only that member's segment of the stack, and each member gets
-    exactly the pose it would get alone.
+    Frames are selected, and their object points carried by forward
+    kinematics, once per request and pattern of frame numbers and flags.
+    Every member with usable frames then joins one ragged PnP stack per
+    camera and loss (in practice one stack): each member keeps its own
+    pairs, every per-member sum reads only that member's segment of the
+    stack, and each member gets exactly the pose it would get alone.
     """
     members = list(members)
     results: list = [None] * len(members)
@@ -234,7 +211,9 @@ def calibrate_each(members) -> list[CalibrationResult | CalibrationError]:
         if key not in selected:
             try:
                 used, dropped = select_frames(track, req.joints, req.options)
-                selected[key] = (used, dropped, _pair_points(req, used))
+                rows = np.searchsorted(req.joints.frame_index, used)
+                points = object_points(req.mode, req.chain, req.ref, req.joints.positions[rows])
+                selected[key] = (used, dropped, points)
             except CalibrationError as exc:
                 selected[key] = exc
         if isinstance(selected[key], CalibrationError):
@@ -254,17 +233,6 @@ def calibrate_each(members) -> list[CalibrationResult | CalibrationError]:
             else:
                 results[i] = CalibrationResult(sol, n, drop)
     return results
-
-
-def _pair_points(req: CalibrationRequest, used: np.ndarray) -> np.ndarray:
-    """The object points (len(used), 3) of the used frames: the request's
-    given points, or forward kinematics at their joint readings."""
-    rows = np.searchsorted(req.joints.frame_index, used)
-    if req.points is None:
-        return object_points(req.mode, req.chain, req.ref, req.joints.positions[rows])
-    if req.mode is Mode.EYE_IN_HAND:
-        _check_base_reference(req.ref)
-    return req.points[rows]
 
 
 def solve_axxb(a_list, b_list) -> Pose:

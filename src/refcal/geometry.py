@@ -99,14 +99,6 @@ def orthonormalize(r: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
-    """compose() over stacks of rotations (N, 3, 3) and translations (N, 3),
-    either side possibly one transform for all N; each product rotation is
-    re-projected onto SO(3) on its own if it drifts past ORTHONORMAL_TOL."""
-    r = reproject_drifted(np.matmul(ra, rb))
-    return r, np.matmul(ra, np.asarray(tb)[..., None])[..., 0] + ta
-
-
 def reproject_drifted(r: np.ndarray) -> np.ndarray:
     """Re-project onto SO(3), in place, each rotation of a stack (..., 3, 3)
     whose Gram matrix r.T r is off the identity by more than ORTHONORMAL_TOL
@@ -130,11 +122,10 @@ def invert_stack(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compose(a: Pose, b: Pose) -> Pose:
-    """a . b: apply b first, then a."""
-    r, t = compose_stack(
-        a.rotation[None], a.translation[None], b.rotation[None], b.translation[None]
-    )
-    return Pose(r[0], t[0])
+    """a . b: apply b first, then a; the product rotation is re-projected
+    onto SO(3) if it drifts past ORTHONORMAL_TOL."""
+    r = reproject_drifted(a.rotation @ b.rotation)
+    return Pose(r, a.rotation @ b.translation + a.translation)
 
 
 def invert(p: Pose) -> Pose:

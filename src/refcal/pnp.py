@@ -154,20 +154,15 @@ def _per_pair(a: np.ndarray, pts: RaggedPoints) -> np.ndarray:
     return a if len(pts.counts) == 1 else np.repeat(a, pts.counts, axis=-1)
 
 
-def _runs(pts: RaggedPoints, idx=None):
-    """The runs of the members idx (ascending; all when None)."""
-    if idx is None or len(idx) == len(pts.counts):
-        return pts.runs
-    return _runs_of(idx, pts.starts.tolist(), pts.counts.tolist())
-
-
 def _segment_products(a: np.ndarray, pts: RaggedPoints, idx=None) -> np.ndarray:
     """Each member's a_j @ a_j.T (M, p, p), a_j being its own columns of the
-    per-pair rows a (p, N); members idx only, when given.  One BLAS product
-    of the member's block, batched over runs of adjacent members with equal
-    pair counts: a member's matrix depends on its own pairs alone."""
+    per-pair rows a (p, N); members idx (ascending) only, when given.  One
+    BLAS product of the member's block, batched over runs of adjacent
+    members with equal pair counts: a member's matrix depends on its own
+    pairs alone."""
+    runs = pts.runs if idx is None else _runs_of(idx, pts.starts.tolist(), pts.counts.tolist())
     products = []
-    for _, size, lo, n in _runs(pts, idx):
+    for _, size, lo, n in runs:
         block = a[:, lo : lo + size * n].reshape(len(a), size, n).swapaxes(0, 1)
         products.append(block @ block.swapaxes(1, 2))
     return products[0] if len(products) == 1 else np.concatenate(products)

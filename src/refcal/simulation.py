@@ -500,9 +500,8 @@ def _sweep(
     members, slots = [], []
     for scene, noise_seed in scenes:
         req = CalibrationRequest(
-            cfg.mode, chain, ref, cfg.camera, scene.clean_track, scene.joint_log, options,
-            scene.points,
-        )  # fmt: skip
+            cfg.mode, chain, ref, cfg.camera, scene.clean_track, scene.joint_log, options
+        )
         track_at = observe(scene, noise_seed)
         for p, param in enumerate(params):
             try:

@@ -213,47 +213,6 @@ def test_eye_in_hand_requires_base_reference(panda):
         calibrate(req)
 
 
-@pytest.mark.parametrize(
-    "mode, seed", [(Mode.EYE_ON_BASE, 45), (Mode.EYE_IN_HAND, 46)], ids=["eob", "eih"]
-)
-def test_given_points_give_the_same_pose(panda, panda_base, mode, seed):
-    chain, ref = panda if mode is Mode.EYE_ON_BASE else panda_base
-    scene = generate_scene(ScenarioConfig(seed=seed, mode=mode), chain, ref)
-    noisy = corrupt_track(scene.clean_track, NoiseModel(sigma=2.0), seed=seed)
-    req = _request(scene, mode, track=noisy, min_pairs=4)
-    from_fk = calibrate(req)
-    given_points = calibrate(replace(req, points=scene.points))
-    assert np.array_equal(given_points.pose.rotation, from_fk.pose.rotation)
-    assert np.array_equal(given_points.pose.translation, from_fk.pose.translation)
-    assert given_points.dropped == from_fk.dropped
-
-
-def test_request_rejects_bad_points(panda):
-    chain, ref = panda
-    scene = generate_scene(ScenarioConfig(seed=47), chain, ref)
-    req = _request(scene, Mode.EYE_ON_BASE)
-    n = scene.joint_log.n_frames
-    for shape in ((n - 1, 3), (n, 2), (3 * n,)):
-        with pytest.raises(ValueError, match="shape"):
-            replace(req, points=np.zeros(shape))
-    points = np.array(scene.points)
-    points[5, 1] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        replace(req, points=points)
-
-
-def test_request_points_are_a_read_only_copy(panda):
-    chain, ref = panda
-    scene = generate_scene(ScenarioConfig(seed=47), chain, ref)
-    points = np.array(scene.points, order="F")
-    req = replace(_request(scene, Mode.EYE_ON_BASE), points=points)
-    points[0, 0] += 1.0
-    assert np.array_equal(req.points, scene.points)
-    assert req.points.flags.c_contiguous and not req.points.flags.writeable
-    with pytest.raises(ValueError):
-        req.points[0, 0] = 0.0
-
-
 def test_calibration_deterministic(panda):
     chain, ref = panda
     scene = generate_scene(ScenarioConfig(seed=45), chain, ref)

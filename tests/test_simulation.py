@@ -391,7 +391,7 @@ def test_noise_sweep_matches_a_calibrate_per_request(panda, panda_base):
                 track = corrupt_track(scene.clean_track, NoiseModel(sigma=sigma), noise_seed)
                 req = CalibrationRequest(
                     cfg.mode, chain, ref, cfg.camera, track, scene.joint_log,
-                    CalibrationOptions(min_pairs=4), scene.points,
+                    CalibrationOptions(min_pairs=4),
                 )  # fmt: skip
                 try:
                     errors.append(evaluate(calibrate(req).pose, scene.t_gt))
@@ -426,7 +426,7 @@ def test_frames_sweep_matches_a_calibrate_per_request(panda, panda_base):
                     track = noisy.subset(usable[picked])
                     req = CalibrationRequest(
                         mode, chain, ref, cfg.camera, track, scene.joint_log,
-                        CalibrationOptions(min_pairs=4), scene.points,
+                        CalibrationOptions(min_pairs=4),
                     )  # fmt: skip
                     errors.append(evaluate(calibrate(req).pose, scene.t_gt))
                 except CalibrationError:

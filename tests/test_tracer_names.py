@@ -58,9 +58,11 @@ def test_solve_pnp_reaches_the_traced_pnp_names(monkeypatch):
 def test_noise_sweep_stays_stacked_and_traced(panda_base, monkeypatch):
     # The traced calibration.select_ms and pnp.solve_ms see the sweep only
     # through these module attributes.  A scene's noise levels keep its
-    # frame flags, so they select frames once per scene, and every scene and
-    # noise level of the sweep is one member of one ragged stack.
-    calls = {"select_frames": [], "solve_pnp": []}
+    # frame flags, so they select frames, and carry the base point into the
+    # end-effector frame, once per scene (and generating a scene carries it
+    # once more); every scene and noise level of the sweep is one member of
+    # one ragged stack.
+    calls = {"select_frames": [], "solve_pnp": [], "base_point_in_ee_frame": []}
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(calibration, name), **kwargs):
@@ -74,6 +76,7 @@ def test_noise_sweep_stays_stacked_and_traced(panda_base, monkeypatch):
     assert [cell.n_fail for cell in sweep.cells] == [0, 0, 0]
     assert len(calls["select_frames"]) == 2
     assert calls["solve_pnp"] == [6]
+    assert len(calls["base_point_in_ee_frame"]) == 4
 
 
 def test_sweep_to_csv_reaches_the_traced_writer(panda, tmp_path, monkeypatch):
