@@ -12,10 +12,9 @@ Every stage runs on a ragged stack: M members, each with its own points,
 pixels and pair count, laid end to end in structure-of-arrays form
 (``RaggedPoints``: x, y, z rows (3, N); pixels as u, v rows (2, N)).  Every
 pair counts once.  Member j owns the columns starts[j]:starts[j] + counts[j],
-and every reduction over a member's pairs reads that segment alone: sums
-run through ``np.add.reduceat`` over it, and Gram matrices and rotations
-through one BLAS product of the member's own columns (batched over runs of
-adjacent members with equal pair counts, on C-ordered operands).  So a
+its segment, and every reduction over a member's pairs reads that segment
+alone: sums run through ``np.add.reduceat`` over it, and Gram matrices and
+rotations through one BLAS product of the member's own columns.  So a
 member's result is bit for bit the one it gets in a stack of one, whatever
 else the stack holds.  A single problem is solved as a stack of one.
 
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -106,40 +104,30 @@ class PoseStack(NamedTuple):
 class RaggedPoints(NamedTuple):
     """The object points of a ragged stack of M validated members, end to
     end: x, y, z rows (3, N), each member's first column and pair count
-    (M,), each member's DegeneracyReport, and the maximal runs (first
-    member, members, first column, pair count) of adjacent members with
-    equal pair counts.  ``refine_pose`` and ``linearize_reprojection`` take
-    it in place of (n, 3) points, with the pixels as u, v rows (2, N);
+    (M,), each member's DegeneracyReport, and each member's column slice
+    (its segment).  ``refine_pose`` and ``linearize_reprojection`` take it
+    in place of (n, 3) points, with the pixels as u, v rows (2, N);
     ``ragged_points`` builds it."""
 
     xyz: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
     reports: tuple
-    runs: tuple
+    segments: tuple
 
 
 def ragged_points(xyz: np.ndarray, counts, reports) -> RaggedPoints:
     """The RaggedPoints of M members with points as x, y, z rows (3, N),
-    end to end, with pair counts (M,) and DegeneracyReports."""
-    counts = [int(n) for n in counts]
-    starts = list(itertools.accumulate(counts, initial=0))[:-1]
-    runs = tuple(_runs_of(range(len(counts)), starts, counts))
-    return RaggedPoints(
-        xyz, np.array(starts, dtype=np.intp), np.array(counts, dtype=np.intp), tuple(reports), runs
-    )
-
-
-def _runs_of(members, starts: list, counts: list) -> list:
-    """The maximal runs (first member, members, first column, pair count)
-    of the members (ascending) that are adjacent and have equal counts."""
-    runs: list = []
-    for j in members:
-        if runs and j == runs[-1][0] + runs[-1][1] and counts[j] == runs[-1][3]:
-            runs[-1][1] += 1
-        else:
-            runs.append([j, 1, starts[j], counts[j]])
-    return runs
+    end to end, with pair counts (M,) and DegeneracyReports.  Raises
+    ValueError unless the counts sum to N."""
+    counts = np.array(counts, dtype=np.intp)
+    if counts.sum() != xyz.shape[1]:
+        raise ValueError(
+            f"the pair counts sum to {counts.sum()}, but the stack has {xyz.shape[1]} columns"
+        )
+    starts = np.cumsum(counts) - counts
+    segments = tuple(slice(lo, lo + n) for lo, n in zip(starts.tolist(), counts.tolist()))
+    return RaggedPoints(xyz, starts, counts, tuple(reports), segments)
 
 
 def _segment_sums(a: np.ndarray, pts: RaggedPoints) -> np.ndarray:
@@ -156,27 +144,17 @@ def _per_pair(a: np.ndarray, pts: RaggedPoints) -> np.ndarray:
 
 def _segment_products(a: np.ndarray, pts: RaggedPoints, idx=None) -> np.ndarray:
     """Each member's a_j @ a_j.T (M, p, p), a_j being its own columns of the
-    per-pair rows a (p, N); members idx (ascending) only, when given.  One
-    BLAS product of the member's block, batched over runs of adjacent
-    members with equal pair counts: a member's matrix depends on its own
-    pairs alone."""
-    runs = pts.runs if idx is None else _runs_of(idx, pts.starts.tolist(), pts.counts.tolist())
-    products = []
-    for _, size, lo, n in runs:
-        block = a[:, lo : lo + size * n].reshape(len(a), size, n).swapaxes(0, 1)
-        products.append(block @ block.swapaxes(1, 2))
-    return products[0] if len(products) == 1 else np.concatenate(products)
+    per-pair rows a (p, N); members idx only, when given.  One BLAS product
+    per member's own columns: a member's matrix depends on its own pairs
+    alone."""
+    segments = pts.segments if idx is None else [pts.segments[j] for j in idx]
+    return np.array([a[:, s] @ a[:, s].T for s in segments])
 
 
 def _apply_each(mats: np.ndarray, cols: np.ndarray, pts: RaggedPoints) -> np.ndarray:
-    """Each member's matrix (..., M, r, 3) times its own columns of cols
-    (3, N), as (..., r, N): one BLAS product per member, batched over runs
-    of adjacent members with equal pair counts."""
-    products = []
-    for j0, size, lo, n in pts.runs:
-        block = cols[:, lo : lo + size * n].reshape(3, size, n).swapaxes(0, 1)
-        prod = mats[..., j0 : j0 + size, :, :] @ block  # (..., size, r, n)
-        products.append(prod.swapaxes(-3, -2).reshape(*prod.shape[:-3], prod.shape[-2], -1))
+    """Each member's matrix (..., M, r, k) times its own columns of cols
+    (k, N), as (..., r, N): one BLAS product per member's own columns."""
+    products = [mats[..., j, :, :] @ cols[:, s] for j, s in enumerate(pts.segments)]
     return products[0] if len(products) == 1 else np.concatenate(products, axis=-1)
 
 
@@ -376,13 +354,11 @@ def _sqp_candidates(
     costs = ((r @ omega) * r).sum(axis=-1)
     t = r @ np.ascontiguousarray(p.swapaxes(1, 2))  # (M, 18, 3), principal frame
     # Each candidate's depth row [R_z, t_z] on the homogeneous points, counted
-    # in front per member, one product per run of equal pair counts.
+    # in front per member.
     depth_rows = np.concatenate([rot[..., 2, :], t[..., 2:]], axis=-1)  # (M, 18, 4)
-    n_front = []
-    for j0, size, lo, n in pts.runs:
-        block = hom[:, lo : lo + size * n].reshape(4, size, n).swapaxes(0, 1)
-        n_front.append(np.count_nonzero(depth_rows[j0 : j0 + size] @ block > MIN_DEPTH, axis=-1))
-    costs = np.where(2 * np.concatenate(n_front) < pts.counts[:, None], math.inf, costs)
+    front = _apply_each(depth_rows, hom, pts) > MIN_DEPTH  # (18, N)
+    n_front = np.add.reduceat(front, pts.starts, axis=-1, dtype=np.intp)  # (18, M)
+    costs = np.where(2 * n_front.T < pts.counts[:, None], math.inf, costs)
     # Back to the object frame: R p = R A^T (x - c0) for the axes A.
     rot = rot @ axes.swapaxes(1, 2)[:, None]
     t -= (rot @ np.ascontiguousarray(c0.T)[:, None, :, None])[..., 0]
@@ -702,22 +678,21 @@ def solve_pnp(pts3, pix, k: CameraIntrinsics, *, robust: bool = False):
 
     Takes (n, 3) object points and (n, 2) pixels, every pair counting once.
     Levenberg-Marquardt refines the linear stage's cheapest SQPnP candidate;
-    it takes no other start.  A refined
-    pose that leaves any point behind the camera is a DivergedBehindCamera,
-    and one whose median reprojection error passes WILD_FIT_SHARE of the
-    image diagonal a NumericalFailure: never a solution.
+    it takes no other start.  A refined pose that leaves any point behind
+    the camera is a DivergedBehindCamera, and one whose median reprojection
+    error passes WILD_FIT_SHARE of the image diagonal a NumericalFailure:
+    never a solution.
 
     A ragged stack is a list (or tuple) of M point sets (n_i, 3), with a
     list of M pixel sets (n_i, 2): each member has its own pairs, and the
-    result is a list with one
-    PnPSolution or CalibrationError per member, each exactly the outcome of
-    that member's solve alone.  Members given the same points array share
-    one degeneracy check.  The stack is solved in one pass, every member's
-    start refined as a member of one ``refine_pose`` stack; a stack whose
-    solve leaves the float range is re-solved member
-    by member, so the error lands on the members that fail alone.  Invalid
-    input (ValueError) still raises.  A single problem is solved as the
-    ragged stack of one.
+    result is a list with one PnPSolution or CalibrationError per member,
+    each exactly the outcome of that member's solve alone.  Members given
+    the same points array share one degeneracy check.  The stack is solved
+    in one pass, every member's start refined as a member of one
+    ``refine_pose`` stack; a stack whose solve leaves the float range is
+    re-solved member by member, so the error lands on the members that fail
+    alone.  Invalid input (ValueError) still raises.  A single problem is
+    solved as the ragged stack of one.
     """
     if isinstance(pts3, (list, tuple)) and (not pts3 or np.ndim(pts3[0]) == 2):
         return _solve_ragged(pts3, pix, k, robust)

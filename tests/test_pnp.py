@@ -669,6 +669,36 @@ def test_cost_counts_a_nan_depth_as_behind():
     assert pnp._cost(sq, np.full((1, 4), np.nan), admitted, False, pts)[0, 0] == math.inf
 
 
+@pytest.mark.parametrize("counts", [[14], [6], [4, 4]])
+def test_ragged_points_counts_must_cover_the_columns(counts):
+    with pytest.raises(ValueError, match=f"sum to {sum(counts)}, but the stack has 10 columns"):
+        ragged_points(np.zeros((3, 10)), counts, [None] * len(counts))
+
+
+def test_each_member_product_is_its_product_alone():
+    # Adjacent equal counts, unequal counts, and subsets of non-adjacent
+    # members: each member's Gram matrix and applied matrix are bit for bit
+    # those of its stack of one, over a contiguous copy of its columns.
+    rng = np.random.default_rng(5)
+    counts = [5, 5, 7, 5, 9, 9]
+    pts = ragged_points(rng.normal(size=(3, sum(counts))), counts, [None] * len(counts))
+    rows = rng.normal(size=(14, sum(counts)))
+    depth_rows = rng.normal(size=(len(counts), 18, 4))
+    rotations = rng.normal(size=(2, len(counts), 3, 3))
+    alone = [pnp._member(pts, rows, j) for j in range(len(counts))]
+    gram = pnp._segment_products(rows, pts)
+    for idx in ([0, 2, 5], [1, 3], [4]):
+        assert np.array_equal(pnp._segment_products(rows, pts, idx), gram[idx])
+    depth = pnp._apply_each(depth_rows, rows[:4], pts)
+    rotated = pnp._apply_each(rotations, pts.xyz, pts)
+    for j, ((one, one_rows), cols) in enumerate(zip(alone, pts.segments)):
+        assert np.array_equal(gram[j], pnp._segment_products(one_rows, one)[0])
+        one_depth = pnp._apply_each(depth_rows[j : j + 1], one_rows[:4], one)
+        assert np.array_equal(depth[:, cols], one_depth)
+        one_rotated = pnp._apply_each(rotations[:, j : j + 1], one.xyz, one)
+        assert np.array_equal(rotated[..., cols], one_rotated)
+
+
 def test_stacked_refinement_reports_a_diverged_member_alone():
     rng = np.random.default_rng(199)
     t_gt, pts, pix = synth_scene(rng, 20, K)
