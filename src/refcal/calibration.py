@@ -17,7 +17,6 @@ reintroduce exactly the asynchrony the sync mechanism removes.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
 
@@ -47,7 +46,8 @@ MISSING_JOINT = "missing_joint"
 
 @dataclass(frozen=True)
 class Track2D:
-    """Per-frame tracked pixel positions with visibility and sync flags.
+    """Per-frame tracked pixel positions (n_frames, 2) with visibility and
+    sync flags; transposed or flat pixels raise ValueError.
 
     Pixels may lie outside the image (trackers report out-of-frame
     estimates); they must be finite wherever the point is flagged visible.
@@ -74,20 +74,6 @@ class Track2D:
     def n_frames(self) -> int:
         return len(self.frame_index)
 
-    def with_pixels(self, uv) -> "Track2D":
-        """This track with other pixels (n_frames, 2).  The frame numbers
-        and flags are this track's own read-only arrays, shared rather than
-        copied and checked again; the pixels must still be finite wherever
-        the point is flagged visible."""
-        track = copy.copy(self)
-        object.__setattr__(track, "uv", uv)
-        uv = freeze(track, "uv")
-        if uv.shape != self.uv.shape:
-            raise ValueError(f"expected pixels of shape {self.uv.shape}, got {uv.shape}")
-        if not np.isfinite(uv[self.visible]).all():
-            raise ValueError("visible frames must carry finite pixel coordinates")
-        return track
-
     def subset(self, frame_numbers) -> "Track2D":
         """Restrict to the given frame numbers (order preserved)."""
         mask = np.isin(self.frame_index, np.asarray(frame_numbers, dtype=np.int64))
@@ -101,8 +87,9 @@ class CalibrationOptions:
     robust: bool = False
 
     def __post_init__(self):
-        if self.min_pairs < 4:
-            raise ValueError(f"min_pairs must be at least 4, got {self.min_pairs}")
+        n = self.min_pairs
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 4:
+            raise ValueError(f"min_pairs must be at least 4, got {n}")
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,12 @@ MIN_DEPTH = 1e-9
 
 def freeze(obj, name: str, dtype=float, shape=None, ndmin: int = 0) -> np.ndarray:
     """Set a frozen dataclass's field to a read-only C-order copy (equal values,
-    equal bits in BLAS products) of dtype, ndmin dimensions and shape."""
+    equal bits in BLAS products) of dtype, ndmin dimensions and shape; an
+    array whose trailing dimensions differ from a multi-dimensional shape's
+    raises ValueError instead of being reshaped."""
     a = np.array(getattr(obj, name), dtype=dtype, order="C", ndmin=ndmin)
+    if isinstance(shape, tuple) and a.shape[1:] != shape[1:]:
+        raise ValueError(f"{name} must have shape {str(shape).replace('-1', 'n')}, got {a.shape}")
     if shape is not None:
         a = a.reshape(shape)
     a.setflags(write=False)
@@ -268,10 +272,13 @@ def project(k: CameraIntrinsics, p_cam: np.ndarray) -> np.ndarray:
 
 
 def unproject(k: CameraIntrinsics, pixel: np.ndarray, depth: float) -> np.ndarray:
-    """Camera-frame point for a pixel at a given positive depth."""
-    if depth <= MIN_DEPTH:
-        raise NonPositiveDepth(f"depth must exceed {MIN_DEPTH}, got {depth}")
+    """Camera-frame point for a pixel at a depth; raises NonPositiveDepth
+    unless MIN_DEPTH < depth < inf, and ValueError for a non-finite pixel."""
+    if not MIN_DEPTH < depth < math.inf:  # NaN fails too, as in project
+        raise NonPositiveDepth(f"depth must be finite and exceed {MIN_DEPTH}, got {depth}")
     u, v = np.asarray(pixel, dtype=float)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"pixel must be finite, got ({u}, {v})")
     return np.array([(u - k.cx) * depth / k.fx, (v - k.cy) * depth / k.fy, depth])
 
 

@@ -25,7 +25,6 @@ camera frame, so ``project(k, apply(pose, p3))`` reproduces the pixel.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -411,23 +410,12 @@ def _project(
     depth = pc[..., 2, :]
     front = depth > MIN_DEPTH
     xy = pc[..., :2, :] / np.where(front, depth, 1.0)[..., None, :]
-    focal, centre = _camera(k)
-    resid = xy * focal + centre - pix
+    resid = xy * np.array([[k.fx], [k.fy]]) + np.array([[k.cx], [k.cy]]) - pix
     np.copyto(resid, 0.0, where=~front[..., None, :])
     return resid, depth, front, xy, rotated
 
 
 _EYE2 = np.eye(2)[:, :, None]
-
-
-@functools.lru_cache(maxsize=16)
-def _camera(k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """The focal lengths and the principal point of k as read-only columns
-    (2, 1)."""
-    focal, centre = np.array([[k.fx], [k.fy]]), np.array([[k.cx], [k.cy]])
-    focal.setflags(write=False)
-    centre.setflags(write=False)
-    return focal, centre
 
 
 def _linearize(pose, pts: RaggedPoints, pix: np.ndarray, k: CameraIntrinsics) -> tuple:
@@ -444,7 +432,7 @@ def _linearize(pose, pts: RaggedPoints, pix: np.ndarray, k: CameraIntrinsics) ->
     jac[1, 2] = qx
     jac[:, 3:5] = _EYE2
     np.negative(xy, out=jac[:, 5])
-    jac *= (_camera(k)[0] / np.where(front, z, math.inf))[:, None]
+    jac *= (np.array([[k.fx], [k.fy]]) / np.where(front, z, math.inf))[:, None]
     return resid, jac, z
 
 

@@ -116,8 +116,9 @@ class ScenarioConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got seed={self.seed}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got seed={seed}")
         for name, value in (("fps", self.fps), ("duration", self.duration)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {name}={value}")
@@ -410,7 +411,7 @@ def _offset(track: Track2D, sigma: float, unit: np.ndarray) -> Track2D:
     if not np.isfinite(noisy).all():
         raise ValueError(f"sigma={sigma} takes noisy pixels past the float range")
     uv[vis] = noisy
-    return track.with_pixels(uv)
+    return Track2D(track.frame_index, uv, track.visible, track.sync)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,17 @@ def _log(n, n_joints=1):
         ([0, 2, 1], np.zeros((3, 2)), "strictly increasing"),
         ([0, 1, 2], [[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]], "finite pixel"),
         ([0, 1, 2], [[0.0, 0.0], [0.0, np.inf], [0.0, 0.0]], "finite pixel"),
+        # Transposed (2, n) and flat (2n,) pixels were reshaped to (n, 2) and
+        # read across frames: transposed, frame 0 of [[1, 2, 3], [4, 5, 6]]
+        # read (1, 2), not (1, 4).
+        ([0, 1, 2], np.arange(1.0, 7.0).reshape(2, 3), r"uv must have shape \(n, 2\), got \(2, 3"),
+        ([0, 1, 2], np.arange(6.0), r"uv must have shape \(n, 2\), got \(6,\)"),
+        ([0, 1, 2], np.zeros((3, 3)), r"uv must have shape \(n, 2\), got \(3, 3\)"),
     ],
-    ids=["unequal_lengths", "repeated_frame", "decreasing_frame", "nan_pixel", "inf_pixel"],
+    ids=[
+        "unequal_lengths", "repeated_frame", "decreasing_frame", "nan_pixel", "inf_pixel",
+        "transposed_pixels", "flat_pixels", "three_column_pixels",
+    ],  # fmt: skip
 )
 def test_track_rejects_broken_invariants(frames, uv, match):
     frames, uv = np.array(frames), np.array(uv, dtype=float)
@@ -163,6 +172,15 @@ def test_select_frames_matches_per_frame_loop(data):
 def test_min_pairs_floor():
     with pytest.raises(ValueError):
         CalibrationOptions(min_pairs=3)
+
+
+@pytest.mark.parametrize("min_pairs", [math.nan, 10.0, 4.5, math.inf, True, "10"])
+def test_min_pairs_must_be_an_integer(min_pairs):
+    # A NaN min_pairs passed the floor and switched the pair-count guard off:
+    # a track with no usable frame raised EmptyInput instead of TooFewPairs.
+    with pytest.raises(ValueError, match="min_pairs must be at least 4"):
+        CalibrationOptions(min_pairs=min_pairs)
+    assert CalibrationOptions(min_pairs=np.int64(4)).min_pairs == 4
 
 
 # -------------------------------------------------------------- pipelines ---

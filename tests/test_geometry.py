@@ -143,6 +143,23 @@ def test_project_rejects_nonpositive_depth():
             unproject(K, (960.0, 540.0), depth)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unproject_rejects_non_finite_input():
+    # A NaN depth passed the depth test and gave a NaN point, an infinite one
+    # at the principal point warned of 0 * inf, and a NaN pixel gave NaN.
+    for depth in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveDepth):
+            unproject(K, (960.0, 540.0), depth)
+    for pixel in ((math.nan, 540.0), (960.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="pixel must be finite"):
+            unproject(K, pixel, 2.0)
+
+
+def test_pose_rejects_a_flat_rotation():
+    with pytest.raises(ValueError, match=r"rotation must have shape \(3, 3\), got \(9,\)"):
+        Pose(np.eye(3).ravel(), np.zeros(3))
+
+
 def test_project_unproject_roundtrip():
     rng = np.random.default_rng(23)
     for _ in range(100):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_pose, reprojection_rms, synth_scene
@@ -460,6 +462,43 @@ def test_solve_pnp_roundtrip_property():
         assert np.max(np.abs(sol.pose.translation - t_gt.translation)) < 1e-6
         assert rotation_error(sol.pose, t_gt) < 1e-7
         assert sol.condition_report.classification in (WELL_CONDITIONED, NEAR_PLANAR)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(4, 40),
+    planar=st.integers(0, 3).map(lambda i: i == 0),  # a quarter of the problems
+    sigma=st.sampled_from([0.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_pnp_ignores_the_pair_order(n, planar, sigma, seed):
+    # Permuting the pairs changes only the rounding of the solve's sums, so
+    # both solves end in the same error class, or on the same minimum of the
+    # cost C (the sum of squared pixel residuals).  Refinement stops when a
+    # step moves C by less than FN_TOL relative, or at C <= 1e-16 per pair,
+    # and near a minimum a Gauss-Newton step takes out nearly all of the
+    # excess cost; so each stop lies within e = max(FN_TOL C, 1e-16 n) of it,
+    # |J d|^2 <= e for its offset d from the minimum.  The two poses then
+    # reproject the points within |J (d1 - d2)| <= 2 sqrt(e) of each other,
+    # an rms over the n pairs of 2 max(sqrt(FN_TOL) rms, 1e-8) px.
+    rng = np.random.default_rng(seed)
+    _, pts, pix = synth_scene(rng, n, K, planar=planar)
+    pix = pix + rng.normal(0.0, sigma, pix.shape)
+    order = rng.permutation(n)
+    outcomes = []
+    for p3, p2 in ((pts, pix), (pts[order], pix[order])):
+        try:
+            outcomes.append(solve_pnp(p3, p2, K))
+        except CalibrationError as exc:
+            outcomes.append(exc)
+    first, permuted = outcomes
+    assert type(first) is type(permuted)
+    if isinstance(first, CalibrationError):
+        return
+    moved = project(K, apply(first.pose, pts)) - project(K, apply(permuted.pose, pts))
+    rms_moved = math.sqrt(np.mean(np.square(moved)) * 2)
+    tol = 2 * max(math.sqrt(pnp.FN_TOL) * first.rms_reprojection_error, 1e-8)
+    assert rms_moved <= tol
 
 
 def test_solve_pnp_three_points_degenerate():

@@ -77,6 +77,15 @@ def test_config_rejects_a_negative_seed():
     assert ScenarioConfig(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("seed", [1.9, 1.0, math.inf, math.nan, True, "1"])
+def test_config_rejects_a_seed_that_is_not_an_integer(seed):
+    # seed=1.9 ran seed 1 (the substreams truncate) while the sweep metadata
+    # recorded 1.9 and its own config digest; an infinite seed overflowed.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got seed="):
+        ScenarioConfig(seed=seed)
+    assert ScenarioConfig(seed=np.int64(7)).seed == 7
+
+
 def test_config_takes_from_one_to_a_million_frames():
     assert ScenarioConfig(seed=1, fps=1.0, duration=0.6).n_frames == 1
     assert ScenarioConfig(seed=1, fps=1000.0, duration=1000.0).n_frames == 10**6
@@ -437,9 +446,10 @@ def test_frames_sweep_matches_a_calibrate_per_request(panda, panda_base):
         assert all(len(cell.errors) == 3 for cell in sweep.cells[1:3])
 
 
-def test_noise_sweep_tracks_share_the_clean_flags(panda_base, monkeypatch):
-    # A noise level's track shares its scene's frame numbers and flags,
-    # copied and checked once; the pixels still get the finite check.
+def test_noise_sweep_tracks_keep_the_clean_flags(panda_base, monkeypatch):
+    # A noise level's track is built by the Track2D constructor from its
+    # scene's frame numbers and flags, with read-only noisy pixels; the
+    # constructor checks the pixels' shape and that they are finite.
     import refcal.simulation
 
     chain, ref = panda_base
@@ -457,15 +467,15 @@ def test_noise_sweep_tracks_share_the_clean_flags(panda_base, monkeypatch):
     assert len(seen) == 4
     for req, track in seen:
         for name in ("frame_index", "visible", "sync"):
-            assert getattr(track, name) is getattr(req.track, name)
+            assert np.array_equal(getattr(track, name), getattr(req.track, name))
         assert track.uv is not req.track.uv and not track.uv.flags.writeable
     clean = seen[0][0].track
     with pytest.raises(ValueError, match=r"sigma=1e\+308"):  # and no overflow warning
         corrupt_track(clean, NoiseModel(sigma=1e308), seed=1)
     with pytest.raises(ValueError, match="finite pixel"):
-        clean.with_pixels(np.where(clean.visible[:, None], np.inf, clean.uv))
-    with pytest.raises(ValueError):
-        clean.with_pixels(clean.uv.T)
+        replace(clean, uv=np.where(clean.visible[:, None], np.inf, clean.uv))
+    with pytest.raises(ValueError, match=r"uv must have shape \(n, 2\)"):
+        replace(clean, uv=clean.uv.T)
 
 
 def test_noise_sweep_tracks_equal_corrupt_track(panda_base, monkeypatch):
