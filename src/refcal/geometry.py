@@ -72,6 +72,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        for name, size in (("width", self.width), ("height", self.height)):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise ValueError(f"focal lengths must be finite and positive, got {self.fx}, {self.fy}")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):  # hence finite

@@ -180,12 +180,6 @@ def _one_pose(pose) -> PoseStack:
     return PoseStack(np.reshape(pose.rotation, (1, 3, 3)), np.reshape(pose.translation, (1, 3)))
 
 
-def _member(pts: RaggedPoints, pix: np.ndarray, j: int) -> tuple:
-    """The stack of one of member j, with its pixel rows."""
-    cols = np.arange(pts.starts[j], pts.starts[j] + pts.counts[j])
-    return ragged_points(pts.xyz[:, cols], [len(cols)], [pts.reports[j]]), pix[:, cols]
-
-
 def check_degeneracy(points: np.ndarray) -> DegeneracyReport:
     """Classify the spatial spread of a 3D point set.
 
@@ -394,33 +388,23 @@ def retract(pose, delta):
     return PoseStack(rotation, translation)
 
 
-def _project(
-    rot: np.ndarray, trans: np.ndarray, pts: RaggedPoints, pix: np.ndarray, k: CameraIntrinsics
-) -> tuple[np.ndarray, ...]:
-    """Residual rows (..., 2, N) of the poses (..., M, 3, 3), (..., M, 3) of
-    the members over their pairs, zero for points at or behind the camera
-    plane, with the depths (..., N), whether each point is in front, the
-    normalized image coordinates (..., 2, N) (x, y as if at depth 1 where
-    behind) and the rotated points (..., 3, N).  Not ``geometry.pixels``:
-    the Jacobian reuses these x / z, and this (x / z) * f rounds differently
-    from its f * x / z, which would move nearly every refined pose in its
-    last digits."""
-    rotated = _apply_each(rot, pts.xyz, pts)
-    pc = rotated + _per_pair(trans.swapaxes(-1, -2), pts)
-    depth = pc[..., 2, :]
-    front = depth > MIN_DEPTH
-    xy = pc[..., :2, :] / np.where(front, depth, 1.0)[..., None, :]
-    resid = xy * np.array([[k.fx], [k.fy]]) + np.array([[k.cx], [k.cy]]) - pix
-    np.copyto(resid, 0.0, where=~front[..., None, :])
-    return resid, depth, front, xy, rotated
-
-
 _EYE2 = np.eye(2)[:, :, None]
 
 
 def _linearize(pose, pts: RaggedPoints, pix: np.ndarray, k: CameraIntrinsics) -> tuple:
     """``linearize_reprojection`` of a PoseStack over a ragged stack."""
-    resid, z, front, xy, (qx, qy, qz) = _project(pose.rotation, pose.translation, pts, pix, k)
+    q = _apply_each(pose.rotation, pts.xyz, pts)  # the rotated points (3, N)
+    pc = q + _per_pair(pose.translation.T, pts)
+    z = pc[2]
+    front = z > MIN_DEPTH
+    # x, y as if at depth 1 where behind.  Not ``geometry.pixels``: the
+    # Jacobian reuses these x / z, and this (x / z) * f rounds differently
+    # from its f * x / z, which would move nearly every refined pose in its
+    # last digits.
+    xy = pc[:2] / np.where(front, z, 1.0)
+    resid = xy * np.array([[k.fx], [k.fy]]) + np.array([[k.cx], [k.cy]]) - pix
+    np.copyto(resid, 0.0, where=~front)
+    qx, qy, qz = q
     # d(pixel)/d(increment) = diag(f / z) [[1, 0, -x], [0, 1, -y]] [-[q]x | I] with
     # q the rotated point, in closed form; zero (f / inf) at or behind the camera.
     jac = np.empty((2, 6, len(z)))  # pixel axis, increment component, pair
@@ -714,34 +698,26 @@ def _solve_ragged(pts3, pix, k: CameraIntrinsics, robust: bool) -> list:
         kept.append(i)
         members.append((points, pixels, report))
     if kept:
-        for i, outcome in zip(kept, _solve_isolated(*_stacked(members), k, robust)):
+        for i, outcome in zip(kept, _solve_members(members, k, robust)):
             outcomes[i] = outcome
     return outcomes
 
 
-def _solve_isolated(pts: RaggedPoints, pix, k: CameraIntrinsics, robust: bool) -> list:
-    """The outcomes of a stack's solve; a NumericalFailure that the stack
+def _solve_members(members: list, k: CameraIntrinsics, robust: bool) -> list:
+    """One PnPSolution or CalibrationError per checked member (points,
+    pixels, report), solved as one stack.  A NumericalFailure that the stack
     raises as a whole is pinned, by solving each member alone, on the
     members that raise it alone."""
+    pts, pix = _stacked(members)
     try:
-        return _solve_stack(pts, pix, k, robust)
+        with _in_float_range():
+            r, t, costs = _sqp_candidates(pts, pix, k)
+            best = np.arange(len(costs)), np.argmin(costs, axis=-1)  # the first on a tie
+            refined = refine_pose(PoseStack(r[best], t[best]), pts, pix, k, robust=robust)
     except NumericalFailure as exc:
-        if len(pts.counts) == 1:
+        if len(members) == 1:
             return [exc]
-        return [
-            outcome
-            for j in range(len(pts.counts))
-            for outcome in _solve_isolated(*_member(pts, pix, j), k, robust)
-        ]
-
-
-def _solve_stack(pts: RaggedPoints, pix, k: CameraIntrinsics, robust: bool) -> list:
-    """One PnPSolution or CalibrationError per member of a checked stack of at
-    least one; a step that leaves the float range raises NumericalFailure."""
-    with _in_float_range():
-        r, t, costs = _sqp_candidates(pts, pix, k)
-        best = np.arange(len(costs)), np.argmin(costs, axis=-1)  # the first on a tie
-        refined = refine_pose(PoseStack(r[best], t[best]), pts, pix, k, robust=robust)
+        return [outcome for member in members for outcome in _solve_members([member], k, robust)]
     found, wild = np.isfinite(costs[best]), WILD_FIT_SHARE * math.hypot(k.width, k.height)
     for j, sol in enumerate(refined):
         if not found[j]:

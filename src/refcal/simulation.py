@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -86,7 +87,8 @@ class NoiseModel:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:
+        real = isinstance(self.sigma, numbers.Real) and not isinstance(self.sigma, bool)
+        if not (real and 0 <= self.sigma < math.inf):
             raise ValueError(f"sigma must be finite and nonnegative, got sigma={self.sigma}")
 
 

@@ -255,6 +255,19 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=500.0, fy=500.0, cx=700.0, cy=240.0, width=640, height=480)
 
 
+@pytest.mark.parametrize("size", [1920.5, True, "1920", None])
+@pytest.mark.parametrize("name", ["width", "height"])
+def test_intrinsics_image_size_must_be_an_integer(name, size):
+    sizes = {"width": 1920, "height": 1080, name: size}
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {size!r}"):
+        CameraIntrinsics(1000.0, 1000.0, 0.5, 0.5, **sizes)
+
+
+def test_intrinsics_take_a_numpy_integer_image_size():
+    k = CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, np.int64(1920), np.int32(1080))
+    assert (k.width, k.height) == (1920, 1080)
+
+
 def test_apply_batch_matches_single():
     rng = np.random.default_rng(43)
     p = random_pose(rng)

@@ -724,7 +724,10 @@ def test_each_member_product_is_its_product_alone():
     rows = rng.normal(size=(14, sum(counts)))
     depth_rows = rng.normal(size=(len(counts), 18, 4))
     rotations = rng.normal(size=(2, len(counts), 3, 3))
-    alone = [pnp._member(pts, rows, j) for j in range(len(counts))]
+    alone = [
+        (ragged_points(pts.xyz[:, s].copy(), [n], [None]), rows[:, s].copy())
+        for s, n in zip(pts.segments, counts)
+    ]
     gram = pnp._segment_products(rows, pts)
     for idx in ([0, 2, 5], [1, 3], [4]):
         assert np.array_equal(pnp._segment_products(rows, pts, idx), gram[idx])
@@ -736,6 +739,40 @@ def test_each_member_product_is_its_product_alone():
         assert np.array_equal(depth[:, cols], one_depth)
         one_rotated = pnp._apply_each(rotations[:, j : j + 1], one.xyz, one)
         assert np.array_equal(rotated[..., cols], one_rotated)
+
+
+def test_a_member_whose_pixels_coincide_fails_alone():
+    # Eight well-spread points all seen at the principal point: every ray is
+    # exactly the optical axis, so the member's translation system m_tt has
+    # an exactly zero row and no solution.  The stack as a whole raises that
+    # NumericalFailure (not an overflow); it is re-solved member by member,
+    # and the other members keep the outcomes of their solves alone.
+    _, pts, pix = synth_scene(np.random.default_rng(7), 8, K)
+    assert check_degeneracy(pts).classification == WELL_CONDITIONED
+    one = np.full(pix.shape, (K.cx, K.cy))
+    with pytest.raises(NumericalFailure, match="object-space system has no solution") as alone:
+        solve_pnp(pts, one, K)
+    outcomes = solve_pnp([pts, pts, pts], [pix, one, pix + 0.5], K)
+    _assert_identical(outcomes[1], alone.value)
+    _assert_identical(outcomes[0], solve_pnp(pts, pix, K))
+    _assert_identical(outcomes[2], solve_pnp(pts, pix + 0.5, K))
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (3, 18, 3)], ids=["refine", "sqp"])
+def test_solve_each_gives_a_singular_system_a_zero_row(shape):
+    # The stacks of the LM steps (L, 6, 6) and of the SQPnP starts
+    # (M, 18, 3, 3), each with one system whose matrix has a zero row: that
+    # system's solution is zero, and every other one is its solve alone.
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(*shape, shape[-1])) + 4.0 * np.eye(shape[-1])
+    g = rng.normal(size=shape)
+    singular = (1,) * (len(shape) - 1)
+    h[singular][0] = 0.0
+    x = pnp._solve_each(h, g)
+    assert x.shape == g.shape
+    for i in np.ndindex(shape[:-1]):
+        expected = np.zeros(shape[-1]) if i == singular else np.linalg.solve(h[i], g[i])
+        assert np.array_equal(x[i], expected)
 
 
 def test_stacked_refinement_reports_a_diverged_member_alone():

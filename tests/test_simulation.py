@@ -580,6 +580,17 @@ def test_noise_model_rejects_a_negative_sigma():
         NoiseModel(sigma=-0.5)
 
 
+@pytest.mark.parametrize("sigma", [True, False, "2", None, 1 + 0j])
+def test_noise_model_takes_only_a_real_number(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        NoiseModel(sigma=sigma)
+
+
+def test_noise_model_takes_numpy_numbers():
+    assert NoiseModel(sigma=np.float32(1.5)).sigma == 1.5
+    assert NoiseModel(sigma=np.int64(2)).sigma == 2
+
+
 def test_noise_sweep_rejects_bad_sigma_before_making_scenes(panda, monkeypatch):
     import refcal.simulation
 
