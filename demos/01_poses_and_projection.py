@@ -8,11 +8,13 @@ import math
 import numpy as np
 
 from refcal import CameraIntrinsics, Pose, apply, compose, invert, project, unproject
-from refcal.geometry import rot_z, rotation_error, translation_error
+from refcal.geometry import rotation_about_axis, rotation_error, translation_error
+
+Z = (0.0, 0.0, 1.0)
 
 print("== rigid transforms ==")
-a = Pose(rot_z(math.pi / 2), (1.0, 0.0, 0.0))
-b = Pose(rot_z(math.pi / 2), (0.0, 0.0, 0.0))
+a = Pose(rotation_about_axis(Z, math.pi / 2), (1.0, 0.0, 0.0))
+b = Pose(rotation_about_axis(Z, math.pi / 2), (0.0, 0.0, 0.0))
 ab = compose(a, b)
 print("compose(Rz90@(1,0,0), Rz90) -> translation", ab.translation)
 print("a . a^-1 translation:", compose(a, invert(a)).translation)
@@ -30,6 +32,6 @@ print("unproject back:", unproject(k, uv, depth=2.0))
 
 print("\n== error metrics ==")
 gt = Pose(np.eye(3), (0.5, -0.2, 1.0))
-est = Pose(rot_z(0.01), gt.translation + (0.003, 0.0045, 0.006))
+est = Pose(rotation_about_axis(Z, 0.01), gt.translation + (0.003, 0.0045, 0.006))
 print("per-axis translation error (m):", translation_error(est, gt))
 print(f"geodesic rotation error: {rotation_error(est, gt):.4f} rad")

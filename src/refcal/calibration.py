@@ -111,13 +111,17 @@ class CalibrationResult:
     """Estimated pose (camera-to-base or camera-to-end-effector) plus audit trail."""
 
     solution: PnPSolution
-    n_pairs_used: int
     dropped: tuple[tuple[int, str], ...]
 
     @property
     def pose(self) -> Pose:
         """The solution's pose."""
         return self.solution.pose
+
+    @property
+    def n_pairs_used(self) -> int:
+        """The solution's pair count."""
+        return len(self.solution.per_point_residuals)
 
 
 def select_frames(
@@ -192,7 +196,7 @@ def calibrate_each(members) -> list[CalibrationResult | CalibrationError]:
     members = list(members)
     results: list = [None] * len(members)
     selected: dict = {}  # request and frame pattern: (used frames, dropped, points) or error
-    stacks: dict = {}  # (intrinsics, robust): [(member index, pairs, dropped, points, pixels)]
+    stacks: dict = {}  # (intrinsics, robust): [(member index, dropped, points, pixels)]
     for i, (req, track) in enumerate(members):
         key = (id(req), track.frame_index.tobytes(), track.visible.tobytes(), track.sync.tobytes())
         if key not in selected:
@@ -210,15 +214,12 @@ def calibrate_each(members) -> list[CalibrationResult | CalibrationError]:
         # Both frame-index arrays are strictly increasing and contain every used frame.
         uv = track.uv[np.searchsorted(track.frame_index, used)]
         stack = stacks.setdefault((req.intrinsics, req.options.robust), [])
-        stack.append((i, len(used), tuple(dropped), points, uv))
+        stack.append((i, tuple(dropped), points, uv))
     for (intrinsics, robust), stack in stacks.items():
-        index, n_used, dropped, points, uv = zip(*stack)
+        index, dropped, points, uv = zip(*stack)
         solutions = solve_pnp(list(points), list(uv), intrinsics, robust=robust)
-        for i, n, drop, sol in zip(index, n_used, dropped, solutions):
-            if isinstance(sol, CalibrationError):
-                results[i] = sol
-            else:
-                results[i] = CalibrationResult(sol, n, drop)
+        for i, drop, sol in zip(index, dropped, solutions):
+            results[i] = sol if isinstance(sol, CalibrationError) else CalibrationResult(sol, drop)
     return results
 
 

@@ -24,7 +24,7 @@ class EmptyInput(CalibrationError):
 
 
 class DegenerateConfiguration(CalibrationError):
-    """The 3D point arrangement does not support a well-posed PnP solve."""
+    """The 3D point arrangement or the pixels' spread admits no well-posed PnP solve."""
 
     def __init__(self, message: str, report=None):
         self.report = report

@@ -146,21 +146,6 @@ def apply(p: Pose, points: np.ndarray) -> np.ndarray:
     return pts @ p.rotation.T + p.translation
 
 
-def rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix (3, 3) of a vector (3,), or a stack of them
     (..., 3, 3) of vectors (..., 3)."""

@@ -3,10 +3,9 @@
 The solver is self-contained: a global search of the object-space cost
 over SO(3) (SQPnP-style: Gauss-Newton from 18 starts built from the
 eigenvectors of its 9 x 9 matrix) provides the one initial pose, and damped
-least squares on the pixel reprojection error refines it.  Degeneracy of
-the 3D point arrangement is diagnosed before solving; collinear or
-too-small point sets are rejected because they admit no well-conditioned
-unique pose.
+least squares on the pixel reprojection error refines it.  Collinear or
+too-small point sets, and pixels that barely spread, are rejected before
+solving: they admit no well-conditioned unique pose.
 
 Every stage runs on a ragged stack: M members, each with its own points,
 pixels and pair count, laid end to end in structure-of-arrays form
@@ -58,6 +57,10 @@ SPREAD_RATIO_TOL = 0.02
 # look: a 2 cm scatter with 0.2 mm rms width solved at 2 px noise lands
 # metres from the truth.
 MIN_SPREAD_M = 0.01
+
+# Floor on the pixels' rms distance from their centroid: 8 well-spread points
+# seen at one pixel with 2 px noise solved ~1.7 km away at an rms of 1.5 px.
+MIN_PIXEL_SPREAD_PX = 10.0
 
 # LM stop (relative cost change), step cap, initial damping, Huber scale (px) of the robust loss.
 FN_TOL = 1e-10
@@ -243,6 +246,18 @@ def _checked_points(pts3: np.ndarray) -> DegeneracyReport:
             report=report,
         )
     return report
+
+
+def _spread_error(pix: np.ndarray) -> DegenerateConfiguration | None:
+    """The error, or None, of (n, 2) pixels closer than MIN_PIXEL_SPREAD_PX
+    (rms) to their centroid; squares past the float range fail in the solve."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = math.sqrt(np.sum(np.square(pix - pix.mean(axis=0))) / len(pix))
+    if spread < MIN_PIXEL_SPREAD_PX:
+        return DegenerateConfiguration(
+            f"the pixels spread {spread:.3g} px from their centroid (rms), under "
+            f"{MIN_PIXEL_SPREAD_PX:g} px; track the point over a wider part of the image"
+        )
 
 
 def _solve_each(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -638,7 +653,9 @@ def solve_pnp_linear(pts3, pix, k: CameraIntrinsics) -> Pose:
     """The linear stage's pose estimate (no refinement): the SQPnP candidate
     of the least object-space cost, the earlier on a tie."""
     with _in_float_range():
-        r, t, costs = _sqp_candidates(*_alone(pts3, pix, _checked_points), k)
+        pts, uv = _alone(pts3, pix, _checked_points)
+        _raised(_spread_error(uv.T))
+        r, t, costs = _sqp_candidates(pts, uv, k)
     best = int(np.argmin(costs[0]))
     if not math.isfinite(costs[0, best]):
         raise NumericalFailure(_NO_START)
@@ -646,7 +663,7 @@ def solve_pnp_linear(pts3, pix, k: CameraIntrinsics) -> Pose:
 
 
 def solve_pnp(pts3, pix, k: CameraIntrinsics, *, robust: bool = False):
-    """Full pipeline: degeneracy check, linear solve, refinement.
+    """Full pipeline: point and pixel-spread checks, linear solve, refinement.
 
     Takes (n, 3) object points and (n, 2) pixels, every pair counting once.
     Levenberg-Marquardt refines the linear stage's cheapest SQPnP candidate;
@@ -692,6 +709,8 @@ def _solve_ragged(pts3, pix, k: CameraIntrinsics, robust: bool) -> list:
             except CalibrationError as exc:
                 checked[id(points)] = (points, exc)
         report = checked[id(points)][1]
+        if isinstance(report, DegeneracyReport):
+            report = _spread_error(pixels) or report
         if isinstance(report, CalibrationError):
             outcomes[i] = report
             continue

@@ -51,7 +51,6 @@ from .geometry import (
     Pose,
     apply,
     compose,
-    freeze,
     invert_stack,
     pixels,
     rotation_about_axis,
@@ -141,9 +140,8 @@ class GroundTruthScene:
 
     t_gt is camera-to-base for eye-on-base scenes and
     camera-to-end-effector for eye-in-hand scenes.  Visible frames of
-    clean_track reproject exactly from FK plus t_gt.  points holds the
-    (N, 3) object points the track was projected from, one per joint-log
-    row, in the frame t_gt maps from.
+    clean_track reproject exactly from t_gt and the object points of the
+    scene's mode, ``object_points(mode, chain, ref, joint_log.positions)``.
     """
 
     chain: KinematicChain
@@ -151,10 +149,6 @@ class GroundTruthScene:
     t_gt: Pose
     joint_log: JointLog
     clean_track: Track2D
-    points: np.ndarray
-
-    def __post_init__(self):
-        freeze(self, "points", shape=(-1, 3))
 
 
 @dataclass(frozen=True)
@@ -306,7 +300,7 @@ def _scene(
     synchronization frame: the simulator has no capture latency."""
     uv, visible = _project_visible(cfg.camera, apply(t_gt, points))
     track = Track2D(log.frame_index, uv, visible, np.ones(log.n_frames, dtype=bool))
-    return GroundTruthScene(chain, ref, t_gt, log, track, points)
+    return GroundTruthScene(chain, ref, t_gt, log, track)
 
 
 def _placed_scene(

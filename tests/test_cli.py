@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 import refcal
 from helpers import JSON_LEAVES, leaf_paths, replaced
 from refcal.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
-from refcal.fileio import builtin_chain_path, parse_pose_file, parse_result_file
+from refcal.fileio import (
+    builtin_chain_path,
+    parse_pose_file,
+    parse_result_file,
+    parse_track_csv,
+    write_track_csv,
+)
 from refcal.geometry import rotation_error
 
 
@@ -379,6 +386,23 @@ def test_a_refined_pose_with_points_behind_the_camera_exits_3(tmp_path, noisy_sc
         )
         assert wild and low < float(wild[1]) < high
         assert not out.exists()
+
+
+def test_a_track_at_one_pixel_exits_3_without_traceback(tmp_path, noisy_scene):
+    # Every visible frame seen at one pixel: the pixels do not spread, so the
+    # capture is degenerate however far the arm moved.
+    track = parse_track_csv(noisy_scene / "track.csv")
+    uv = np.array(track.uv)
+    uv[track.visible] = uv[track.visible][0]
+    bad = tmp_path / "track.csv"
+    write_track_csv(dataclasses.replace(track, uv=uv), bad)
+    out = tmp_path / "r.json"
+    proc = _run_cli(*_calibrate_args(noisy_scene, track=bad, output=out))
+    assert proc.returncode == EXIT_DEGENERATE
+    assert "Traceback" not in proc.stderr
+    assert re.search(r"error: the pixels spread \S+ px from their centroid \(rms\), under 10 px",
+                     proc.stderr)
+    assert not out.exists()
 
 
 def _with(doc, path, value):

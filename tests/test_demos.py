@@ -1,4 +1,5 @@
-"""Every script in demos/, and the README's library tour, runs to completion."""
+"""Every script in demos/, and the README's library tour, runs to completion
+without a RuntimeWarning or DeprecationWarning."""
 
 import os
 import re
@@ -15,9 +16,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _run_python(args, cwd):
+    """Python in a child process; as in the suite, a RuntimeWarning or a
+    DeprecationWarning is an error there."""
     env = dict(os.environ, PYTHONPATH=str(Path(refcal.__file__).parents[1]))
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, capture_output=True, text=True, env=env
+        [sys.executable, *warnings, *args], cwd=cwd, capture_output=True, text=True, env=env
     )
 
 

@@ -21,7 +21,6 @@ from refcal.geometry import (
     pose_quaternion,
     project,
     quaternion_to_matrix,
-    rot_z,
     rotation_about_axis,
     rotation_error,
     translation_error,
@@ -29,6 +28,7 @@ from refcal.geometry import (
 )
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+X, Y, Z = np.eye(3)
 
 
 def test_compose_identity():
@@ -49,10 +49,10 @@ def test_compose_inverse_is_identity():
 
 def test_compose_hand_computed():
     # Rz(90) at t=(1,0,0) after Rz(90) at t=0: 4x4 product gives Rz(180), t=(1,0,0).
-    a = Pose(rot_z(math.pi / 2), (1.0, 0.0, 0.0))
-    b = Pose(rot_z(math.pi / 2), (0.0, 0.0, 0.0))
+    a = Pose(rotation_about_axis(Z, math.pi / 2), (1.0, 0.0, 0.0))
+    b = Pose(rotation_about_axis(Z, math.pi / 2), (0.0, 0.0, 0.0))
     out = compose(a, b)
-    assert_allclose(out.rotation, rot_z(math.pi), atol=1e-15)
+    assert_allclose(out.rotation, rotation_about_axis(Z, math.pi), atol=1e-15)
     assert_allclose(out.translation, (1.0, 0.0, 0.0), atol=1e-15)
 
 
@@ -171,16 +171,15 @@ def test_project_unproject_roundtrip():
 
 def test_rotation_error_zero_and_quarter_turn():
     assert rotation_error(identity(), identity()) == 0.0
-    a = Pose(rot_z(math.pi / 2), np.zeros(3))
+    a = Pose(rotation_about_axis(Z, math.pi / 2), np.zeros(3))
     assert rotation_error(a, identity()) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_rotation_error_matches_axis_angle_oracle():
     # Rx(10 deg) @ Ry(5 deg) vs identity; oracle is the quaternion half-angle
     # magnitude 2*atan2(|q_vec|, q_w) computed independently.
-    from refcal.geometry import rot_x, rot_y
-
-    a = Pose(rot_x(math.radians(10)) @ rot_y(math.radians(5)), np.zeros(3))
+    rotation = rotation_about_axis(X, math.radians(10)) @ rotation_about_axis(Y, math.radians(5))
+    a = Pose(rotation, np.zeros(3))
     assert rotation_error(a, identity()) == pytest.approx(0.19508417050559299, abs=1e-12)
 
 

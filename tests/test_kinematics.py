@@ -20,7 +20,7 @@ from refcal.geometry import (
     identity,
     invert,
     orthonormalize,
-    rot_z,
+    rotation_about_axis,
     skew,
 )
 from refcal.kinematics import (
@@ -33,6 +33,9 @@ from refcal.kinematics import (
     forward_kinematics,
     reference_point_in_base,
 )
+
+
+Z = (0.0, 0.0, 1.0)
 
 
 def _revolute(name, origin=None, axis=(0, 0, 1), limits=None):
@@ -60,7 +63,7 @@ def test_fk_single_joint_at_zero():
 def test_fk_single_joint_quarter_turn():
     end = end_effector_pose(SINGLE, [math.pi / 2])
     assert_allclose(end.translation, (0.0, 1.0, 0.0), atol=1e-15)
-    assert_allclose(end.rotation, rot_z(math.pi / 2), atol=1e-15)
+    assert_allclose(end.rotation, rotation_about_axis(Z, math.pi / 2), atol=1e-15)
 
 
 def test_fk_two_link_planar():
@@ -382,7 +385,7 @@ def test_batched_fk_dimension_mismatch(panda):
 # An origin rotation off SO(3) by 1e-6 makes every product drift past
 # ORTHONORMAL_TOL; each frame and link must be re-projected as compose does.
 _BUMP = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-_DRIFTED = Pose(rot_z(0.3) + 1e-6 * _BUMP, (0.1, 0.0, 0.2))
+_DRIFTED = Pose(rotation_about_axis(Z, 0.3) + 1e-6 * _BUMP, (0.1, 0.0, 0.2))
 DRIFT = KinematicChain(
     name="drift",
     joints=(
@@ -469,9 +472,12 @@ def test_a_drifted_origin_is_repaired_once_and_a_slight_one_used_as_given(chain)
 SLIDE = KinematicChain(
     name="slide",
     joints=(
-        _revolute("j1", origin=Pose(rot_z(0.4), (0.0, 0.0, 0.3)), axis=(0.0, 1.0, 0.0)),
-        Joint("slide", "prismatic", Pose(rot_z(-0.9), (0.2, 0.0, 0.0)), axis=(0.6, 0.0, 0.8)),
-        Joint("bracket", "fixed", Pose(rot_z(1.1), (0.0, 0.1, 0.05))),
+        _revolute("j1", Pose(rotation_about_axis(Z, 0.4), (0.0, 0.0, 0.3)), (0.0, 1.0, 0.0)),
+        Joint(
+            "slide", "prismatic", Pose(rotation_about_axis(Z, -0.9), (0.2, 0.0, 0.0)),
+            axis=(0.6, 0.0, 0.8),
+        ),
+        Joint("bracket", "fixed", Pose(rotation_about_axis(Z, 1.1), (0.0, 0.1, 0.05))),
         _revolute("j2", origin=Pose(np.eye(3), (0.0, 0.0, 0.1)), axis=(1.0 + 9e-10, 0.0, 0.0)),
     ),
 )

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from helpers import random_pose, reprojection_rms, synth_scene
 from refcal import pnp
-from refcal.calibration import Mode
+from refcal.calibration import Mode, object_points
 from refcal.errors import (
     CalibrationError,
     DegenerateConfiguration,
@@ -367,11 +367,12 @@ def test_solve_reaches_the_optimum_refined_from_the_truth(panda, panda_base, mod
     for seed in range(7):
         cfg = ScenarioConfig(seed=seed, mode=mode)
         scene = generate_scene(cfg, chain, ref)
+        points = object_points(mode, scene.chain, scene.ref, scene.joint_log.positions)
         track = corrupt_track(scene.clean_track, NoiseModel(sigma=2.0), seed=seed)
         visible = np.flatnonzero(track.visible)
         for n in (8, 12, len(visible)):
             rows = visible[np.linspace(0, len(visible) - 1, n).round().astype(int)]
-            pts, pix = scene.points[rows], track.uv[rows]
+            pts, pix = points[rows], track.uv[rows]
             sol = solve_pnp(pts, pix, cfg.camera)
             from_truth = refine_pose(scene.t_gt, pts, pix, cfg.camera)
             assert_allclose(sol.pose.translation, from_truth.pose.translation, rtol=0, atol=1e-6)
@@ -390,12 +391,13 @@ def test_four_frames_solve_to_the_truth_or_raise(panda, panda_base, mode):
     for seed in range(5000, 5060):
         cfg = ScenarioConfig(seed=seed, mode=mode)
         scene = generate_scene(cfg, chain, ref)
+        points = object_points(mode, scene.chain, scene.ref, scene.joint_log.positions)
         track = scene.clean_track
         visible = np.flatnonzero(track.visible)
         rows = visible[np.floor(np.arange(4) * len(visible) / 4).astype(int)]
         uv = corrupt_track(track, NoiseModel(sigma=2.0), seed).uv[rows]
-        clean.append((seed, scene.points[rows], track.uv[rows], scene.t_gt))
-        noisy.append((seed, scene.points[rows], uv, scene.t_gt))
+        clean.append((seed, points[rows], track.uv[rows], scene.t_gt))
+        noisy.append((seed, points[rows], uv, scene.t_gt))
     for corpus, tol in ((clean, 1e-6), (noisy, 0.1)):
         seeds, pts, pix, truths = zip(*corpus)
         camera = ScenarioConfig(seed=0).camera
@@ -741,18 +743,28 @@ def test_each_member_product_is_its_product_alone():
         assert np.array_equal(rotated[..., cols], one_rotated)
 
 
-def test_a_member_whose_pixels_coincide_fails_alone():
-    # Eight well-spread points all seen at the principal point: every ray is
-    # exactly the optical axis, so the member's translation system m_tt has
-    # an exactly zero row and no solution.  The stack as a whole raises that
-    # NumericalFailure (not an overflow); it is re-solved member by member,
-    # and the other members keep the outcomes of their solves alone.
+@pytest.mark.parametrize(
+    "at, sigma",
+    [("principal", 0.0), ("first", 0.0), ("first", 2.0)],
+    ids=["principal-point", "one-pixel", "one-pixel-noisy"],
+)
+def test_a_member_whose_pixels_coincide_fails_alone(at, sigma):
+    # Eight well-spread points all seen at one pixel.  At the principal point
+    # every ray is the optical axis and m_tt has no solution; at the first
+    # point's pixel the solve gave a pose ~1.5e7 m away at an rms of 8e-5 px,
+    # and with 2 px noise ~1.7 km away at 1.49 px.  The pixels spread under
+    # MIN_PIXEL_SPREAD_PX, so each set is degenerate: alone, in the linear
+    # stage, and as member 2 of 3, where the other members keep the outcomes
+    # of their solves alone.
     _, pts, pix = synth_scene(np.random.default_rng(7), 8, K)
     assert check_degeneracy(pts).classification == WELL_CONDITIONED
-    one = np.full(pix.shape, (K.cx, K.cy))
-    with pytest.raises(NumericalFailure, match="object-space system has no solution") as alone:
-        solve_pnp(pts, one, K)
-    outcomes = solve_pnp([pts, pts, pts], [pix, one, pix + 0.5], K)
+    one = (K.cx, K.cy) if at == "principal" else pix[0]
+    seen = np.broadcast_to(one, pix.shape) + np.random.default_rng(1).normal(0.0, sigma, pix.shape)
+    with pytest.raises(DegenerateConfiguration, match="pixels spread") as alone:
+        solve_pnp(pts, seen, K)
+    with pytest.raises(DegenerateConfiguration, match="pixels spread"):
+        solve_pnp_linear(pts, seen, K)
+    outcomes = solve_pnp([pts, pts, pts], [pix, seen, pix + 0.5], K)
     _assert_identical(outcomes[1], alone.value)
     _assert_identical(outcomes[0], solve_pnp(pts, pix, K))
     _assert_identical(outcomes[2], solve_pnp(pts, pix + 0.5, K))

@@ -24,7 +24,7 @@ from refcal.geometry import (
     compose,
     invert,
     project,
-    rot_z,
+    rotation_about_axis,
     rotation_error,
 )
 from refcal.kinematics import forward_kinematics
@@ -54,7 +54,7 @@ def test_scene_deterministic(panda):
     assert np.array_equal(a.t_gt.rotation, b.t_gt.rotation)
     assert np.array_equal(a.t_gt.translation, b.t_gt.translation)
     with pytest.raises(ValueError, match="read-only"):
-        a.points[0, 0] = 0.0
+        a.clean_track.uv[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("name", ["fps", "duration"])
@@ -221,7 +221,8 @@ def test_placement_pick_matches_sequential_best_of_20(panda, panda_base, mode, s
     assert np.array_equal(scene.t_gt.translation, t_gt.translation)
     assert np.array_equal(scene.clean_track.uv, uv, equal_nan=True)
     assert np.array_equal(scene.clean_track.visible, visible)
-    assert np.array_equal(scene.points, points)
+    carried = object_points(mode, scene.chain, scene.ref, scene.joint_log.positions)
+    assert np.array_equal(carried, points)
 
 
 def test_look_at_stack_rows_equal_one_row_calls():
@@ -336,7 +337,7 @@ def test_evaluate_an_error_past_float_range_squared_is_inf():
 def test_evaluate_reported_format():
     # 3/4.5/6 mm offsets and a 0.01 rad twist in centimeters and radians.
     gt = Pose(np.eye(3), (0.5, -0.2, 1.0))
-    est = Pose(rot_z(0.01), gt.translation + (0.003, 0.0045, 0.006))
+    est = Pose(rotation_about_axis((0, 0, 1), 0.01), gt.translation + (0.003, 0.0045, 0.006))
     err = evaluate(est, gt)
     assert err.e_x_cm == pytest.approx(0.30, abs=1e-12)
     assert err.e_y_cm == pytest.approx(0.45, abs=1e-12)

@@ -8,6 +8,11 @@ runs, in a temporary directory:
 - ``simulate --seed S --sigma 2`` for S = 1, 2, 3, each followed by
   ``calibrate`` plain and ``calibrate --robust --all-frames``.
 
+It also writes, with ``export_scene``, the scenes of
+``generate_dual_view_scenes`` for seeds 0, 1 and 2 (the panda chain's flange
+point seen by the fixed camera, and its base point seen from each anchor's
+arm-mounted camera), which no CLI command produces.
+
 It prints one ``sha256  path`` line per output file, sorted by path, then
 ``sha256  total``, the digest of the lines above it.  Two checkouts write
 the same bytes when their totals are equal.  A command that does not exit
@@ -27,9 +32,12 @@ from pathlib import Path
 
 import refcal
 from refcal.cli import main
+from refcal.fileio import parse_chain_file
+from refcal.simulation import ScenarioConfig, export_scene, generate_dual_view_scenes
 
 CHAINS = {"eob": "panda.json", "eih": "panda_base_ref.json"}
 SEEDS = (1, 2, 3)
+DUAL_VIEW_SEEDS = (0, 1, 2)
 
 
 def _run(*argv: str) -> None:
@@ -61,6 +69,15 @@ def build(root: Path) -> None:
             _run("calibrate", *inputs, "-o", str(scene / "result.json"))
             robust = ("--robust", "--all-frames")
             _run("calibrate", *inputs, *robust, "-o", str(scene / "robust-all.json"))
+    chain, arm_ref = parse_chain_file(data / CHAINS["eob"])
+    base_ref = parse_chain_file(data / CHAINS["eih"])[1]
+    for seed in DUAL_VIEW_SEEDS:
+        cfg = ScenarioConfig(seed=seed)
+        eob_scene, eih_scenes = generate_dual_view_scenes(cfg, chain, arm_ref, base_ref)
+        out = root / f"dual-view-{seed}"
+        export_scene(eob_scene, cfg.camera, out / "eob")
+        for anchor, scene in eih_scenes:
+            export_scene(scene, cfg.camera, out / f"eih-{anchor}")
 
 
 def listing(root: Path) -> list[str]:
